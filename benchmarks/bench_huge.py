@@ -30,14 +30,12 @@ from conftest import SEED, publish_bench, run_once
 
 
 def _run_huge():
-    # Streaming retention keeps the metrics footprint flat over the run
-    # (summary-identical by contract); perf counters attribute the
-    # throughput/RSS trajectory to subsystems.  Neither moves an event.
+    # Perf counters attribute the throughput/RSS trajectory to
+    # subsystems without moving an event.
     config = preset(
         "huge",
         exchange_mechanism="2-5-way",
         seed=SEED,
-        metrics_retention="streaming",
         perf_counters=True,
     )
     sim = FileSharingSimulation(config)
@@ -58,9 +56,7 @@ def test_huge_preset(benchmark):
         wall_seconds=run_wall,
         events_fired=result.events_fired,
         scale="huge",
-        collector_backend=result.metrics.backend_name,
         num_peers=result.config.num_peers,
-        metrics_retention=result.config.metrics_retention,
         counters=result.perf_counters,
         build_seconds=round(build_wall, 3),
         completed_downloads=(

@@ -73,7 +73,6 @@ def publish_bench(
     wall_seconds: float,
     events_fired: Optional[int] = None,
     scale: Optional[str] = None,
-    collector_backend: Optional[str] = None,
     counters: Optional[dict] = None,
     **extra,
 ) -> dict:
@@ -82,10 +81,8 @@ def publish_bench(
     ``events_fired`` may be None for benches that only time wall clock;
     ``events_per_second`` is derived when both numbers are present.
     Every record carries the process peak RSS (MB); simulation benches
-    pass ``collector_backend`` (``result.metrics.backend_name``) so the
-    trajectory states which metrics core produced it, and ``counters``
-    (``ctx.counters.snapshot()``) to attribute regressions to a
-    subsystem — omitted, a disabled-empty block is stored so the key is
+    pass ``counters`` (``ctx.counters.snapshot()``) to attribute
+    regressions to a subsystem — omitted, a disabled-empty block is stored so the key is
     always present.  Extra keyword fields are stored verbatim (e.g.
     peer counts), so a bench can carry whatever context makes its
     trajectory readable.
@@ -102,7 +99,6 @@ def publish_bench(
             else None
         ),
         "peak_rss_mb": peak_rss_mb(),
-        "collector_backend": collector_backend,
         "counters": counters if counters is not None else dict(DISABLED_COUNTERS),
     }
     record.update(extra)

@@ -19,6 +19,7 @@ from repro.content.interests import InterestProfile
 from repro.content.storage import ObjectStore
 from repro.context import SimContext
 from repro.core.policies import parse_mechanism
+from repro.metrics.columnar import ColumnarCollector
 from repro.network.behaviors import FREELOADER, SHARER
 from repro.network.lookup import LookupService
 from repro.network.peer import Peer
@@ -68,7 +69,8 @@ def main() -> None:
         duration=10_000.0,
         warmup=0.0,
     )
-    ctx = SimContext(config)
+    # A record-keeping collector: the walkthrough reads session records.
+    ctx = SimContext(config, metrics=ColumnarCollector(keep_records=True))
     ctx.catalog = build_catalog()
     ctx.lookup = LookupService()
 

@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Streaming-retention memory guard: RSS must stay flat over the run.
+"""Metrics memory guard: RSS must stay flat over the run.
 
-With ``metrics_retention="streaming"`` the columnar collector folds each
-frozen 4096-row chunk into running aggregates and releases it, so the
-process footprint after the world is built should be governed by the
-*population*, not by how long the run lasts.  This script proves that
+The columnar collector folds each frozen 4096-row chunk into running
+aggregates and releases it, so the process footprint after the world is
+built should be governed by the *population*, not by how long the run
+lasts.  This script proves that
 property on a live run: it builds one simulation, runs the engine to a
 checkpoint fraction of the configured duration, samples peak RSS, runs
 to the end, samples again, and fails if the second sample grew beyond
 ``--max-growth`` times the first.
 
 The check discriminates at large populations: at the ``huge`` preset
-full retention's record arrays grow by hundreds of megabytes after the
-first checkpoint, while streaming holds the growth to the live
-simulation state.  (At small presets both modes pass — a 1000-peer run
-simply doesn't record enough rows to move RSS.)  Peak RSS
+keeping every record row would grow RSS by hundreds of megabytes after
+the first checkpoint, while the folds hold the growth to the live
+simulation state.  (At small presets a 1000-peer run simply doesn't
+record enough rows to move RSS.)  Peak RSS
 (``ru_maxrss``) is used rather than instantaneous RSS because it is
 monotone — immune to GC timing and allocator release behaviour between
 the two samples.
@@ -22,8 +22,7 @@ the two samples.
 Usage (CI runs the huge preset)::
 
     PYTHONPATH=src python scripts/check_streaming_rss.py \
-        [--preset huge] [--checkpoint 0.25] [--max-growth 1.25] \
-        [--retention streaming] [--seed 42]
+        [--preset huge] [--checkpoint 0.25] [--max-growth 1.25] [--seed 42]
 """
 
 from __future__ import annotations
@@ -58,12 +57,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=1.25,
         help="maximum peak-RSS ratio between checkpoints (default 1.25)",
     )
-    parser.add_argument(
-        "--retention",
-        default="streaming",
-        choices=("streaming", "full"),
-        help="metrics retention mode (pass 'full' to watch the guard fail)",
-    )
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
     if not 0.0 < args.checkpoint < 1.0:
@@ -74,18 +67,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.experiments.presets import preset
     from repro.simulation import FileSharingSimulation
 
-    config = preset(
-        args.preset,
-        exchange_mechanism="2-5-way",
-        seed=args.seed,
-        metrics_retention=args.retention,
-    )
+    config = preset(args.preset, exchange_mechanism="2-5-way", seed=args.seed)
     sim = FileSharingSimulation(config)
     sim.build()
     built_rss = peak_rss_mb()
     print(
-        f"built {config.num_peers} peers ({args.preset} preset, "
-        f"{args.retention} retention): peak RSS {built_rss:.0f}MB"
+        f"built {config.num_peers} peers ({args.preset} preset): "
+        f"peak RSS {built_rss:.0f}MB"
     )
 
     # Mirror FileSharingSimulation.run(): freeze the built world out of
@@ -115,11 +103,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"FAIL: peak RSS grew {growth:.3f}x between the "
             f"{args.checkpoint:.0%} and 100% checkpoints (limit "
-            f"{args.max_growth:.2f}x) — metrics retention is not flat",
+            f"{args.max_growth:.2f}x) — metrics memory is not flat",
             file=sys.stderr,
         )
         return 1
-    print("peak RSS growth within bounds — retention is flat")
+    print("peak RSS growth within bounds — metrics memory is flat")
     return 0
 
 

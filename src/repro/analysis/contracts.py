@@ -212,11 +212,12 @@ class NumericReductionRule(Rule):
         "— np.sum/math.fsum/method reductions are banned"
     )
     rationale = (
-        "The columnar backend's equivalence contract is byte-identity with "
-        "the per-record reference implementation, and float addition is not "
+        "The metrics contract is that the chunk fold equals the record-order "
+        "left-fold behind the golden tables, and float addition is not "
         "associative: np.sum's pairwise reduction and math.fsum's exact "
-        "summation both round differently from the left-fold the record "
-        "path performs.  In metrics/aggregates.py and metrics/columnar.py "
+        "summation both round differently from that left-fold, and a "
+        "pairwise sum would also round differently for every chunk size.  "
+        "In metrics/aggregates.py and metrics/columnar.py "
         "the rule bans numpy/math reduction calls and ndarray .sum() "
         "methods, and requires builtin sum() to pass an explicit start "
         "(sum(values, 0.0)) so the fold order is spelled out.  Integer "
@@ -249,8 +250,8 @@ class NumericReductionRule(Rule):
                         self,
                         module,
                         node,
-                        "math.fsum() rounds differently from the record "
-                        "path's left-fold; use sum(values, 0.0)",
+                        "math.fsum() rounds differently from the record-"
+                        "order left-fold; use sum(values, 0.0)",
                     )
                     continue
             if isinstance(node.func, ast.Attribute) and node.func.attr == "sum":

@@ -57,10 +57,12 @@ ProgressFn = Callable[[int, int], None]
 #: summaries carry per-phase breakdowns; the strategy layer did again:
 #: fingerprints now cover ``strategy`` / per-class strategy specs and
 #: summaries carry sharing-fraction trajectories; the flat-cost event
-#: loop did again: fingerprints now cover ``metrics_retention`` /
-#: ``perf_counters``).  Entries stamped with any other value are
+#: loop did again: fingerprints now cover the metrics retention knob /
+#: ``perf_counters``; the single fold-on-freeze metrics path did again:
+#: the metrics backend and retention knobs left the config, and with
+#: them the fingerprint).  Entries stamped with any other value are
 #: treated as misses, so stale pre-refactor results are never replayed.
-CACHE_SCHEMA_VERSION = 7
+CACHE_SCHEMA_VERSION = 8
 
 
 def config_fingerprint(config: SimulationConfig) -> str:

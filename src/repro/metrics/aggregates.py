@@ -1,31 +1,24 @@
-"""Shared session-reduction containers and streaming chunk folds.
+"""Summary-input containers and the chunk folds that build them.
 
-:func:`~repro.metrics.summary.summarize` used to iterate
-``List[SessionRecord]`` itself; with two collector backends (object
-lists and columnar arrays) the per-session reduction lives behind
-``collector.session_aggregates(warmup)`` instead, and this module holds
-the result shape both backends produce.
+:class:`~repro.metrics.columnar.ColumnarCollector` hands every frozen
+row chunk to :class:`RunningSessionAggregates` and
+:class:`RunningDownloadTimes` and then releases it, so metrics memory
+stays flat in run length.  The folds keep only what
+:func:`~repro.metrics.summary.summarize` needs per record: the
+per-class volume/waiting value lists (Fig. 7/8 CDF inputs) and the
+download-time lists, as unboxed float64 chunk arrays until query time.
 
-Under streaming retention (``SimulationConfig.metrics_retention =
-"streaming"``) the columnar backend additionally *folds* every frozen
-4096-row chunk into the running reductions here and releases the chunk,
-so metrics memory stays flat in run length.  The folds keep only what
-the summary needs per record: the per-class volume/waiting value lists
-(Fig. 7/8 CDF inputs) and download-time lists, as unboxed float64
-chunk arrays until query time.
-
-Bit-identity contract: every float in an aggregate must be built from
-the same IEEE operations in the same order as the historical record
-loop — elementwise ``/ 8.0`` and ``/ 60.0`` transforms, and sequential
-left-fold ``sum(values, start)`` accumulations — so the two backends
-*and* the two retention modes summarize to byte-identical JSON (pinned
-by the golden figure tests, ``tests/test_collector_equivalence.py`` and
-``tests/test_streaming_retention.py``).  Chunking cannot move a float:
-the elementwise transforms are per-element, carrying the accumulator
-through ``sum(chunk_values, accumulator)`` reassociates nothing
-(``((0+a)+b)+c`` either way), and ``np.concatenate`` of chunk arrays
-followed by ``.tolist()`` yields the same Python floats as per-chunk
-``.tolist()`` extensions.
+Bit-identity contract: every float in an aggregate is built from the
+same IEEE operations in the same order as a record-order loop over the
+whole stream — elementwise ``/ 8.0`` and ``/ 60.0`` transforms, and
+sequential left-fold ``sum(values, start)`` accumulations — so the
+golden figure tables hold and ``tests/test_collector_equivalence.py``
+can compare the folds against such a loop.  Chunking cannot move a
+float: the elementwise transforms are per-element, carrying the
+accumulator through ``sum(chunk_values, accumulator)`` reassociates
+nothing (``((0+a)+b)+c`` either way), and per-chunk ``.tolist()``
+extensions yield the same Python floats as one ``.tolist()`` over the
+concatenation.
 """
 
 from __future__ import annotations
@@ -91,11 +84,11 @@ def _concat_lists(chunks: Sequence[np.ndarray]) -> List[float]:
 class RunningSessionAggregates:
     """Left-fold of frozen session chunks into :class:`SessionAggregates`.
 
-    One instance per streaming collector.  :meth:`fold` consumes one
-    frozen chunk (a name → array mapping in schema layout) exactly once;
+    One instance per collector.  :meth:`fold` consumes one frozen chunk
+    (a name → array mapping in schema layout) exactly once;
     :meth:`result` materializes a fresh :class:`SessionAggregates` equal
-    — byte for byte — to what a full-retention collector would compute
-    over the concatenation of every folded chunk.
+    — byte for byte — to a record-order loop over the concatenation of
+    every folded chunk.
 
     Scalar accumulators are carried *through* the per-chunk left-folds
     (``sum(chunk_values, accumulator)``), which preserves the reference
@@ -223,14 +216,15 @@ class RunningDownloadTimes:
 
     Retains, per post-warmup download, only the download time plus the
     sharer flag and class/phase codes (as unboxed chunk arrays) — enough
-    to serve ``download_times`` / ``download_times_by_class`` /
-    ``download_times_by_phase`` byte-identically to full retention.
+    to serve the collector's ``download_times*`` queries.
     """
 
-    __slots__ = ("_warmup", "_times", "_sharer", "_eff", "_phase")
+    __slots__ = ("_warmup", "_labels", "_times", "_sharer", "_eff", "_phase")
 
-    def __init__(self, warmup: float) -> None:
+    def __init__(self, warmup: float, labels: List[str]) -> None:
         self._warmup = warmup
+        #: Live reference to the collector's interning table.
+        self._labels = labels
         self._times: List[np.ndarray] = []
         self._sharer: List[np.ndarray] = []
         self._eff: List[np.ndarray] = []
@@ -263,12 +257,11 @@ class RunningDownloadTimes:
         values: List[float] = all_times[flags == sharer].tolist()
         return values
 
-    def times_by_code(self, which: str) -> Dict[int, List[float]]:
-        """``{code: times}`` keyed in first-occurrence order.
+    def times_by_label(self, which: str) -> Dict[str, List[float]]:
+        """``{label: times}`` keyed in first-occurrence order.
 
         ``which`` selects the grouping column: ``"eff_class"`` or
-        ``"phase"`` (phase grouping skips code 0, the ``""`` label, like
-        the full-retention view).
+        ``"phase"`` (phase grouping skips code 0, the ``""`` label).
         """
         codes = self._concat(
             self._eff if which == "eff_class" else self._phase, np.int32
@@ -278,10 +271,10 @@ class RunningDownloadTimes:
             labeled = np.flatnonzero(codes != 0)
             codes = codes[labeled]
             times = times[labeled]
-        grouped: Dict[int, List[float]] = {}
-        for code in first_occurrence_codes(codes):
-            grouped[code] = times[codes == code].tolist()
-        return grouped
+        return {
+            self._labels[code]: times[codes == code].tolist()
+            for code in first_occurrence_codes(codes)
+        }
 
     def nbytes(self) -> int:
         """Bytes retained by the download-time chunk arrays."""

@@ -1,40 +1,30 @@
-"""Columnar metrics collector: numpy struct-of-arrays record storage.
+"""Columnar metrics collector: numpy struct-of-arrays rows, folded on freeze.
 
-Drop-in alternative to :class:`~repro.metrics.collectors.MetricsCollector`
-for large runs.  Records land as scalars appended to a staging row list
-that is flushed into fixed-size numpy column chunks (amortized growth,
-8 bytes per float instead of a boxed dataclass per record), and every
-summary input — filtered time lists, per-class groupings, session
-aggregates — is extracted straight from the arrays.
+Records land as scalars appended to a staging row list.  Every
+``_CHUNK`` rows the staging tail is frozen into one numpy array per
+column and handed to the running folds in :mod:`repro.metrics.aggregates`,
+which keep exactly what :func:`~repro.metrics.summary.summarize` reads;
+the chunk is then released, so metrics memory is flat in run length.
+The summary-input queries (:meth:`ColumnarCollector.download_times` and
+friends, :meth:`ColumnarCollector.session_aggregates`) freeze the
+staging tail and read the folds, censoring at the warmup the collector
+was built with.
 
-Equivalence contract (pinned by ``tests/test_collector_equivalence.py``):
-for any record stream, :func:`~repro.metrics.summary.summarize` over
-this collector is **byte-identical** to the dataclass collector.  That
-is why every float transform below is elementwise (``/ 8.0``,
-``- request_time``, ``/ 60.0`` — IEEE-identical to the per-record
-Python expressions) and every accumulation is a sequential left-fold
-``sum(values, 0.0)`` over ``.tolist()`` extractions in record order —
-*never* ``np.sum``, whose pairwise reduction rounds differently.
+Two consumers hold frozen chunks longer:
 
-The dataclass records stay as a thin view API: :attr:`sessions`,
-:attr:`downloads` and :attr:`strategy_epochs` materialize
-``List[SessionRecord]``-shaped views on demand for tests and tools;
-nothing on the hot path allocates them.
+* a row reader — the strategy layer's epoch ingestion through
+  :meth:`ColumnarCollector.session_rows_since` /
+  :meth:`ColumnarCollector.download_rows_since` — keeps each chunk only
+  until its cursor has passed it (:meth:`ColumnarCollector.follow_rows`);
+* ``keep_records=True`` keeps every chunk, so the record views
+  (:attr:`~ColumnarCollector.sessions`, :attr:`~ColumnarCollector.downloads`,
+  :attr:`~ColumnarCollector.strategy_epochs`) can materialize
+  dataclasses for tests and tools.  Nothing on the hot path allocates
+  them.
 
 Sentinels: ``ring_id=None`` is stored as ``-1`` (real ring ids start at
 1), and ``None`` epoch payoffs are stored as NaN; both are restored on
 view materialization.
-
-Retention modes: ``retention="full"`` (default) keeps every frozen
-chunk resident and queryable.  ``retention="streaming"`` hands each
-frozen session/download chunk to the running folds in
-:mod:`repro.metrics.aggregates` and releases it, so the collector's
-memory is flat in run length; only the summary-input queries remain
-(byte-identical to full retention, pinned by
-``tests/test_streaming_retention.py``), and they must be asked at the
-collector's construction-time warmup.  Record-level views raise
-:class:`StreamingRetentionError`.  The tiny strategy-epoch table always
-keeps full retention.
 """
 
 from __future__ import annotations
@@ -44,11 +34,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import MetricsError
 from repro.metrics.aggregates import (
     RunningDownloadTimes,
     RunningSessionAggregates,
     SessionAggregates,
-    first_occurrence_codes as _first_occurrence_codes,
 )
 from repro.metrics.records import (
     DownloadRecord,
@@ -113,39 +103,26 @@ _EPOCH_SCHEMA: _Schema = (
 )
 
 
-class StreamingRetentionError(RuntimeError):
-    """A record-level view was asked of a streaming-retention collector.
-
-    Streaming retention releases frozen chunks after folding them into
-    running aggregates, so anything that needs raw record rows —
-    materialized record views, arbitrary-warmup filters, the strategy
-    layer's incremental row feeds — cannot be served.  Use
-    ``metrics_retention="full"`` for those.
-    """
-
-
 class _ColumnTable:
-    """Chunked struct-of-arrays store with a tuple-per-row staging tail.
+    """Chunked struct-of-arrays rows with a tuple-per-row staging tail.
 
     The hot path is :meth:`append`: one list append per record.  Every
     ``_CHUNK`` rows the staging tail is transposed and frozen into one
-    immutable numpy array per column.  In the default retaining mode
-    :meth:`column` concatenates the chunks (plus the current tail) on
-    demand and caches the result until the next append.  With an
-    ``on_freeze`` fold and ``retain=False`` (streaming retention) each
-    frozen chunk is handed to the fold and released instead, and the
-    column accessors go dark.
+    numpy array per column, handed to the ``on_freeze`` fold, and
+    released — unless ``keep_all`` keeps every chunk, or a row reader
+    (:meth:`follow`) has not read past it yet.
     """
 
     __slots__ = (
         "_schema",
         "_index",
-        "_chunks",
         "_staging",
         "_count",
-        "_cache",
         "_on_freeze",
-        "_retain",
+        "_keep_all",
+        "_following",
+        "_kept",
+        "_kept_from",
         "_perf",
         "_perf_key",
     )
@@ -154,18 +131,21 @@ class _ColumnTable:
         self,
         schema: _Schema,
         on_freeze: Optional[Callable[[Dict[str, np.ndarray]], None]] = None,
-        retain: bool = True,
+        keep_all: bool = False,
         perf=None,
         perf_key: str = "collector.chunks",
     ) -> None:
         self._schema = schema
         self._index = {name: i for i, (name, _) in enumerate(schema)}
-        self._chunks: Dict[str, List[np.ndarray]] = {name: [] for name, _ in schema}
         self._staging: List[Tuple[object, ...]] = []
         self._count = 0
-        self._cache: Optional[Dict[str, np.ndarray]] = None
         self._on_freeze = on_freeze
-        self._retain = retain
+        self._keep_all = keep_all
+        self._following = False
+        self._kept: List[Dict[str, np.ndarray]] = []
+        #: Row index of the first kept row (of the staging tail when no
+        #: chunk is kept).
+        self._kept_from = 0
         #: Perf-counter sink (kept only when enabled) tallying chunk
         #: freezes under ``perf_key`` — the collector's unit of
         #: amortized work.
@@ -180,7 +160,6 @@ class _ColumnTable:
         staging = self._staging
         staging.append(row)
         self._count += 1
-        self._cache = None
         if len(staging) >= _CHUNK:
             self._flush()
 
@@ -192,9 +171,10 @@ class _ColumnTable:
         }
         if self._on_freeze is not None:
             self._on_freeze(frozen)
-        if self._retain:
-            for name, array in frozen.items():
-                self._chunks[name].append(array)
+        if self._keep_all or self._following:
+            self._kept.append(frozen)
+        else:
+            self._kept_from += len(self._staging)
         self._staging.clear()
         if self._perf is not None:
             self._perf.bump(self._perf_key)
@@ -208,132 +188,99 @@ class _ColumnTable:
         if self._staging:
             self._flush()
 
-    def column(self, name: str) -> np.ndarray:
-        """The full column as one array (cached until the next append)."""
-        if not self._retain:
-            raise StreamingRetentionError(
-                f"column {name!r} was released under streaming retention"
-            )
-        cache = self._cache
-        if cache is None:
-            cache = {}
-            self._cache = cache
-        array = cache.get(name)
-        if array is None:
-            parts = list(self._chunks[name])
-            dtype = dict(self._schema)[name]
-            if self._staging:
-                index = self._index[name]
-                parts.append(
-                    np.asarray([row[index] for row in self._staging], dtype=dtype)
-                )
-            if not parts:
-                array = np.empty(0, dtype=dtype)
-            elif len(parts) == 1:
-                array = parts[0]
-            else:
-                array = np.concatenate(parts)
-            cache[name] = array
-        return array
+    def follow(self) -> int:
+        """Keep frozen chunks for a row reader from now on.
 
-    def lists(self, names: Sequence[str]) -> List[List[object]]:
-        """Python-scalar extractions of several columns (record order)."""
-        return [self.column(name).tolist() for name in names]
+        Returns the reader's starting cursor, the current row count:
+        rows before it may already be released.
+        """
+        self._following = True
+        return self._count
+
+    def rows_since(self, start: int, names: Sequence[str]) -> List[List[object]]:
+        """Python-scalar columns of rows ``start..`` in record order.
+
+        Kept chunks are sliced and the staging tail is read in place
+        (reading freezes nothing).  A reader reads to the end, so
+        afterwards every kept chunk is behind its cursor and is released
+        unless ``keep_all`` holds it.
+        """
+        if start < self._kept_from:
+            raise MetricsError(
+                f"rows before {self._kept_from} were released; build the "
+                "collector with keep_records=True to read them"
+            )
+        columns: List[List[object]] = []
+        for name in names:
+            values: List[object] = []
+            offset = self._kept_from
+            for chunk in self._kept:
+                array = chunk[name]
+                if offset + len(array) > start:
+                    values.extend(array[max(0, start - offset):].tolist())
+                offset += len(array)
+            index = self._index[name]
+            values.extend(row[index] for row in self._staging[max(0, start - offset):])
+            columns.append(values)
+        if not self._keep_all:
+            self._kept_from = self._count - len(self._staging)
+            self._kept.clear()
+        return columns
 
     def nbytes(self) -> int:
-        """Approximate frozen-storage footprint in bytes (chunks only)."""
-        return sum(
-            (arr.nbytes for chunks in self._chunks.values() for arr in chunks),
-            0,
+        """Approximate kept-chunk footprint in bytes (staging excluded)."""
+        return sum(  # simlint: disable=NUM001 -- int byte tally, no float rounding
+            array.nbytes for chunk in self._kept for array in chunk.values()
         )
 
 
 class ColumnarCollector:
-    """Numpy-backed metrics sink, summary-equivalent to the dataclass one.
+    """Numpy-backed metrics sink: the ``add_*`` scalar hot path, the
+    ``record_*`` dataclass compatibility path, counters, phase stamping,
+    the summary-input queries and the strategy layer's row feeds.
 
-    Implements the full :class:`~repro.metrics.collectors.MetricsCollector`
-    surface: the ``add_*`` scalar hot path, the ``record_*`` dataclass
-    compatibility path, counters, phase stamping, the filtered-view
-    queries, and :meth:`session_aggregates` for
-    :func:`~repro.metrics.summary.summarize`.
+    ``warmup`` is the measurement-window boundary the folds censor at;
+    ``keep_records`` keeps every row for the record views.
     """
-
-    #: Backend label, published into benchmark artifacts.
-    backend_name = "columnar"
 
     def __init__(
         self,
-        retention: str = "full",
         warmup: float = 0.0,
         perf_counters=None,
+        keep_records: bool = False,
     ) -> None:
-        if retention not in ("full", "streaming"):
-            raise ValueError(f"unknown retention {retention!r}")
         #: Shared string-interning table for class and phase labels.
         self._labels: List[str] = [""]
         self._codes: Dict[str, int] = {"": 0}
-        self.retention = retention
-        #: Warmup boundary the streaming folds censor at; summary-input
-        #: queries on a streaming collector must ask for exactly this.
         self.warmup = warmup
-        self._session_fold: Optional[RunningSessionAggregates] = None
-        self._download_fold: Optional[RunningDownloadTimes] = None
-        if retention == "streaming":
-            traffic_labels = tuple(tc.value for tc in _TRAFFIC_CLASSES)
-            self._session_fold = RunningSessionAggregates(
-                warmup, traffic_labels, self._labels, _NON_EXCHANGE_CODE
-            )
-            self._download_fold = RunningDownloadTimes(warmup)
-            self._sessions = _ColumnTable(
-                _SESSION_SCHEMA,
-                on_freeze=self._session_fold.fold,
-                retain=False,
-                perf=perf_counters,
-                perf_key="collector.session_chunks",
-            )
-            self._downloads = _ColumnTable(
-                _DOWNLOAD_SCHEMA,
-                on_freeze=self._download_fold.fold,
-                retain=False,
-                perf=perf_counters,
-                perf_key="collector.download_chunks",
-            )
-        else:
-            self._sessions = _ColumnTable(
-                _SESSION_SCHEMA,
-                perf=perf_counters,
-                perf_key="collector.session_chunks",
-            )
-            self._downloads = _ColumnTable(
-                _DOWNLOAD_SCHEMA,
-                perf=perf_counters,
-                perf_key="collector.download_chunks",
-            )
-        # Strategy epochs stay fully retained in either mode: one row
-        # per revision epoch, never a memory concern, and the summary
-        # reads them as records.
-        self._epochs = _ColumnTable(_EPOCH_SCHEMA)
+        self.keep_records = keep_records
+        traffic_labels = tuple(tc.value for tc in _TRAFFIC_CLASSES)
+        self._session_fold = RunningSessionAggregates(
+            warmup, traffic_labels, self._labels, _NON_EXCHANGE_CODE
+        )
+        self._download_fold = RunningDownloadTimes(warmup, self._labels)
+        self._sessions = _ColumnTable(
+            _SESSION_SCHEMA,
+            on_freeze=self._session_fold.fold,
+            keep_all=keep_records,
+            perf=perf_counters,
+            perf_key="collector.session_chunks",
+        )
+        self._downloads = _ColumnTable(
+            _DOWNLOAD_SCHEMA,
+            on_freeze=self._download_fold.fold,
+            keep_all=keep_records,
+            perf=perf_counters,
+            perf_key="collector.download_chunks",
+        )
+        # One row per revision epoch, never a memory concern: the
+        # summary reads the whole table.
+        self._epochs = _ColumnTable(_EPOCH_SCHEMA, keep_all=True)
         self.counters: Counter = Counter()
-        #: Scenario-phase label stamped onto records as they land (same
-        #: contract as the dataclass collector).
+        #: Scenario-phase label stamped onto records as they land; set
+        #: by the :class:`~repro.scenario.ScenarioDirector` on phase
+        #: markers ("" = no named phase, the closed-system default).
         self.current_phase: str = ""
-
-    # ------------------------------------------------------------------
-    # retention guards
-    # ------------------------------------------------------------------
-    def _require_full(self, what: str) -> None:
-        if self.retention != "full":
-            raise StreamingRetentionError(
-                f"{what} needs raw record rows, which streaming retention "
-                "releases; run with metrics_retention='full'"
-            )
-
-    def _check_warmup(self, warmup: float, what: str) -> None:
-        if warmup != self.warmup:
-            raise ValueError(
-                f"streaming retention folded {what} at warmup={self.warmup}; "
-                f"cannot re-filter at warmup={warmup}"
-            )
 
     # ------------------------------------------------------------------
     # interning
@@ -524,16 +471,20 @@ class ColumnarCollector:
         self.counters[name] += delta
 
     # ------------------------------------------------------------------
-    # dataclass views (thin API for tests and tools; not on any hot path)
+    # record views (keep_records only; tests and tools)
     # ------------------------------------------------------------------
+    def _records(self, table: _ColumnTable, schema: _Schema, view: str) -> Iterator[tuple]:
+        if not self.keep_records:
+            raise MetricsError(
+                f"the {view} record view needs a collector built with "
+                "keep_records=True"
+            )
+        return zip(*table.rows_since(0, [name for name, _ in schema]))
+
     @property
     def sessions(self) -> List[SessionRecord]:
         """All session rows materialized as records (fresh list)."""
-        self._require_full("the sessions record view")
-        table = self._sessions
         labels = self._labels
-        names = [name for name, _ in _SESSION_SCHEMA]
-        rows = zip(*table.lists(names))
         return [
             SessionRecord(
                 provider_id=pid,
@@ -555,17 +506,13 @@ class ColumnarCollector:
                 pid, rid, oid, tc, ring_size, ring_id, request_time,
                 start_time, end_time, kbit, reason, sharer, req_class,
                 phase, _eff,
-            ) in rows
+            ) in self._records(self._sessions, _SESSION_SCHEMA, "sessions")
         ]
 
     @property
     def downloads(self) -> List[DownloadRecord]:
         """All download rows materialized as records (fresh list)."""
-        self._require_full("the downloads record view")
-        table = self._downloads
         labels = self._labels
-        names = [name for name, _ in _DOWNLOAD_SCHEMA]
-        rows = zip(*table.lists(names))
         return [
             DownloadRecord(
                 peer_id=pid,
@@ -580,16 +527,13 @@ class ColumnarCollector:
             for (
                 pid, oid, request_time, complete_time, size_kbit, sharer,
                 class_name, phase, _eff,
-            ) in rows
+            ) in self._records(self._downloads, _DOWNLOAD_SCHEMA, "downloads")
         ]
 
     @property
     def strategy_epochs(self) -> List[StrategyEpochRecord]:
         """All strategy-epoch rows materialized as records (fresh list)."""
-        table = self._epochs
         labels = self._labels
-        names = [name for name, _ in _EPOCH_SCHEMA]
-        rows = zip(*table.lists(names))
         return [
             StrategyEpochRecord(
                 time=time,
@@ -606,107 +550,8 @@ class ColumnarCollector:
             for (
                 time, epoch, enrolled, sharing, revised, to_sharing,
                 to_freeloading, payoff_s, payoff_f, phase,
-            ) in rows
+            ) in self._records(self._epochs, _EPOCH_SCHEMA, "strategy_epochs")
         ]
-
-    # ------------------------------------------------------------------
-    # filtered views (array-backed)
-    # ------------------------------------------------------------------
-    def sessions_after(self, warmup: float) -> List[SessionRecord]:
-        """Sessions that *ended* after the warmup boundary (records)."""
-        return [s for s in self.sessions if s.end_time >= warmup]
-
-    def downloads_after(self, warmup: float) -> List[DownloadRecord]:
-        """Downloads that *completed* after the warmup boundary (records)."""
-        return [d for d in self.downloads if d.complete_time >= warmup]
-
-    def sessions_by_class(
-        self, warmup: float = 0.0
-    ) -> Dict[TrafficClass, List[SessionRecord]]:
-        """Post-warmup sessions grouped by :class:`TrafficClass`."""
-        grouped: Dict[TrafficClass, List[SessionRecord]] = {}
-        for session in self.sessions_after(warmup):
-            grouped.setdefault(session.traffic_class, []).append(session)
-        return grouped
-
-    def download_times(
-        self, sharer: Optional[bool] = None, warmup: float = 0.0
-    ) -> List[float]:
-        """Download times in seconds, optionally filtered by peer class."""
-        fold = self._download_fold
-        if fold is not None:
-            self._check_warmup(warmup, "download times")
-            self._downloads.drain()
-            return fold.times(sharer)
-        table = self._downloads
-        complete = table.column("complete_time")
-        mask = complete >= warmup
-        if sharer is not None:
-            mask = mask & (table.column("sharer") == sharer)
-        request = table.column("request_time")
-        times: List[float] = (complete[mask] - request[mask]).tolist()
-        return times
-
-    def download_times_by_class(self, warmup: float = 0.0) -> Dict[str, List[float]]:
-        """Download times (seconds) per population-class label.
-
-        Same fallback as the dataclass collector: unlabeled records read
-        as sharer/freeloader.  Keys appear in first-occurrence order.
-        """
-        fold = self._download_fold
-        if fold is not None:
-            self._check_warmup(warmup, "download times")
-            self._downloads.drain()
-            labels = self._labels
-            return {
-                labels[code]: times
-                for code, times in fold.times_by_code("eff_class").items()
-            }
-        table = self._downloads
-        complete = table.column("complete_time")
-        keep = np.flatnonzero(complete >= warmup)
-        codes = table.column("eff_class")[keep]
-        times = (complete[keep] - table.column("request_time")[keep])
-        labels = self._labels
-        grouped: Dict[str, List[float]] = {}
-        for code in _first_occurrence_codes(codes):
-            grouped[labels[code]] = times[codes == code].tolist()
-        return grouped
-
-    def download_times_by_phase(self, warmup: float = 0.0) -> Dict[str, List[float]]:
-        """Download times (seconds) per scenario-phase label ("" skipped)."""
-        fold = self._download_fold
-        if fold is not None:
-            self._check_warmup(warmup, "download times")
-            self._downloads.drain()
-            labels = self._labels
-            return {
-                labels[code]: times
-                for code, times in fold.times_by_code("phase").items()
-            }
-        table = self._downloads
-        complete = table.column("complete_time")
-        keep = np.flatnonzero(complete >= warmup)
-        codes = table.column("phase")[keep]
-        labeled = np.flatnonzero(codes != 0)  # code 0 is the "" label
-        codes = codes[labeled]
-        keep = keep[labeled]
-        times = complete[keep] - table.column("request_time")[keep]
-        labels = self._labels
-        grouped: Dict[str, List[float]] = {}
-        for code in _first_occurrence_codes(codes):
-            grouped[labels[code]] = times[codes == code].tolist()
-        return grouped
-
-    def sessions_by_phase(
-        self, warmup: float = 0.0
-    ) -> Dict[str, List[SessionRecord]]:
-        """Sessions grouped by scenario-phase label (unlabeled skipped)."""
-        grouped: Dict[str, List[SessionRecord]] = {}
-        for session in self.sessions_after(warmup):
-            if session.phase:
-                grouped.setdefault(session.phase, []).append(session)
-        return grouped
 
     def reason_counts(self) -> Dict[TerminationReason, int]:
         """Session count per termination reason (zero counts omitted)."""
@@ -718,62 +563,44 @@ class ColumnarCollector:
         return counts
 
     # ------------------------------------------------------------------
-    # summary inputs
+    # summary inputs (post-warmup, read from the folds)
     # ------------------------------------------------------------------
-    def session_aggregates(self, warmup: float) -> SessionAggregates:
-        """Array-backed per-class/per-phase session reductions.
+    def download_times(self, sharer: Optional[bool] = None) -> List[float]:
+        """Download times in seconds, optionally filtered by peer class."""
+        self._downloads.drain()
+        return self._download_fold.times(sharer)
 
-        Matches the dataclass collector's record loop float for float:
-        grouped extractions preserve record order, key order is first
-        occurrence, and volume sums are sequential left-folds over
-        Python scalars (see the module docstring).  Under streaming
-        retention the result comes from the running chunk fold — same
-        floats, same key order (pinned by the retention-equivalence
-        tests) — and ``warmup`` must equal the construction-time value.
+    def download_times_by_class(self) -> Dict[str, List[float]]:
+        """Download times (seconds) per population-class label.
+
+        Unlabeled records read as sharer/freeloader.  Keys appear in
+        first-occurrence order.
         """
-        fold = self._session_fold
-        if fold is not None:
-            self._check_warmup(warmup, "session aggregates")
-            self._sessions.drain()
-            return fold.result()
-        table = self._sessions
-        end = table.column("end_time")
-        keep = np.flatnonzero(end >= warmup)
-        agg = SessionAggregates(total_sessions=int(keep.size))
-        if keep.size == 0:
-            return agg
-        labels = self._labels
-        tc_codes = table.column("traffic_class")[keep]
-        kbit = table.column("kbit")[keep]
-        volume_kb = kbit / 8.0
-        waiting_min = (
-            table.column("start_time")[keep] - table.column("request_time")[keep]
-        ) / 60.0
-        for code in _first_occurrence_codes(tc_codes):
-            label = _TRAFFIC_CLASSES[code].value
-            mask = tc_codes == code
-            agg.session_counts[label] = int(np.count_nonzero(mask))
-            agg.volume_kb_by_class[label] = volume_kb[mask].tolist()
-            agg.waiting_min_by_class[label] = waiting_min[mask].tolist()
-        agg.exchange_sessions = int(np.count_nonzero(tc_codes != _NON_EXCHANGE_CODE))
-        sharer = table.column("sharer")[keep]
-        agg.sharer_kbit = sum(kbit[sharer].tolist(), 0.0)
-        agg.freeloader_kbit = sum(kbit[~sharer].tolist(), 0.0)
-        eff_codes = table.column("eff_class")[keep]
-        for code in _first_occurrence_codes(eff_codes):
-            agg.kbit_by_peer_class[labels[code]] = sum(
-                kbit[eff_codes == code].tolist(), 0.0
-            )
-        phase_codes = table.column("phase")[keep]
-        labeled = phase_codes != 0  # code 0 is the "" label
-        exchange = tc_codes != _NON_EXCHANGE_CODE
-        for code in _first_occurrence_codes(phase_codes[labeled]):
-            mask = phase_codes == code
-            agg.phase_counts[labels[code]] = int(np.count_nonzero(mask))
-            agg.phase_exchange_counts[labels[code]] = int(
-                np.count_nonzero(mask & exchange)
-            )
-        return agg
+        self._downloads.drain()
+        return self._download_fold.times_by_label("eff_class")
+
+    def download_times_by_phase(self) -> Dict[str, List[float]]:
+        """Download times (seconds) per scenario-phase label ("" skipped)."""
+        self._downloads.drain()
+        return self._download_fold.times_by_label("phase")
+
+    def session_aggregates(self) -> SessionAggregates:
+        """Per-class/per-phase reductions over post-warmup sessions."""
+        self._sessions.drain()
+        return self._session_fold.result()
+
+    def sharing_fraction_by_epoch(self) -> List[List[float]]:
+        """``[time, sharing_fraction]`` per revision epoch, in
+        ``(time, epoch)`` order (warmup included)."""
+        self._epochs.drain()  # read back through the schema dtypes
+        rows = sorted(
+            zip(*self._epochs.rows_since(0, ("time", "epoch", "enrolled", "sharing"))),
+            key=lambda row: (row[0], row[1]),
+        )
+        return [
+            [time, sharing / enrolled if enrolled > 0 else 0.0]
+            for time, _epoch, enrolled, sharing in rows
+        ]
 
     # ------------------------------------------------------------------
     # incremental row feeds (strategy layer)
@@ -788,6 +615,14 @@ class ColumnarCollector:
         """Download rows recorded so far (no materialization)."""
         return len(self._downloads)
 
+    def follow_rows(self) -> Tuple[int, int]:
+        """Keep rows for a ``*_rows_since`` reader from now on.
+
+        Returns its starting ``(session, download)`` cursors: the current
+        row counts.  Earlier rows may already be released.
+        """
+        return self._sessions.follow(), self._downloads.follow()
+
     def session_rows_since(
         self, start: int
     ) -> Iterator[Tuple[int, float, float, bool]]:
@@ -796,56 +631,34 @@ class ColumnarCollector:
         Yields rows ``start..`` in record order; the strategy layer's
         epoch ingestion reads these instead of materializing records.
         """
-        self._require_full("session_rows_since")
-        table = self._sessions
-        requester = table.column("requester_id")[start:].tolist()
-        request = table.column("request_time")[start:].tolist()
-        end = table.column("end_time")[start:].tolist()
-        exchange = (
-            table.column("traffic_class")[start:] != _NON_EXCHANGE_CODE
-        ).tolist()
-        return zip(requester, request, end, exchange)
+        requester, request, end, codes = self._sessions.rows_since(
+            start, ("requester_id", "request_time", "end_time", "traffic_class")
+        )
+        return zip(requester, request, end, [c != _NON_EXCHANGE_CODE for c in codes])
 
     def download_rows_since(
         self, start: int
     ) -> Iterator[Tuple[int, float, float, float]]:
         """``(peer_id, request_time, complete_time, download_time)`` rows."""
-        self._require_full("download_rows_since")
-        table = self._downloads
-        peer = table.column("peer_id")[start:].tolist()
-        request = table.column("request_time")[start:].tolist()
-        complete = table.column("complete_time")[start:].tolist()
-        times = (
-            table.column("complete_time")[start:]
-            - table.column("request_time")[start:]
-        ).tolist()
-        return zip(peer, request, complete, times)
+        peer, request, complete = self._downloads.rows_since(
+            start, ("peer_id", "request_time", "complete_time")
+        )
+        return zip(peer, request, complete, [c - r for c, r in zip(complete, request)])
 
     # ------------------------------------------------------------------
     def storage_nbytes(self) -> int:
-        """Resident metrics footprint in bytes (staging tails excluded).
-
-        Full retention counts the frozen chunks; streaming counts what
-        the folds retain (the per-class value arrays) instead — the
-        chunks themselves were released.
-        """
-        retained = (
+        """Resident metrics footprint in bytes (staging tails excluded):
+        kept chunks plus what the folds retain."""
+        return (
             self._sessions.nbytes()
             + self._downloads.nbytes()
             + self._epochs.nbytes()
+            + self._session_fold.nbytes()
+            + self._download_fold.nbytes()
         )
-        if self._session_fold is not None:
-            retained += self._session_fold.nbytes()
-        if self._download_fold is not None:
-            retained += self._download_fold.nbytes()
-        return retained
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ColumnarCollector(sessions={len(self._sessions)}, "
-            f"downloads={len(self._downloads)}, retention={self.retention!r})"
+            f"downloads={len(self._downloads)})"
         )
-
-
-#: The selectable collector backends (see ``SimulationConfig.metrics_backend``).
-COLLECTOR_BACKENDS: Tuple[str, ...] = ("dataclass", "columnar")

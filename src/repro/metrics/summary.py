@@ -1,6 +1,6 @@
 """Run summaries: the numbers the paper's figures are made of.
 
-:func:`summarize` reduces a :class:`~repro.metrics.collectors.MetricsCollector`
+:func:`summarize` reduces a :class:`~repro.metrics.columnar.ColumnarCollector`
 to a :class:`SimulationSummary` holding exactly the quantities plotted in
 Figs. 4–12: per-class mean download times (minutes), exchange-session
 fraction, per-class session volumes and waiting times, and per-peer-class
@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.metrics.collectors import MetricsCollector
 from repro.metrics.columnar import ColumnarCollector
 from repro.units import kbit_to_mb, seconds_to_minutes
-
-#: Both collector backends expose the same summary-input surface
-#: (``session_aggregates``, the download-time views, ``strategy_epochs``
-#: and ``counters``); :func:`summarize` is backend-agnostic over them.
-AnyCollector = Union[MetricsCollector, ColumnarCollector]
 
 
 def _mean(values: List[float]) -> Optional[float]:
@@ -144,8 +138,7 @@ class SimulationSummary:
 
 
 def summarize(
-    collector: AnyCollector,
-    warmup: float,
+    collector: ColumnarCollector,
     num_sharers: int,
     num_freeloaders: int,
     class_sizes: Optional[Mapping[str, int]] = None,
@@ -153,8 +146,8 @@ def summarize(
 ) -> SimulationSummary:
     """Reduce raw records to the paper's headline metrics.
 
-    ``warmup`` censors everything that finished before the measurement
-    window opened.  Per-peer volumes are normalized by the *class size*
+    The collector's ``warmup`` censors everything that finished before
+    the measurement window opened.  Per-peer volumes are normalized by the *class size*
     so runs with different freeloader fractions are comparable (Fig. 12).
     ``class_sizes`` (population-class label → peer count) normalizes the
     per-class volume breakdown; when omitted, classes present in the
@@ -165,17 +158,15 @@ def summarize(
     extracted volume, blacklist hit/evasion counts; ``None`` (every
     honest run) leaves them at their defaults.
 
-    Works identically over both collector backends: all per-record
-    reduction happens inside ``collector.session_aggregates`` and the
-    download-time views, which the backends implement equivalently
-    (records loop vs. columnar arrays — bit-identical by contract).
+    All per-record reduction happens inside the collector's chunk folds
+    (``collector.session_aggregates`` and the download-time views).
     """
-    sharer_times = collector.download_times(sharer=True, warmup=warmup)
-    freeloader_times = collector.download_times(sharer=False, warmup=warmup)
+    sharer_times = collector.download_times(sharer=True)
+    freeloader_times = collector.download_times(sharer=False)
     all_times = sharer_times + freeloader_times
-    times_by_peer_class = collector.download_times_by_class(warmup=warmup)
+    times_by_peer_class = collector.download_times_by_class()
 
-    agg = collector.session_aggregates(warmup)
+    agg = collector.session_aggregates()
     session_counts = agg.session_counts
     volume_by_class = agg.volume_kb_by_class
     waiting_by_class = agg.waiting_min_by_class
@@ -208,7 +199,7 @@ def summarize(
 
     # Scenario phases: slice completed downloads and session mix by the
     # phase label active when each record landed.
-    times_by_phase = collector.download_times_by_phase(warmup=warmup)
+    times_by_phase = collector.download_times_by_phase()
     mean_by_phase: Dict[str, Optional[float]] = {}
     completed_by_phase: Dict[str, int] = {}
     for label, times in times_by_phase.items():
@@ -227,14 +218,13 @@ def summarize(
 
     # Strategy dynamics: the full trajectory (warmup included — the
     # transient is the interesting part) plus settled-regime scalars.
-    epochs = sorted(collector.strategy_epochs, key=lambda r: (r.time, r.epoch))
-    sharing_by_epoch = [[record.time, record.sharing_fraction] for record in epochs]
+    sharing_by_epoch = collector.sharing_fraction_by_epoch()
     equilibrium_fraction: Optional[float] = None
     final_fraction: Optional[float] = None
-    if epochs:
-        tail = epochs[-max(1, len(epochs) // 4):]
-        equilibrium_fraction = _mean([record.sharing_fraction for record in tail])
-        final_fraction = epochs[-1].sharing_fraction
+    if sharing_by_epoch:
+        tail = sharing_by_epoch[-max(1, len(sharing_by_epoch) // 4):]
+        equilibrium_fraction = _mean([share for _, share in tail])
+        final_fraction = sharing_by_epoch[-1][1]
     # Counters rather than epoch records: scenario StrategyShock flips
     # switch peers outside any revision epoch and must still count.
     switches = (
@@ -243,8 +233,8 @@ def summarize(
     )
 
     # Incentive robustness: split the per-class download times into the
-    # honest crowd vs the attacker classes.  Labels are walked in sorted
-    # order so both collector backends concatenate identically.
+    # honest crowd vs the attacker classes, walking labels in sorted
+    # order.
     adversary_labels = sorted(adversary_classes) if adversary_classes else []
     adversary_volume_by_class: Dict[str, float] = {}
     honest_mean_min: Optional[float] = None

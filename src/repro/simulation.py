@@ -44,7 +44,8 @@ from repro.context import SimContext
 from repro.core.policies import ExchangePolicy, parse_mechanism
 from repro.errors import SimulationError
 from repro.core.disciplines import make_discipline
-from repro.metrics.summary import AnyCollector, SimulationSummary, summarize
+from repro.metrics.columnar import ColumnarCollector
+from repro.metrics.summary import SimulationSummary, summarize
 from repro.network.lookup import LookupService
 from repro.network.peer import Peer
 from repro.population import (
@@ -64,7 +65,7 @@ class SimulationResult:
 
     config: SimulationConfig
     summary: SimulationSummary
-    metrics: AnyCollector
+    metrics: ColumnarCollector
     events_fired: int
     wall_seconds: float
     #: JSON-ready perf-counter snapshot (``ctx.counters.snapshot()``) —
@@ -83,9 +84,11 @@ class SimulationResult:
 class FileSharingSimulation:
     """Builds and runs one simulated file-sharing network."""
 
-    def __init__(self, config: SimulationConfig) -> None:
+    def __init__(
+        self, config: SimulationConfig, metrics: Optional[ColumnarCollector] = None
+    ) -> None:
         self.config = config
-        self.ctx = SimContext(config)
+        self.ctx = SimContext(config, metrics=metrics)
         self.population = config.resolved_population()
         self.churn = None  # set by build() when churn is enabled
         self.scenario = None  # set by build() when the scenario is non-empty
@@ -521,7 +524,6 @@ class FileSharingSimulation:
         )
         summary = summarize(
             self.ctx.metrics,
-            warmup=self.config.warmup,
             num_sharers=self._num_sharers,
             num_freeloaders=self._num_freeloaders,
             class_sizes=self._class_sizes,

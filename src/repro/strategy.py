@@ -204,8 +204,10 @@ class StrategyDirector:
         #: spec → enrolled peer ids, in enrollment (= peer id) order.
         self._groups: Dict[StrategySpec, List[int]] = {}
         self._processes: Dict[StrategySpec, PeriodicProcess] = {}
-        self._download_index = 0
-        self._session_index = 0
+        # Row cursors start at the current counts: a director born
+        # mid-run enrolls only peers spawned from now on, and peer ids
+        # are never reused, so no earlier row can land in its windows.
+        self._session_index, self._download_index = self.ctx.metrics.follow_rows()
         self._epoch = 0
         self._payoff_bias = 0.0
         self._bias_until = -math.inf
@@ -255,8 +257,10 @@ class StrategyDirector:
         metrics = self.ctx.metrics
         windows = self._windows
         last_switch = self._last_switch
-        # Incremental row feeds: scalar tuples rather than record objects,
-        # so the columnar backend never materializes dataclasses here.
+        # Incremental row feeds: scalar tuples rather than record objects.
+        # Rows are read here, at epoch time, not as they land: the
+        # last-switch filter depends on when a row is read, and a
+        # StrategyShock moves it between epochs.
         num_downloads = metrics.num_downloads
         for peer_id, request_time, complete_time, download_time in (
             metrics.download_rows_since(self._download_index)

@@ -7,8 +7,10 @@ import math
 from repro.config import SimulationConfig
 from repro.content.catalog import Catalog, Category, ContentObject
 from repro.context import SimContext
+from repro.metrics.columnar import ColumnarCollector
 from repro.network.behaviors import FREELOADER, SHARER
 from repro.network.lookup import LookupService
+from repro.simulation import FileSharingSimulation, SimulationResult
 
 
 def tiny_catalog(
@@ -79,10 +81,26 @@ class StubPolicy:
         return [c for c in candidates if self.accepts(c.size)]
 
 
+def recording_collector(config: SimulationConfig) -> ColumnarCollector:
+    """A collector that keeps every row, so record views can be read."""
+    return ColumnarCollector(warmup=config.warmup, keep_records=True)
+
+
+def recording_sim(config: SimulationConfig) -> FileSharingSimulation:
+    """A simulation whose ``ctx.metrics`` serves the record views."""
+    return FileSharingSimulation(config, metrics=recording_collector(config))
+
+
+def run_with_records(config: SimulationConfig) -> SimulationResult:
+    """``run_simulation`` with a record-keeping collector."""
+    return recording_sim(config).run()
+
+
 def make_ctx(config: SimulationConfig | None = None, catalog: Catalog | None = None):
-    """A bare context with catalog + lookup wired (no peers)."""
+    """A bare context with catalog + lookup wired (no peers); its
+    collector keeps records."""
     config = config or small_config()
-    ctx = SimContext(config)
+    ctx = SimContext(config, metrics=recording_collector(config))
     ctx.catalog = catalog or tiny_catalog(size_kbit=config.object_size_kbit)
     ctx.lookup = LookupService(coverage=config.lookup_coverage)
     return ctx

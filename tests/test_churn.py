@@ -8,7 +8,14 @@ from repro.errors import ConfigError
 from repro.metrics.records import TerminationReason
 from repro.simulation import FileSharingSimulation, run_simulation
 
-from tests.helpers import build_peer, drain, give, make_ctx, small_config
+from tests.helpers import (
+    build_peer,
+    drain,
+    give,
+    make_ctx,
+    run_with_records,
+    small_config,
+)
 
 
 class TestOfflineTransitions:
@@ -153,8 +160,8 @@ class TestChurnedSimulation:
         config = small_config(
             churn_enabled=True, duration=4_000.0, seed=13
         )
-        first = run_simulation(config)
-        second = run_simulation(config)
+        first = run_with_records(config)
+        second = run_with_records(config)
         assert (
             first.summary.counters.get("churn.offline")
             == second.summary.counters.get("churn.offline")

@@ -1,42 +1,57 @@
-"""Collector backend equivalence: columnar vs dataclass, bit for bit.
+"""Fold-on-freeze equivalence: the chunk folds equal a record-order loop.
 
-The columnar backend's whole contract is *invisibility*: any run
-summarized through :class:`~repro.metrics.columnar.ColumnarCollector`
-must produce output byte-identical to the historical dataclass
-collector — every float (same IEEE ops in the same order), every dict
-key (same first-occurrence order), every by-class/by-phase/by-epoch
-breakdown.  Two layers of evidence:
+:class:`~repro.metrics.columnar.ColumnarCollector` folds every frozen
+row chunk into running aggregates and releases it.  Its contract is
+that the folds are *invisible*: every summary input equals, float for
+float and dict key for dict key, the per-record loop the golden tables
+were first computed with (:class:`Oracle` below).  Three layers of
+evidence:
 
-* a hypothesis property over synthetic record streams, feeding both
-  backends the same scalars and comparing every view plus the full
+* a hypothesis property over synthetic record streams and chunk sizes
+  1/3/7/4096, with queries and row-feed reads mid-stream, comparing every
+  summary input, the row feeds, the record views and the full
   ``summarize()`` dict serialized to JSON (key order included);
+* unit checks that returned aggregates are caller-owned and that
+  released rows stay released;
 * end-to-end runs at (shortened) smoke scale across mechanisms, a
-  scenario timeline, and strategy dynamics, comparing the summary
-  JSON and the counters of a dataclass-backend run against a
-  columnar-backend run of the same config.
+  scenario timeline, strategy dynamics and the attack cells, each run
+  once with ``keep_records=True`` and its folds compared against the
+  oracle over its own records, plus a check that ``keep_records``
+  itself moves nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.metrics.columnar as columnar_module
+from repro.errors import MetricsError
 from repro.experiments.presets import (
     adversarial_config,
     adversarial_scenario,
     flash_crowd_scenario,
     preset,
 )
-from repro.metrics.collectors import MetricsCollector
+from repro.metrics.aggregates import SessionAggregates
 from repro.metrics.columnar import ColumnarCollector
-from repro.metrics.records import TerminationReason, TrafficClass
+from repro.metrics.records import (
+    DownloadRecord,
+    SessionRecord,
+    StrategyEpochRecord,
+    TerminationReason,
+    TrafficClass,
+)
 from repro.metrics.summary import summarize
 from repro.simulation import run_simulation
 from repro.strategy import StrategySpec
+
+from tests.helpers import run_with_records
 
 CLASSES = list(TrafficClass)
 REASONS = list(TerminationReason)
@@ -148,90 +163,337 @@ stream = st.lists(
 )
 
 
-def summary_json(collector, warmup: float) -> str:
-    summary = summarize(
-        collector, warmup=warmup, num_sharers=20, num_freeloaders=20
-    )
+class Oracle:
+    """Record-order reference for the collector's summary inputs.
+
+    The historical per-record loops, kept here as the specification the
+    chunk folds must reproduce: same IEEE operations in the same order,
+    dict keys in first-occurrence order.
+    """
+
+    def __init__(self, sessions, downloads, epochs, counters, warmup):
+        self.sessions = [s for s in sessions if s.end_time >= warmup]
+        self.downloads = [d for d in downloads if d.complete_time >= warmup]
+        self.epochs = epochs
+        self.counters = counters
+
+    def download_times(self, sharer=None):
+        return [
+            d.download_time
+            for d in self.downloads
+            if sharer is None or d.peer_is_sharer == sharer
+        ]
+
+    def _grouped_times(self, label_of):
+        grouped = {}
+        for record in self.downloads:
+            label = label_of(record)
+            if label:
+                grouped.setdefault(label, []).append(record.download_time)
+        return grouped
+
+    def download_times_by_class(self):
+        return self._grouped_times(
+            lambda d: d.class_name or ("sharer" if d.peer_is_sharer else "freeloader")
+        )
+
+    def download_times_by_phase(self):
+        return self._grouped_times(lambda d: d.phase)
+
+    def session_aggregates(self):
+        agg = SessionAggregates()
+        for session in self.sessions:
+            agg.total_sessions += 1
+            label = session.traffic_class.value
+            agg.session_counts[label] = agg.session_counts.get(label, 0) + 1
+            agg.volume_kb_by_class.setdefault(label, []).append(
+                session.kbit_transferred / 8.0
+            )
+            agg.waiting_min_by_class.setdefault(label, []).append(
+                session.waiting_time / 60.0
+            )
+            is_exchange = session.traffic_class.is_exchange
+            agg.exchange_sessions += is_exchange
+            if session.requester_is_sharer:
+                agg.sharer_kbit += session.kbit_transferred
+            else:
+                agg.freeloader_kbit += session.kbit_transferred
+            peer_class = session.requester_class or (
+                "sharer" if session.requester_is_sharer else "freeloader"
+            )
+            agg.kbit_by_peer_class[peer_class] = (
+                agg.kbit_by_peer_class.get(peer_class, 0.0) + session.kbit_transferred
+            )
+            if session.phase:
+                phase = session.phase
+                agg.phase_counts[phase] = agg.phase_counts.get(phase, 0) + 1
+                agg.phase_exchange_counts[phase] = (
+                    agg.phase_exchange_counts.get(phase, 0) + is_exchange
+                )
+        return agg
+
+    def sharing_fraction_by_epoch(self):
+        epochs = sorted(self.epochs, key=lambda r: (r.time, r.epoch))
+        return [[record.time, record.sharing_fraction] for record in epochs]
+
+
+def summary_json(collector) -> str:
+    summary = summarize(collector, num_sharers=20, num_freeloaders=20)
     # A second pass with one class marked adversarial exercises the
     # robustness fields (volumes, honest/adversary means, hit counts)
-    # over the same synthetic records.
+    # over the same records.
     adversarial = summarize(
         collector,
-        warmup=warmup,
         num_sharers=20,
         num_freeloaders=20,
         adversary_classes=("freeloader",),
     )
-    return json.dumps(
-        [summary.to_dict(), adversarial.to_dict()], sort_keys=False
+    return json.dumps([summary.to_dict(), adversarial.to_dict()], sort_keys=False)
+
+
+def assert_summary_inputs_match(collector, oracle):
+    for sharer in (None, True, False):
+        assert collector.download_times(sharer=sharer) == oracle.download_times(sharer)
+    for view in ("download_times_by_class", "download_times_by_phase"):
+        left = getattr(collector, view)()
+        right = getattr(oracle, view)()
+        assert list(left.items()) == list(right.items())
+    assert dataclasses.asdict(collector.session_aggregates()) == dataclasses.asdict(
+        oracle.session_aggregates()
     )
+    assert collector.sharing_fraction_by_epoch() == oracle.sharing_fraction_by_epoch()
+    assert summary_json(collector) == summary_json(oracle)
+
+
+@pytest.fixture
+def chunk(monkeypatch):
+    """Set the collector's freeze threshold for one test."""
+
+    def set_chunk(size):
+        monkeypatch.setattr(columnar_module, "_CHUNK", size)
+
+    return set_chunk
+
+
+def _feed(collector, events):
+    for kind, kwargs in events:
+        if kind == "session":
+            collector.add_session(**kwargs)
+        elif kind == "download":
+            collector.add_download(**kwargs)
+        elif kind == "count":
+            collector.count(kwargs["name"], kwargs["n"])
+        else:
+            collector.add_strategy_epoch(**kwargs)
+
+
+def _records(events):
+    """The stream as records, plus the counters it must leave behind."""
+    sessions, downloads, epochs = [], [], []
+    counters: Counter = Counter()
+    for kind, kwargs in events:
+        if kind == "session":
+            sessions.append(SessionRecord(**kwargs))
+            counters[f"session.{kwargs['traffic_class'].value}"] += 1
+            counters[f"session.reason.{kwargs['reason'].value}"] += 1
+        elif kind == "download":
+            downloads.append(DownloadRecord(**kwargs))
+            sharer = kwargs["peer_is_sharer"]
+            counters["download.sharer" if sharer else "download.freeloader"] += 1
+        elif kind == "count":
+            counters[kwargs["name"]] += kwargs["n"]
+        else:
+            epochs.append(StrategyEpochRecord(**kwargs))
+    return sessions, downloads, epochs, counters
+
+
+def _session_rows(sessions):
+    return [
+        (s.requester_id, s.request_time, s.end_time, s.traffic_class.is_exchange)
+        for s in sessions
+    ]
+
+
+def _download_rows(downloads):
+    return [
+        (d.peer_id, d.request_time, d.complete_time, d.download_time)
+        for d in downloads
+    ]
 
 
 @settings(max_examples=80, deadline=None)
-@given(events=stream, warmup=st.sampled_from([0.0, 1_000.0, 10_000.0]))
-def test_property_identical_over_synthetic_streams(events, warmup):
-    dataclass_backend = MetricsCollector()
-    columnar_backend = ColumnarCollector()
-    for kind, kwargs in events:
-        for collector in (dataclass_backend, columnar_backend):
-            if kind == "session":
-                collector.add_session(**kwargs)
-            elif kind == "download":
-                collector.add_download(**kwargs)
-            elif kind == "count":
-                collector.count(kwargs["name"], kwargs["n"])
-            else:
-                collector.add_strategy_epoch(**kwargs)
+@given(
+    events=stream,
+    warmup=st.sampled_from([0.0, 1_000.0, 10_000.0]),
+    chunk_size=st.sampled_from([1, 3, 7, 4096]),
+    keep_records=st.booleans(),
+    follow_at=st.floats(0.0, 0.5),
+)
+def test_property_identical_over_synthetic_streams(
+    events, warmup, chunk_size, keep_records, follow_at
+):
+    """Any stream, any chunking: the folds answer like the oracle.
 
-    # Record-level views: the columnar materialization restores the
-    # exact dataclasses (None sentinels included).
-    assert columnar_backend.sessions == dataclass_backend.sessions
-    assert columnar_backend.downloads == dataclass_backend.downloads
-    assert columnar_backend.strategy_epochs == dataclass_backend.strategy_epochs
-    assert columnar_backend.counters == dataclass_backend.counters
+    Tiny chunk sizes force many freeze-fold-release cycles plus a
+    partial staging tail.  A row reader starts following part-way in
+    (like a strategy director created mid-run) and reads mid-stream and
+    at the end; summary queries are asked mid-stream too, so a
+    query-time drain must not double-fold or lose rows.
+    """
+    original = columnar_module._CHUNK
+    columnar_module._CHUNK = chunk_size
+    try:
+        collector = ColumnarCollector(warmup=warmup, keep_records=keep_records)
+        follow, half = int(len(events) * follow_at), len(events) // 2
+        _feed(collector, events[:follow])
+        session_cursor, download_cursor = collector.follow_rows()
+        first = (session_cursor, download_cursor)
+        _feed(collector, events[follow:half])
+        session_rows = list(collector.session_rows_since(session_cursor))
+        download_rows = list(collector.download_rows_since(download_cursor))
+        session_cursor, download_cursor = collector.num_sessions, collector.num_downloads
+        collector.download_times()
+        collector.session_aggregates()
+        _feed(collector, events[half:])
+        session_rows += collector.session_rows_since(session_cursor)
+        download_rows += collector.download_rows_since(download_cursor)
+    finally:
+        columnar_module._CHUNK = original
 
-    # Summary-input views, including dict key order.
-    for sharer in (None, True, False):
-        assert columnar_backend.download_times(
-            sharer=sharer, warmup=warmup
-        ) == dataclass_backend.download_times(sharer=sharer, warmup=warmup)
-    for view in ("download_times_by_class", "download_times_by_phase"):
-        left = getattr(columnar_backend, view)(warmup=warmup)
-        right = getattr(dataclass_backend, view)(warmup=warmup)
-        assert list(left.items()) == list(right.items())
-    assert dataclasses.asdict(
-        columnar_backend.session_aggregates(warmup)
-    ) == dataclasses.asdict(dataclass_backend.session_aggregates(warmup))
+    sessions, downloads, epochs, counters = _records(events)
+    assert session_rows == _session_rows(sessions[first[0]:])
+    assert download_rows == _download_rows(downloads[first[1]:])
+    assert collector.counters == counters
+    oracle = Oracle(sessions, downloads, epochs, counters, warmup)
+    assert_summary_inputs_match(collector, oracle)
+    # Asking twice is idempotent (no re-fold, no mutation leaks).
+    assert_summary_inputs_match(collector, oracle)
+    if keep_records:
+        # The record views restore the exact dataclasses (None
+        # sentinels included).
+        assert collector.sessions == sessions
+        assert collector.downloads == downloads
+        assert collector.strategy_epochs == epochs
 
-    # Incremental row feeds (the strategy layer's ingestion surface).
-    assert columnar_backend.num_sessions == dataclass_backend.num_sessions
-    half = dataclass_backend.num_sessions // 2
-    assert list(columnar_backend.session_rows_since(half)) == list(
-        dataclass_backend.session_rows_since(half)
+
+def _session(i):
+    return dict(
+        provider_id=i,
+        requester_id=i + 1,
+        object_id=i % 50,
+        traffic_class=list(TrafficClass)[i % 2],
+        ring_size=2,
+        ring_id=None,
+        request_time=10.0 * i,
+        start_time=10.0 * i + 1.0,
+        end_time=10.0 * i + 2.0,
+        kbit_transferred=50.0,
+        reason=list(TerminationReason)[0],
+        requester_is_sharer=i % 2 == 0,
     )
-    assert list(columnar_backend.download_rows_since(0)) == list(
-        dataclass_backend.download_rows_since(0)
+
+
+def _download(i):
+    return dict(
+        peer_id=i,
+        object_id=i,
+        request_time=10.0 * i,
+        complete_time=10.0 * i + 5.0,
+        size_kbit=100.0,
+        peer_is_sharer=i % 2 == 0,
     )
 
-    # The headline contract: byte-identical summarize() serialization.
-    assert summary_json(columnar_backend, warmup) == summary_json(
-        dataclass_backend, warmup
-    )
+
+def test_mutating_a_returned_aggregate_does_not_corrupt_state(chunk):
+    chunk(2)
+    collector = ColumnarCollector()
+    for i in range(9):
+        collector.add_download(**_download(i))
+        collector.add_session(**_session(i))
+    agg = collector.session_aggregates()
+    agg.session_counts.clear()
+    for values in agg.volume_kb_by_class.values():
+        values.append(1e9)
+    collector.download_times().append(1e9)
+    sessions = [SessionRecord(**_session(i)) for i in range(9)]
+    downloads = [DownloadRecord(**_download(i)) for i in range(9)]
+    oracle = Oracle(sessions, downloads, [], collector.counters, 0.0)
+    assert_summary_inputs_match(collector, oracle)
+
+
+def test_fold_carries_the_left_fold_across_chunks(chunk):
+    """Volumes whose sum depends on association order: 1e16 absorbs
+    each lone 1.0 (half an ulp), so only a fold that carries its
+    accumulator from chunk to chunk matches the record-order loop."""
+    chunk(3)
+    collector = ColumnarCollector()
+    sessions = []
+    for i, kbit in enumerate([1e16] + [1.0] * 8):
+        kwargs = dict(_session(i), kbit_transferred=kbit, requester_is_sharer=True)
+        collector.add_session(**kwargs)
+        sessions.append(SessionRecord(**kwargs))
+    oracle = Oracle(sessions, [], [], collector.counters, 0.0)
+    assert collector.session_aggregates().sharer_kbit == 1e16
+    assert_summary_inputs_match(collector, oracle)
+
+
+def test_released_rows_cannot_be_read(chunk):
+    chunk(2)
+    collector = ColumnarCollector()
+    for i in range(5):
+        collector.add_session(**_session(i))
+    assert collector.follow_rows() == (5, 0)
+    with pytest.raises(MetricsError, match="keep_records"):
+        collector.session_rows_since(0)
+    assert list(collector.session_rows_since(5)) == []
+
+
+def test_folds_and_a_follower_keep_a_fraction_of_the_records():
+    """Metrics memory stays flat: the folds keep two float64 values per
+    session (15 columns per kept row), and a reader's chunks are
+    released once it has read past them."""
+    recording = ColumnarCollector(keep_records=True)
+    folding = ColumnarCollector()
+    follower = ColumnarCollector()
+    cursor = follower.follow_rows()[0]
+    for i in range(20_000):
+        for collector in (recording, folding, follower):
+            collector.add_session(**_session(i))
+        if i % 1_000 == 999:
+            follower.session_rows_since(cursor)
+            cursor = follower.num_sessions
+    assert folding.storage_nbytes() < recording.storage_nbytes() / 3
+    # At most the chunk frozen since the last read is still kept.
+    assert follower.storage_nbytes() < folding.storage_nbytes() + 4096 * 100
+
+
+def test_keep_records_run_identical_to_default():
+    """Keeping every row is invisible: same trajectory, counters and
+    byte-identical summary as a run whose collector releases chunks."""
+    config = preset("smoke", duration=9_000.0, warmup=3_000.0)
+    default = run_simulation(config)
+    recording = run_with_records(config)
+    assert default.events_fired == recording.events_fired
+    assert dict(default.metrics.counters) == dict(recording.metrics.counters)
+    left = json.dumps(default.summary.to_dict(), sort_keys=False)
+    right = json.dumps(recording.summary.to_dict(), sort_keys=False)
+    assert left == right
+    assert default.metrics.storage_nbytes() < recording.metrics.storage_nbytes()
 
 
 def _shrunk_smoke(**overrides):
-    """Smoke preset with a third of the window so 8 runs stay fast."""
+    """Smoke preset with a third of the window so the runs stay fast."""
     return preset("smoke", duration=9_000.0, warmup=3_000.0, **overrides)
 
 
-def _run_both(config):
-    columnar = run_simulation(
-        dataclasses.replace(config, metrics_backend="columnar")
+def _shrunk_adversarial(mechanism, attack):
+    """An adversarial robustness cell with a third of the smoke window."""
+    config = adversarial_config("smoke", mechanism, attack, 42).replace(
+        scenario=(),
+        duration=12_000.0,
+        warmup=3_000.0,
     )
-    dataclass_run = run_simulation(
-        dataclasses.replace(config, metrics_backend="dataclass")
-    )
-    return columnar, dataclass_run
+    return config.replace(scenario=adversarial_scenario(attack, config))
 
 
 CELLS = {
@@ -253,35 +515,23 @@ CELLS = {
             window=3_000.0,
         ),
     ),
-    # Adversarial cells (ISSUE 10): every attack must be
-    # backend-invariant too.
     "adversarial-whitewash": lambda: _shrunk_adversarial("credit", "whitewash"),
     "adversarial-sybil": lambda: _shrunk_adversarial("participation", "sybil"),
     "adversarial-collusion": lambda: _shrunk_adversarial("exchange", "collusion"),
 }
 
 
-def _shrunk_adversarial(mechanism, attack, retention="full"):
-    """An adversarial robustness cell with a third of the smoke window."""
-    config = adversarial_config("smoke", mechanism, attack, 42).replace(
-        scenario=(),
-        duration=12_000.0,
-        warmup=3_000.0,
-        metrics_retention=retention,
-    )
-    return config.replace(scenario=adversarial_scenario(attack, config))
-
-
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_end_to_end_runs_identical(cell):
     config = CELLS[cell]()
-    columnar, dataclass_run = _run_both(config)
-    assert columnar.metrics.backend_name == "columnar"
-    assert dataclass_run.metrics.backend_name == "dataclass"
-    # Identical trajectory: the backend must not touch the event stream.
-    assert columnar.events_fired == dataclass_run.events_fired
-    assert dict(columnar.metrics.counters) == dict(dataclass_run.metrics.counters)
-    # Identical summaries, serialization order included.
-    left = json.dumps(columnar.summary.to_dict(), sort_keys=False)
-    right = json.dumps(dataclass_run.summary.to_dict(), sort_keys=False)
-    assert left == right
+    result = run_with_records(config)
+    metrics = result.metrics
+    assert metrics.sessions and metrics.downloads
+    oracle = Oracle(
+        metrics.sessions,
+        metrics.downloads,
+        metrics.strategy_epochs,
+        metrics.counters,
+        config.warmup,
+    )
+    assert_summary_inputs_match(metrics, oracle)

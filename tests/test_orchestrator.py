@@ -96,8 +96,9 @@ class TestFingerprint:
     def test_scenario_cache_schema_bumped(self, tmp_path):
         """Entries written before the strategy layer (schema <= 3) are
         misses; the current stamp covers strategy-bearing summaries,
-        the retention/perf-counter knobs, and the adversary metrics."""
-        assert orchestrator.CACHE_SCHEMA_VERSION == 7
+        the perf-counter knob, the adversary metrics, and fingerprints
+        without the deleted metrics backend/retention knobs."""
+        assert orchestrator.CACHE_SCHEMA_VERSION == 8
         cache = ResultCache(str(tmp_path))
         plain = tiny_config()
         cache.store(plain, fake_summary())
@@ -180,6 +181,20 @@ class TestResultCache:
             json.dump(payload, handle)
         assert ResultCache(str(tmp_path)).load(config) is None
         del payload["cache_version"]  # pre-stamp entries lack the key entirely
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert ResultCache(str(tmp_path)).load(config) is None
+
+    def test_v7_entries_are_misses(self, tmp_path):
+        # Schema 7 fingerprints still covered metrics_backend and
+        # metrics_retention; none of its entries may be replayed.
+        cache = ResultCache(str(tmp_path))
+        config = tiny_config()
+        cache.store(config, fake_summary())
+        path = os.path.join(str(tmp_path), f"{config_fingerprint(config)}.json")
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["cache_version"] = 7
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         assert ResultCache(str(tmp_path)).load(config) is None

@@ -27,7 +27,7 @@ from repro.population import (
 from repro.sim.rng import RandomSource
 from repro.simulation import FileSharingSimulation, run_simulation
 
-from tests.helpers import small_config
+from tests.helpers import run_with_records, small_config
 
 
 def two_class(**freeloader_overrides):
@@ -286,7 +286,7 @@ class TestLegacyEquivalence:
 class TestPerClassMetrics:
     @pytest.fixture(scope="class")
     def legacy_result(self):
-        return run_simulation(
+        return run_with_records(
             small_config(exchange_mechanism="2-5-way", duration=6000.0, seed=5)
         )
 
@@ -398,7 +398,7 @@ class TestMixedMechanisms:
                 ),
             ),
         )
-        result = run_simulation(config)
+        result = run_with_records(config)
         summary = result.summary
         assert sum(summary.completed_downloads_by_class.values()) > 0
         assert set(summary.class_sizes) == {"holdout", "adopter", "freeloader"}

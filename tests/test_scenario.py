@@ -21,7 +21,14 @@ from repro.scenario import (
 )
 from repro.simulation import FileSharingSimulation, run_simulation
 
-from tests.helpers import build_peer, make_ctx, small_config, tiny_catalog
+from tests.helpers import (
+    build_peer,
+    make_ctx,
+    recording_sim,
+    run_with_records,
+    small_config,
+    tiny_catalog,
+)
 
 
 def scenario_config(*events, **overrides):
@@ -147,8 +154,8 @@ class TestDeterminism:
 
     def test_same_seed_same_scenario_identical(self):
         config = scenario_config(*self.SCENARIO, duration=6000.0)
-        first = run_simulation(config)
-        second = run_simulation(config)
+        first = run_with_records(config)
+        second = run_with_records(config)
         assert first.events_fired == second.events_fired
         assert first.summary.to_dict() == second.summary.to_dict()
         assert [
@@ -196,7 +203,7 @@ class TestArrivals:
             PeerArrival(1000.0, count=6, class_name="freeloader"),
             duration=8000.0,
         )
-        sim = FileSharingSimulation(config)
+        sim = recording_sim(config)
         sim.run()
         new_ids = set(range(config.num_peers, config.num_peers + 6))
         completed = [
@@ -284,7 +291,7 @@ class TestFlashCrowd:
             FlashCrowd(1000.0, count=2, seed_providers=4, attract_fraction=1.0),
             duration=8000.0,
         )
-        sim = FileSharingSimulation(config)
+        sim = recording_sim(config)
         sim.build()
         before = sim.ctx.catalog.num_objects
         sim.run()
@@ -489,7 +496,7 @@ class TestPhases:
         config = scenario_config(
             Phase(0.0, "early"), Phase(3000.0, "late"), duration=6000.0, warmup=0.0
         )
-        result = run_simulation(config)
+        result = run_with_records(config)
         labels = {d.phase for d in result.metrics.downloads}
         assert labels == {"early", "late"}
         for record in result.metrics.downloads:
@@ -609,7 +616,7 @@ def test_empty_scenario_build_matches_head_event_count():
     )
     with open(golden_path, encoding="utf-8") as handle:
         golden = json.load(handle)
-    result = run_simulation(preset("smoke", exchange_mechanism="2-5-way", seed=42))
+    result = run_with_records(preset("smoke", exchange_mechanism="2-5-way", seed=42))
     assert result.events_fired == golden["events_fired"]
     assert len(result.metrics.sessions) == golden["sessions"]
     assert len(result.metrics.downloads) == golden["downloads"]

@@ -586,6 +586,22 @@ class TestSeededViolations:
             "NUM001",
         )
 
+    def test_seeded_num001_at_a_fold_site(self, tmp_path, capsys):
+        # A pairwise reduction inside a chunk-fold method: the running
+        # aggregates must keep the record-order left-fold.
+        self._assert_flags(
+            tmp_path,
+            capsys,
+            "metrics/aggregates.py",
+            """\
+
+            class _SeededFold(RunningSessionAggregates):
+                def fold(self, chunk: Mapping[str, np.ndarray]) -> None:
+                    self._total += int(np.sum(chunk["kbit"]))
+            """,
+            "NUM001",
+        )
+
     def test_seeded_mir001(self, tmp_path, capsys):
         self._assert_flags(
             tmp_path,

@@ -8,13 +8,13 @@ from repro.errors import SimulationError
 from repro.metrics.records import TerminationReason
 from repro.simulation import FileSharingSimulation, run_simulation
 
-from tests.helpers import small_config
+from tests.helpers import run_with_records, small_config
 
 
 @pytest.fixture(scope="module")
 def exchange_result():
     """One shared small exchange run (module-scoped: it takes a second)."""
-    return run_simulation(small_config(exchange_mechanism="2-5-way", seed=5))
+    return run_with_records(small_config(exchange_mechanism="2-5-way", seed=5))
 
 
 class TestAssembly:
@@ -142,8 +142,8 @@ class TestRunInvariants:
 class TestDeterminism:
     def test_same_seed_same_results(self):
         config = small_config(exchange_mechanism="2-5-way", duration=4000.0, seed=9)
-        first = run_simulation(config)
-        second = run_simulation(config)
+        first = run_with_records(config)
+        second = run_with_records(config)
         assert first.events_fired == second.events_fired
         assert len(first.metrics.sessions) == len(second.metrics.sessions)
         assert [
@@ -157,8 +157,8 @@ class TestDeterminism:
     def test_different_seed_different_results(self):
         base = small_config(exchange_mechanism="2-5-way", duration=4000.0, seed=9)
         other = base.replace(seed=10)
-        first = run_simulation(base)
-        second = run_simulation(other)
+        first = run_with_records(base)
+        second = run_with_records(other)
         fingerprint_a = [
             (s.provider_id, s.requester_id, s.object_id) for s in first.metrics.sessions
         ]

@@ -3,11 +3,14 @@ equilibria and the scenario/strategy tie-break contract."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
+import repro.metrics.columnar as columnar
 from repro.errors import ConfigError
 from repro.experiments.presets import evolution_config, evolution_strategy, preset
 from repro.metrics.records import StrategyEpochRecord, TerminationReason
@@ -16,7 +19,14 @@ from repro.scenario import PeerArrival, Phase, StrategyShock
 from repro.simulation import FileSharingSimulation, run_simulation
 from repro.strategy import STATIC, STRATEGY_RULES, StrategySpec
 
-from tests.helpers import build_peer, give, make_ctx, small_config
+from tests.helpers import (
+    build_peer,
+    give,
+    make_ctx,
+    recording_sim,
+    run_with_records,
+    small_config,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -109,7 +119,7 @@ class TestStaticBitIdentical:
         config = preset(
             "smoke", exchange_mechanism="2-5-way", seed=42, strategy=StrategySpec()
         )
-        result = run_simulation(config)
+        result = run_with_records(config)
         assert result.events_fired == golden["events_fired"]
         assert len(result.metrics.sessions) == golden["sessions"]
         assert len(result.metrics.downloads) == golden["downloads"]
@@ -214,7 +224,7 @@ class TestDynamicsRun:
         config = small_config(
             strategy=dynamic_spec(), duration=10_000.0, warmup=2_000.0, seed=7
         )
-        result = run_simulation(config)
+        result = run_with_records(config)
         epochs = result.metrics.strategy_epochs
         assert epochs
         assert [e.epoch for e in epochs] == list(range(1, len(epochs) + 1))
@@ -238,7 +248,7 @@ class TestDynamicsRun:
             duration=6_000.0,
             warmup=1_000.0,
         )
-        sim = FileSharingSimulation(config)
+        sim = recording_sim(config)
         result = sim.run()
         assert sim.strategy is not None
         adaptive = sum(
@@ -339,7 +349,7 @@ class TestTieBreakOrdering:
             duration=3_500.0,
             warmup=500.0,
         )
-        result = run_simulation(config)
+        result = run_with_records(config)
         epochs = {e.time: e.phase for e in result.metrics.strategy_epochs}
         assert epochs[period] == "before"
         # The Phase marker at t=2*period fired before the revision at
@@ -360,7 +370,7 @@ class TestTieBreakOrdering:
             warmup=100.0,
             seed=3,
         )
-        sim = FileSharingSimulation(config)
+        sim = recording_sim(config)
         result = sim.run()
         epoch = result.metrics.strategy_epochs[0]
         assert epoch.time == period
@@ -446,3 +456,57 @@ def test_strategy_config_round_trips_through_dict():
     from repro.experiments.orchestrator import config_fingerprint
 
     assert config_fingerprint(config) != config_fingerprint(small_config())
+
+
+class TestRowReader:
+    """The director reads session/download rows at epoch time from a
+    collector that folds and releases every chunk the reader has passed.
+
+    The cell combines what could make that reader see different rows:
+    the director is created lazily by a mid-run arrival wave (so its
+    cursor starts at the current row count), and a flip shock moves
+    ``_last_switch`` between epochs (so a row's filter depends on when
+    it is read).  Its trajectory is pinned from the full-retention
+    reader this replaced, and must hold for any chunk size.
+    """
+
+    #: ``(events_fired, summary sha256)`` of :meth:`cell`.
+    PIN = (66087, "20964e2f644da7c1a1810dca591acf0ad49a54b3decdf36b172a995427fb0fc7")
+
+    @staticmethod
+    def cell():
+        adaptive = PeerClassSpec(
+            name="adaptive",
+            behavior="freeloader",
+            strategy=StrategySpec(
+                rule="best-response",
+                revision_period=1_000.0,
+                window=3_000.0,
+                revision_probability=1.0,
+                payoff_sensitivity=1.0,
+            ),
+        )
+        return preset(
+            "smoke",
+            exchange_mechanism="2-5-way",
+            duration=16_000.0,
+            warmup=3_000.0,
+            scenario=(
+                PeerArrival(time=2_000.0, count=20, spec=adaptive),
+                StrategyShock(time=6_500.0, flip_fraction=0.5),
+            ),
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_lazy_director_and_flip_shock_pinned(self, chunk, monkeypatch):
+        monkeypatch.setattr(columnar, "_CHUNK", chunk)
+        sim = FileSharingSimulation(self.cell())
+        sim.build()
+        assert sim.strategy is None  # created by the arrival wave
+        result = sim.run()
+        summary = result.summary
+        text = json.dumps(dataclasses.asdict(summary), sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (result.events_fired, digest) == self.PIN
+        assert summary.counters["strategy.shock_flip"] > 0
+        assert summary.strategy_switches > summary.counters["strategy.shock_flip"]

@@ -20,25 +20,18 @@ from repro.analysis.framework import (
     Project,
     Rule,
     annotation_names,
-    apply_baseline,
-    baseline_payload,
     default_rules,
     dotted_name,
-    is_project_rule,
     iter_python_files,
-    load_baseline,
     missing_docstrings,
     parse_module,
     register_rule,
     run_lint,
-    walk_with_ancestors,
 )
 from repro.analysis import rules as _rules  # noqa: F401  (rule registration)
 from repro.analysis import contracts as _contracts  # noqa: F401  (rule registration)
-from repro.analysis.cache import run_lint_cached
 from repro.analysis.cli import main
 from repro.analysis.project import ProjectGraph, project_graph
-from repro.analysis.sarif import sarif_payload
 
 __all__ = [
     "Finding",
@@ -49,20 +42,13 @@ __all__ = [
     "Rule",
     "RULE_REGISTRY",
     "annotation_names",
-    "apply_baseline",
-    "baseline_payload",
     "default_rules",
     "dotted_name",
-    "is_project_rule",
     "iter_python_files",
-    "load_baseline",
     "main",
     "missing_docstrings",
     "parse_module",
     "project_graph",
     "register_rule",
     "run_lint",
-    "run_lint_cached",
-    "sarif_payload",
-    "walk_with_ancestors",
 ]

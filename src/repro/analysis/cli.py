@@ -2,51 +2,23 @@
 
 Usage::
 
-    repro-lint src/repro                      # text report, exit 1 on findings
-    repro-lint --format json src/repro        # machine-readable findings
-    repro-lint --format sarif src/repro       # GitHub code-scanning upload
-    repro-lint --select RNG001,DET003 src     # subset of rules
-    repro-lint --baseline simlint.json src    # subtract accepted findings
-    repro-lint --write-baseline simlint.json src   # snapshot current findings
-    repro-lint --prune-baseline --baseline b.json src  # drop stale entries
-    repro-lint --cache .simlint-cache.json src     # incremental (content hash)
-    repro-lint --changed src/repro            # pre-commit mode (cache + git)
-    repro-lint --explain HOT001               # one rule's full documentation
-    repro-lint --list-rules                   # rule pack documentation
+    repro-lint src/repro              # text report, exit 1 on findings
+    repro-lint --explain HOT001       # one rule's full documentation
+    repro-lint --list-rules           # rule pack documentation
 
-Exit codes are CI-friendly: ``0`` clean, ``1`` findings (or a stale
-baseline), ``2`` usage or internal error — the same contract as
-ruff/mypy, so the static-analysis job can chain the three tools with
-plain shell ``&&``.  Warn-severity findings are reported but never
-flip the exit code on their own.
+Exit codes are CI-friendly: ``0`` clean, ``1`` findings, ``2`` usage or
+internal error — the same contract as ruff/mypy, so the static-analysis
+job can chain the three tools with plain shell ``&&``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence
 
-from repro.analysis.framework import (
-    RULE_REGISTRY,
-    LintReport,
-    Rule,
-    baseline_payload,
-    default_rules,
-    is_project_rule,
-    load_baseline,
-    run_lint,
-)
-from repro.analysis.cache import (
-    DEFAULT_CACHE_PATH,
-    CacheStats,
-    git_changed_files,
-    run_lint_cached,
-)
-from repro.analysis.sarif import sarif_payload
+from repro.analysis.framework import RULE_REGISTRY, run_lint
 
 # Import for the registration side effect: the rule packs populate
 # RULE_REGISTRY when this module is first loaded.
@@ -69,51 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", help="files or directories to lint (e.g. src/repro)"
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="RULES",
-        help="comma-separated rule names to run (default: all registered rules)",
-    )
-    parser.add_argument(
-        "--warn",
-        metavar="RULES",
-        help="comma-separated rule names demoted to warn severity "
-        "(reported, but never exit 1)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON baseline of accepted findings to subtract",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the surviving findings to FILE as a baseline and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE without stale entries instead of "
-        "failing on them",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="incremental cache keyed by file content hash "
-        f"(--changed defaults this to {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="pre-commit mode: use the incremental cache and let git "
-        "bound the analyzed set to the working-tree diff",
-    )
-    parser.add_argument(
         "--explain",
         metavar="RULE",
         help="print one rule's full documentation and exit",
@@ -124,21 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every registered rule with its rationale and exit",
     )
     return parser
-
-
-def _select_rules(spec: Optional[str]) -> List[Rule]:
-    if spec is None:
-        return default_rules()
-    rules: List[Rule] = []
-    for name in (part.strip() for part in spec.split(",")):
-        if not name:
-            continue
-        if name not in RULE_REGISTRY:
-            raise KeyError(name)
-        rules.append(RULE_REGISTRY[name]())
-    if not rules:
-        raise KeyError(spec)
-    return rules
 
 
 def _print_rules() -> None:
@@ -158,108 +70,13 @@ def _explain_rule(name: str) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    rule = cls()
-    scope = "project (cross-module)" if is_project_rule(rule) else "module"
-    print(f"{rule.name}: {rule.summary}")
-    print(f"severity: {rule.severity}")
-    print(f"scope: {scope}")
+    print(f"{cls.name}: {cls.summary}")
     print()
-    print(rule.rationale or "(no extended rationale)")
+    print(cls.rationale or "(no extended rationale)")
     print()
     print("suppress a deliberate exemption inline with:")
-    print(f"    offending_code()  # simlint: disable={rule.name} -- why this is safe")
+    print(f"    offending_code()  # simlint: disable={cls.name} -- why this is safe")
     return EXIT_CLEAN
-
-
-def _apply_warn_demotions(
-    report: LintReport, warn_rules: Set[str]
-) -> LintReport:
-    if not warn_rules:
-        return report
-    demoted = [
-        dataclasses.replace(f, severity="warn") if f.rule in warn_rules else f
-        for f in report.findings
-    ]
-    return LintReport(
-        findings=demoted,
-        files_checked=report.files_checked,
-        stale_baseline=report.stale_baseline,
-    )
-
-
-def _render(
-    report: LintReport,
-    fmt: str,
-    rules: Sequence[Rule],
-    stats: Optional[CacheStats],
-) -> None:
-    if fmt == "json":
-        payload = {
-            "files_checked": report.files_checked,
-            "findings": [finding.to_dict() for finding in report.findings],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return
-    if fmt == "sarif":
-        print(json.dumps(sarif_payload(report, rules), indent=2, sort_keys=True))
-        return
-    for finding in report.findings:
-        print(finding.render())
-    noun = "finding" if len(report.findings) == 1 else "findings"
-    summary = (
-        f"repro-lint: {len(report.findings)} {noun} "
-        f"in {report.files_checked} file(s)"
-    )
-    warnings = len(report.warnings)
-    if warnings:
-        summary += f" ({len(report.errors)} error(s), {warnings} warning(s))"
-    if stats is not None:
-        summary += (
-            f" [cache: {stats.analyzed} analyzed, {stats.replayed} replayed"
-            + (f", {stats.skipped} skipped" if stats.skipped else "")
-            + ("" if stats.finalized else "; project pass replayed")
-            + "]"
-        )
-    print(summary)
-
-
-def _report_stale(
-    report: LintReport,
-    baseline_path: str,
-    prune: bool,
-) -> Optional[int]:
-    """Handle stale baseline entries; an exit code ends the run early."""
-    if not report.stale_baseline:
-        return None
-    if prune:
-        kept = [
-            {"rule": rule, "path": path, "line": line}
-            for (rule, path, line) in sorted(
-                load_baseline(baseline_path) - set(report.stale_baseline)
-            )
-        ]
-        with open(baseline_path, "w", encoding="utf-8") as handle:
-            json.dump({"version": 1, "findings": kept}, handle, indent=2)
-            handle.write("\n")
-        print(
-            f"repro-lint: pruned {len(report.stale_baseline)} stale baseline "
-            f"entr{'y' if len(report.stale_baseline) == 1 else 'ies'} from "
-            f"{baseline_path}"
-        )
-        return None
-    for rule, path, line in report.stale_baseline:
-        print(
-            f"repro-lint: stale baseline entry: {rule} at {path}:{line} "
-            "matches no finding",
-            file=sys.stderr,
-        )
-    print(
-        "repro-lint: error: the baseline contains entries that match no "
-        "finding — the debt was paid; remove them (or run with "
-        "--prune-baseline)",
-        file=sys.stderr,
-    )
-    return EXIT_FINDINGS
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -283,69 +100,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"repro-lint: error: no such file or directory: {path}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        rules = _select_rules(args.select)
-        warn_rules = (
-            {r.name for r in _select_rules(args.warn)} if args.warn else set()
-        )
-    except KeyError as error:
-        print(
-            f"repro-lint: error: unknown rule {error.args[0]!r} "
-            f"(known: {', '.join(sorted(RULE_REGISTRY))})",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    baseline: Optional[Set[Tuple[str, str, int]]] = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"repro-lint: error: bad baseline {args.baseline}: {error}", file=sys.stderr)
-            return EXIT_ERROR
-    elif args.prune_baseline:
-        print(
-            "repro-lint: error: --prune-baseline requires --baseline",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    cache_path = args.cache
-    if args.changed and cache_path is None:
-        cache_path = DEFAULT_CACHE_PATH
-    stats: Optional[CacheStats] = None
-    try:
-        if cache_path is not None:
-            changed: Optional[Set[str]] = None
-            if args.changed:
-                changed = git_changed_files()
-                if changed is None:
-                    print(
-                        "repro-lint: warning: git diff failed; analyzing "
-                        "every cache miss",
-                        file=sys.stderr,
-                    )
-            report, stats = run_lint_cached(
-                args.paths, rules, baseline, cache_path, changed
-            )
-        else:
-            report = run_lint(args.paths, rules=rules, baseline=baseline)
+        report = run_lint(args.paths)
     except OSError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return EXIT_ERROR
-    report = _apply_warn_demotions(report, warn_rules)
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            json.dump(baseline_payload(report.findings), handle, indent=2)
-            handle.write("\n")
-        print(
-            f"repro-lint: wrote baseline with {len(report.findings)} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return EXIT_CLEAN
-    if args.baseline:
-        stale_exit = _report_stale(report, args.baseline, args.prune_baseline)
-        if stale_exit is not None:
-            return stale_exit
-    _render(report, args.format, rules, stats)
-    return EXIT_CLEAN if not report.errors else EXIT_FINDINGS
+    for finding in report.findings:
+        print(finding.render())
+    noun = "finding" if len(report.findings) == 1 else "findings"
+    print(f"repro-lint: {len(report.findings)} {noun} in {report.files_checked} file(s)")
+    return EXIT_CLEAN if report.clean else EXIT_FINDINGS
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -38,6 +38,7 @@ from repro.analysis.framework import (
     Project,
     Rule,
     dotted_name,
+    node_finding,
     register_rule,
 )
 from repro.analysis.project import (
@@ -56,9 +57,7 @@ HOT_PATH_BASENAMES = frozenset(
 
 #: Compat shims that allocate a record object per call; hot paths must
 #: use the scalar ``add_*`` column API instead.
-RECORD_COMPAT_CALLS = frozenset(
-    {"record_session", "record_download", "record_strategy_epoch"}
-)
+RECORD_COMPAT_CALLS = frozenset({"record_session", "record_download"})
 
 #: File basenames under the NUM001 byte-identity contract.
 NUMERIC_BASENAMES = frozenset({"aggregates.py", "columnar.py"})
@@ -101,23 +100,11 @@ def _basename(module: ParsedModule) -> str:
     return os.path.basename(module.display_path)
 
 
-def _finding(rule: Rule, module: ParsedModule, node: ast.AST, message: str) -> Finding:
-    return Finding(
-        rule.name,
-        module.display_path,
-        getattr(node, "lineno", 1),
-        getattr(node, "col_offset", 0) + 1,
-        message,
-        severity=rule.severity,
-    )
-
-
 @register_rule
 class HotPathAllocationRule(Rule):
     """HOT001: no per-event record/dict allocation on hot paths."""
 
     name = "HOT001"
-    scope = "project"
     summary = (
         "no record-dataclass or dict allocation inside Engine-dispatch-"
         "reachable functions of the hot-path modules"
@@ -162,7 +149,7 @@ class HotPathAllocationRule(Rule):
         label = f"{info.cls}.{info.bare}" if info.cls else info.bare
         for node in _own_body_nodes(info.node):
             if isinstance(node, ast.Dict):
-                yield _finding(
+                yield node_finding(
                     self,
                     module,
                     node,
@@ -170,7 +157,7 @@ class HotPathAllocationRule(Rule):
                     "hoist it or use the columnar scalar API",
                 )
             elif isinstance(node, ast.DictComp):
-                yield _finding(
+                yield node_finding(
                     self,
                     module,
                     node,
@@ -181,7 +168,7 @@ class HotPathAllocationRule(Rule):
                 callee = dotted_name(node.func)
                 final = callee.rsplit(".", 1)[-1] if callee else None
                 if final == "dict":
-                    yield _finding(
+                    yield node_finding(
                         self,
                         module,
                         node,
@@ -192,7 +179,7 @@ class HotPathAllocationRule(Rule):
                     final in RECORD_COMPAT_CALLS
                     or (final.endswith("Record") and final[0].isupper())
                 ):
-                    yield _finding(
+                    yield node_finding(
                         self,
                         module,
                         node,
@@ -236,7 +223,7 @@ class NumericReductionRule(Rule):
             if callee is not None and "." in callee:
                 receiver, final = callee.rsplit(".", 1)
                 if receiver in ("np", "numpy") and final in NUMPY_REDUCTIONS:
-                    yield _finding(
+                    yield node_finding(
                         self,
                         module,
                         node,
@@ -246,7 +233,7 @@ class NumericReductionRule(Rule):
                     )
                     continue
                 if callee in ("math.fsum", "fsum"):
-                    yield _finding(
+                    yield node_finding(
                         self,
                         module,
                         node,
@@ -257,7 +244,7 @@ class NumericReductionRule(Rule):
             if isinstance(node.func, ast.Attribute) and node.func.attr == "sum":
                 receiver_name = dotted_name(node.func.value)
                 if receiver_name not in ("np", "numpy", "math", "builtins"):
-                    yield _finding(
+                    yield node_finding(
                         self,
                         module,
                         node,
@@ -271,7 +258,7 @@ class NumericReductionRule(Rule):
                 and len(node.args) < 2
                 and not node.keywords
             ):
-                yield _finding(
+                yield node_finding(
                     self,
                     module,
                     node,
@@ -360,7 +347,7 @@ class MirrorWriteThroughRule(Rule):
             ) or ("register" in accepted and register_ok)
             if not satisfied:
                 writers = "/".join(m for m in accepted if m != "register")
-                yield _finding(
+                yield node_finding(
                     self,
                     module,
                     target,
@@ -432,7 +419,7 @@ class VersionBumpRule(Rule):
             mutations = list(self._self_mutations(item))
             if mutations and not self._bumps_version(item):
                 for node, attr in mutations:
-                    yield _finding(
+                    yield node_finding(
                         self,
                         module,
                         node,

@@ -4,11 +4,11 @@ The framework is deliberately small and reusable: a :class:`Rule` is a
 class with a ``name`` and a ``check_module`` hook (plus an optional
 cross-module ``finalize`` hook), registered through
 :func:`register_rule`; :func:`run_lint` parses every target file once
-into a :class:`ParsedModule` and feeds it to every selected rule.  The
-AST helpers at the bottom (:func:`dotted_name`,
-:func:`walk_with_ancestors`, :func:`missing_docstrings`, ...) are shared
-with other consumers — ``tests/test_docstrings.py`` reuses them so the
-repo has exactly one AST toolkit.
+into a :class:`ParsedModule`, then runs each rule over the whole
+project.  The AST helpers at the bottom (:func:`dotted_name`,
+:func:`missing_docstrings`, ...) are shared with other consumers —
+``tests/test_docstrings.py`` reuses them so the repo has exactly one
+AST toolkit.
 
 Suppressions
 ------------
@@ -22,20 +22,12 @@ exactly the kind of convention rot this tool exists to prevent.  A
 suppression comment on its own line applies to the next code line;
 otherwise it applies to its own line (for multi-line statements, anchor
 the comment on the statement's first line, where the AST node starts).
-
-Baselines
----------
-``run_lint`` optionally subtracts a JSON baseline (a list of
-``{rule, path, line}`` records) so the tool can be adopted on a codebase
-with pre-existing findings.  This repository's own baseline is empty by
-design — every finding is fixed or explicitly suppressed.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import os
 import re
 import tokenize
@@ -65,35 +57,15 @@ class Finding:
     line: int
     col: int
     message: str
-    #: ``"error"`` findings gate CI (exit 1); ``"warn"`` findings are
-    #: reported but never flip the exit code.
-    severity: str = "error"
 
     @property
     def sort_key(self) -> Tuple[str, int, int, str]:
         """Stable ordering: by file, then position, then rule id."""
         return (self.path, self.line, self.col, self.rule)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation (used by ``--format json``)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-        }
-
     def render(self) -> str:
-        """Human-readable one-liner, ``path:line:col: RULE message``.
-
-        Warnings carry a ``[warn]`` marker; errors keep the historical
-        unmarked form so baselines, CI grep patterns and test
-        expectations written against v1 output stay valid.
-        """
-        marker = " [warn]" if self.severity == "warn" else ""
-        return f"{self.path}:{self.line}:{self.col}: {self.rule}{marker} {self.message}"
+        """Human-readable one-liner, ``path:line:col: RULE message``."""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
 @dataclass(frozen=True)
@@ -219,17 +191,6 @@ class Project:
     """Every parsed module of one lint run, for cross-module rules."""
 
     modules: List[ParsedModule] = field(default_factory=list)
-    #: Scratch space for expensive cross-module artifacts (the call
-    #: graph from :mod:`repro.analysis.project` caches itself here so
-    #: several project-scope rules share one build).
-    cache: Dict[str, object] = field(default_factory=dict)
-
-    def module_by_path(self, display_path: str) -> Optional[ParsedModule]:
-        """The module whose display path matches, or None."""
-        for module in self.modules:
-            if module.display_path == display_path:
-                return module
-        return None
 
 
 class Rule:
@@ -245,13 +206,6 @@ class Rule:
     name: str = "RULE"
     summary: str = ""
     rationale: str = ""
-    #: Default severity stamped on this rule's findings ("error"/"warn").
-    severity: str = "error"
-    #: ``"module"`` rules see one file at a time and their per-file
-    #: verdicts can be replayed from the incremental cache; ``"project"``
-    #: rules need every module (call graph, fingerprint closure) and
-    #: rerun whenever any file changed.
-    scope: str = "module"
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
         """Findings local to one module (default: none)."""
@@ -260,11 +214,6 @@ class Rule:
     def finalize(self, project: Project) -> Iterable[Finding]:
         """Cross-module findings after every module was seen (default: none)."""
         return ()
-
-
-def is_project_rule(rule: Rule) -> bool:
-    """Whether ``rule`` needs the whole project (cross-module state)."""
-    return rule.scope == "project" or type(rule).finalize is not Rule.finalize
 
 
 #: Global registry: rule name -> rule class.
@@ -282,6 +231,17 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
 def default_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in name order."""
     return [RULE_REGISTRY[name]() for name in sorted(RULE_REGISTRY)]
+
+
+def node_finding(rule: Rule, module: ParsedModule, node: ast.AST, message: str) -> Finding:
+    """A ``rule`` finding anchored at ``node``'s position in ``module``."""
+    return Finding(
+        rule.name,
+        module.display_path,
+        getattr(node, "lineno", 1),
+        getattr(node, "col_offset", 0) + 1,
+        message,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -313,33 +273,9 @@ def parse_module(path: str, display_path: Optional[str] = None) -> ParsedModule:
 
 def _display_path(path: str) -> str:
     rel = os.path.relpath(path)
-    # Stay stable across platforms so baselines and test expectations
+    # Stay stable across platforms so findings and test expectations
     # never depend on the host's separator.
     return rel.replace(os.sep, "/")
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: str) -> Set[Tuple[str, str, int]]:
-    """``(rule, path, line)`` triples accepted by the baseline file."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    records = data["findings"] if isinstance(data, dict) else data
-    accepted: Set[Tuple[str, str, int]] = set()
-    for record in records:
-        accepted.add((record["rule"], record["path"], int(record["line"])))
-    return accepted
-
-
-def baseline_payload(findings: Sequence[Finding]) -> Dict[str, object]:
-    """JSON structure for ``--write-baseline``."""
-    return {
-        "version": 1,
-        "findings": [
-            {"rule": f.rule, "path": f.path, "line": f.line} for f in findings
-        ],
-    }
 
 
 # ----------------------------------------------------------------------
@@ -351,110 +287,24 @@ class LintReport:
 
     findings: List[Finding]
     files_checked: int
-    #: Baseline ``(rule, path, line)`` triples that matched no finding —
-    #: dead weight the CLI refuses unless ``--prune-baseline`` is given.
-    stale_baseline: List[Tuple[str, str, int]] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """True when no findings survived suppression and baseline."""
+        """True when no findings survived suppression."""
         return not self.findings
-
-    @property
-    def errors(self) -> List[Finding]:
-        """Findings that gate the exit code."""
-        return [f for f in self.findings if f.severity != "warn"]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        """Advisory findings (reported, never exit 1 on their own)."""
-        return [f for f in self.findings if f.severity == "warn"]
-
-
-def syntax_finding(file_path: str, error: SyntaxError) -> Finding:
-    """The SYN001 finding for a file that failed to parse."""
-    return Finding(
-        SYNTAX_RULE,
-        _display_path(file_path),
-        error.lineno or 1,
-        (error.offset or 0) + 1,
-        f"syntax error: {error.msg}",
-    )
-
-
-def module_findings(module: ParsedModule, rules: Sequence[Rule]) -> List[Finding]:
-    """Meta findings plus every module-scope rule verdict for one file.
-
-    This is the per-file unit of work the incremental cache replays:
-    project-scope rules are deliberately excluded (their verdicts
-    depend on other files), handled by :func:`project_findings`.
-    """
-    findings = list(module.meta_findings)
-    for rule in rules:
-        if is_project_rule(rule):
-            continue
-        for finding in rule.check_module(module):
-            if not module.is_suppressed(finding.rule, finding.line):
-                findings.append(finding)
-    return findings
-
-
-def project_findings(project: Project, rules: Sequence[Rule]) -> List[Finding]:
-    """Run every project-scope rule over the fully parsed project."""
-    findings: List[Finding] = []
-    for rule in rules:
-        if not is_project_rule(rule):
-            continue
-        for module in project.modules:
-            for finding in rule.check_module(module):
-                if not module.is_suppressed(finding.rule, finding.line):
-                    findings.append(finding)
-        for finding in rule.finalize(project):
-            module_for = project.module_by_path(finding.path)
-            if module_for is not None and module_for.is_suppressed(
-                finding.rule, finding.line
-            ):
-                continue
-            findings.append(finding)
-    return findings
-
-
-def apply_baseline(
-    findings: Sequence[Finding],
-    baseline: Optional[Set[Tuple[str, str, int]]],
-) -> Tuple[List[Finding], List[Tuple[str, str, int]]]:
-    """Subtract baseline matches; also report entries that matched nothing.
-
-    Stale entries are the adoption debt this tool exists to burn down:
-    silently carrying them would let a fixed finding's baseline slot be
-    recycled by a *new* finding at the same location, so the CLI treats
-    them as an error unless explicitly pruned.
-    """
-    if not baseline:
-        return list(findings), []
-    kept: List[Finding] = []
-    matched: Set[Tuple[str, str, int]] = set()
-    for finding in findings:
-        key = (finding.rule, finding.path, finding.line)
-        if key in baseline:
-            matched.add(key)
-        else:
-            kept.append(finding)
-    stale = sorted(baseline - matched)
-    return kept, stale
 
 
 def run_lint(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Set[Tuple[str, str, int]]] = None,
 ) -> LintReport:
     """Lint every Python file under ``paths`` with the given rules.
 
-    Suppressed findings are dropped (malformed suppressions are
-    reported instead and cannot themselves be suppressed); baseline
-    matches are dropped last, so a baseline can also grandfather a
-    malformed suppression during adoption.
+    Each rule runs ``check_module`` over every module, then
+    ``finalize`` over the project; its findings on inline-suppressed
+    lines are dropped.  Malformed suppressions (``SUP001``) and files
+    that fail to parse (``SYN001``) are reported and cannot themselves
+    be suppressed.
     """
     if rules is None:
         rules = default_rules()
@@ -465,18 +315,30 @@ def run_lint(
             try:
                 module = parse_module(file_path)
             except SyntaxError as error:
-                findings.append(syntax_finding(file_path, error))
+                findings.append(
+                    Finding(
+                        SYNTAX_RULE,
+                        _display_path(file_path),
+                        error.lineno or 1,
+                        (error.offset or 0) + 1,
+                        f"syntax error: {error.msg}",
+                    )
+                )
                 continue
             project.modules.append(module)
-            findings.extend(module_findings(module, rules))
-    findings.extend(project_findings(project, rules))
-    findings, stale = apply_baseline(findings, baseline)
+            findings.extend(module.meta_findings)
+    by_path = {module.display_path: module for module in project.modules}
+    for rule in rules:
+        raw: List[Finding] = []
+        for module in project.modules:
+            raw.extend(rule.check_module(module))
+        raw.extend(rule.finalize(project))
+        for finding in raw:
+            module_for = by_path.get(finding.path)
+            if module_for is None or not module_for.is_suppressed(finding.rule, finding.line):
+                findings.append(finding)
     findings.sort(key=lambda f: f.sort_key)
-    return LintReport(
-        findings=findings,
-        files_checked=len(project.modules),
-        stale_baseline=stale,
-    )
+    return LintReport(findings=findings, files_checked=len(project.modules))
 
 
 # ----------------------------------------------------------------------
@@ -492,21 +354,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def walk_with_ancestors(
-    tree: ast.AST,
-) -> Iterator[Tuple[ast.AST, Tuple[ast.AST, ...]]]:
-    """Depth-first ``(node, ancestors)`` pairs; ancestors outermost-first."""
-    stack: List[Tuple[ast.AST, Tuple[ast.AST, ...]]] = [(tree, ())]
-    while stack:
-        node, ancestors = stack.pop()
-        yield node, ancestors
-        child_ancestors = ancestors + (node,)
-        # Reversed so iteration order matches source order despite the
-        # LIFO stack — rules then emit findings in file order.
-        for child in reversed(list(ast.iter_child_nodes(node))):
-            stack.append((child, child_ancestors))
 
 
 def annotation_names(node: Optional[ast.AST]) -> Set[str]:

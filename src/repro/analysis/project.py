@@ -5,11 +5,13 @@ contract rules of :mod:`repro.analysis.contracts` need to know *which
 functions run per simulated event*.  This module derives that from the
 whole parsed project:
 
-1. **Import graph** — for every module, the repo-internal modules it
-   imports (``import repro.x`` / ``from repro.x import y``, plus
-   single-level relative imports).  Bare-name call resolution only
-   looks at a module's own definitions and its imports, so an
-   unimported helper never produces a phantom edge.
+1. **Import scopes** — for every module, the names its imports bind
+   (``import repro.x`` / ``from repro.x import y``, plus single-level
+   relative imports).  Module names come from each file's
+   ``__init__.py`` package chain, so they do not depend on where the
+   lint run is rooted.  Bare-name call resolution only looks at a
+   module's own definitions and its imports, so an unimported helper
+   never produces a phantom edge.
 2. **Approximate call graph** — name-based resolution, no type
    inference: ``self.meth(...)`` binds to the enclosing class when it
    defines ``meth`` and otherwise to every project method of that
@@ -47,7 +49,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.framework import ParsedModule, Project
 
@@ -59,15 +61,12 @@ SCHEDULE_CALLEES = frozenset({"schedule", "schedule_at"})
 #: The parameter-name convention that marks a dispatched callback.
 CALLBACK_PARAM = "callback"
 
-_GRAPH_CACHE_KEY = "repro.analysis.project:graph"
-
 
 @dataclass(frozen=True)
 class FunctionInfo:
     """One function or method definition in the project."""
 
     qname: str  #: ``modname:Class.method`` / ``modname:func``
-    modname: str
     display_path: str
     bare: str  #: unqualified name (``method``)
     cls: Optional[str]  #: enclosing class name, if any
@@ -75,26 +74,24 @@ class FunctionInfo:
     params: Tuple[str, ...]  #: positional parameter names, incl. self
 
 
-def module_name(display_path: str) -> str:
-    """Dotted module name for a display path.
+def module_name(path: str) -> str:
+    """Dotted module name for a source file, from its package chain.
 
-    ``src/repro/network/peer.py`` maps to ``repro.network.peer``; a
-    path without a ``src`` component (test fixtures in temp dirs) maps
-    to its bare stem, and ``__init__.py`` maps to its package.
+    Every enclosing directory holding an ``__init__.py`` adds one
+    package level, so ``src/repro/network/peer.py`` maps to
+    ``repro.network.peer`` whichever directory the lint run starts
+    from.  A file outside any package (a test fixture in a temp dir)
+    maps to its bare stem, and ``__init__.py`` maps to its package.
     """
-    parts = display_path.split("/")
-    if "src" in parts:
-        # rindex: a temp dir could itself contain a 'src' component.
-        parts = parts[len(parts) - 1 - parts[::-1].index("src"):][1:]
-    else:
-        parts = parts[-1:]
-    if not parts:
-        return os.path.splitext(os.path.basename(display_path))[0]
-    parts = list(parts)
-    parts[-1] = os.path.splitext(parts[-1])[0]
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) or os.path.splitext(os.path.basename(display_path))[0]
+    directory = os.path.dirname(os.path.abspath(path))
+    stem = os.path.splitext(os.path.basename(path))[0]
+    parts: List[str] = [] if stem == "__init__" else [stem]
+    while os.path.isfile(os.path.join(directory, "__init__.py")):
+        directory, package = os.path.split(directory)
+        if not package:
+            break
+        parts.append(package)
+    return ".".join(reversed(parts)) or stem
 
 
 def _own_body_nodes(func: ast.AST) -> Iterator[ast.AST]:
@@ -118,7 +115,6 @@ def _own_body_nodes(func: ast.AST) -> Iterator[ast.AST]:
 class _ModuleScope:
     """Per-module name-resolution context."""
 
-    modname: str
     #: local name -> imported module dotted name (``import a.b as c``)
     module_aliases: Dict[str, str] = field(default_factory=dict)
     #: local name -> (source module, object name) (``from a import b``)
@@ -126,13 +122,11 @@ class _ModuleScope:
 
 
 class ProjectGraph:
-    """Import graph, approximate call graph, and the derived hot set."""
+    """Import scopes, approximate call graph, and the derived hot set."""
 
     def __init__(self) -> None:
         #: qname -> definition
         self.functions: Dict[str, FunctionInfo] = {}
-        #: modname -> project-internal imported modnames
-        self.imports: Dict[str, Set[str]] = {}
         #: caller qname -> callee qnames
         self.calls: Dict[str, Set[str]] = {}
         #: hot qname -> qname of the scheduled-callback seed it was
@@ -142,7 +136,6 @@ class ProjectGraph:
         self._toplevel: Dict[Tuple[str, str], str] = {}  # (mod, name) -> qname
         self._methods: Dict[str, Set[str]] = {}  # bare method name -> qnames
         self._classes: Dict[Tuple[str, str], Dict[str, str]] = {}
-        self._class_names: Dict[str, Set[Tuple[str, str]]] = {}
         self._scopes: Dict[str, _ModuleScope] = {}
 
     # ------------------------------------------------------------------
@@ -172,49 +165,36 @@ class ProjectGraph:
 
 
 def project_graph(project: Project) -> ProjectGraph:
-    """Build (or reuse) the call graph for this lint run's project."""
-    cached = project.cache.get(_GRAPH_CACHE_KEY)
-    if isinstance(cached, ProjectGraph):
-        return cached
-    graph = _build(project.modules)
-    project.cache[_GRAPH_CACHE_KEY] = graph
+    """Build the call graph and hot set of one lint run's project."""
+    graph = ProjectGraph()
+    named = [(module, module_name(module.path)) for module in project.modules]
+    for module, modname in named:
+        _collect_definitions(graph, module, modname)
+    for module, modname in named:
+        _collect_imports(graph, module, modname)
+    seeds: Dict[str, str] = {}
+    for module, modname in named:
+        _collect_edges_and_seeds(graph, module, modname, seeds)
+    _close_hot_set(graph, seeds)
     return graph
 
 
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
-def _build(modules: Sequence[ParsedModule]) -> ProjectGraph:
-    graph = ProjectGraph()
-    for module in modules:
-        _collect_definitions(graph, module)
-    for module in modules:
-        _collect_imports(graph, module)
-    seeds: Dict[str, str] = {}
-    for module in modules:
-        _collect_edges_and_seeds(graph, module, seeds)
-    _close_hot_set(graph, seeds)
-    return graph
-
-
-def _collect_definitions(graph: ProjectGraph, module: ParsedModule) -> None:
-    modname = module_name(module.display_path)
-    graph._scopes.setdefault(modname, _ModuleScope(modname))
+def _collect_definitions(graph: ProjectGraph, module: ParsedModule, modname: str) -> None:
+    graph._scopes.setdefault(modname, _ModuleScope())
 
     def visit(node: ast.AST, prefix: str, cls: Optional[str]) -> None:
         for item in getattr(node, "body", []):
             if isinstance(item, ast.ClassDef):
                 graph._classes.setdefault((modname, item.name), {})
-                graph._class_names.setdefault(item.name, set()).add(
-                    (modname, item.name)
-                )
                 visit(item, prefix=f"{prefix}{item.name}.", cls=item.name)
             elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qname = f"{modname}:{prefix}{item.name}"
                 params = tuple(arg.arg for arg in item.args.args)
                 info = FunctionInfo(
                     qname=qname,
-                    modname=modname,
                     display_path=module.display_path,
                     bare=item.name,
                     cls=cls,
@@ -233,10 +213,8 @@ def _collect_definitions(graph: ProjectGraph, module: ParsedModule) -> None:
     visit(module.tree, prefix="", cls=None)
 
 
-def _collect_imports(graph: ProjectGraph, module: ParsedModule) -> None:
-    modname = module_name(module.display_path)
+def _collect_imports(graph: ProjectGraph, module: ParsedModule, modname: str) -> None:
     scope = graph._scopes[modname]
-    imported: Set[str] = set()
     package = modname.rsplit(".", 1)[0] if "." in modname else ""
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
@@ -245,28 +223,20 @@ def _collect_imports(graph: ProjectGraph, module: ParsedModule) -> None:
                 scope.module_aliases[local] = (
                     alias.name if alias.asname else alias.name.split(".")[0]
                 )
-                imported.add(alias.name)
         elif isinstance(node, ast.ImportFrom):
             source = node.module or ""
             if node.level:
                 source = f"{package}.{source}" if source else package
             if not source:
                 continue
-            imported.add(source)
             for alias in node.names:
                 local = alias.asname or alias.name
                 scope.object_imports[local] = (source, alias.name)
-                # ``from pkg import mod`` imports a module, not an object;
-                # the ``known`` filter below keeps only real project modules.
-                imported.add(f"{source}.{alias.name}")
-    known = {info.modname for info in graph.functions.values()}
-    graph.imports[modname] = {name for name in imported if name in known}
 
 
 def _collect_edges_and_seeds(
-    graph: ProjectGraph, module: ParsedModule, seeds: Dict[str, str]
+    graph: ProjectGraph, module: ParsedModule, modname: str, seeds: Dict[str, str]
 ) -> None:
-    modname = module_name(module.display_path)
     for info in graph.functions_in(module):
         callees: Set[str] = graph.calls.setdefault(info.qname, set())
         # Closures: the encloser can hand any nested def to the engine.

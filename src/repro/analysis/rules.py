@@ -43,6 +43,7 @@ from repro.analysis.framework import (
     Rule,
     annotation_names,
     dotted_name,
+    node_finding,
     register_rule,
 )
 
@@ -122,19 +123,6 @@ FINGERPRINT_SAFE_NAMES = frozenset(
 FINGERPRINT_UNORDERED_TYPES = frozenset({"set", "Set", "frozenset", "FrozenSet"})
 
 
-def _finding(
-    rule: "Rule", module: ParsedModule, node: ast.AST, message: str
-) -> Finding:
-    return Finding(
-        rule.name,
-        module.display_path,
-        getattr(node, "lineno", 1),
-        getattr(node, "col_offset", 0) + 1,
-        message,
-        severity=rule.severity,
-    )
-
-
 @register_rule
 class ModuleLevelRandomRule(Rule):
     """RNG001: ban the process-global ``random`` module's entropy."""
@@ -161,7 +149,7 @@ class ModuleLevelRandomRule(Rule):
                     and name != "random.Random"
                 ):
                     findings.append(
-                        _finding(
+                        node_finding(
                             self,
                             module,
                             node,
@@ -173,7 +161,7 @@ class ModuleLevelRandomRule(Rule):
                 banned = [a.name for a in node.names if a.name != "Random"]
                 if banned:
                     findings.append(
-                        _finding(
+                        node_finding(
                             self,
                             module,
                             node,
@@ -220,7 +208,7 @@ class ExplicitStreamRule(Rule):
             ):
                 continue
             findings.append(
-                _finding(
+                node_finding(
                     self,
                     module,
                     node,
@@ -283,7 +271,7 @@ class BuiltinHashRule(Rule):
                 and node.func.id == "hash"
             ):
                 findings.append(
-                    _finding(
+                    node_finding(
                         self,
                         module,
                         node,
@@ -428,7 +416,7 @@ class UnorderedIterationRule(Rule):
         if kind is None:
             return ()
         return (
-            _finding(
+            node_finding(
                 self,
                 module,
                 node,
@@ -455,7 +443,7 @@ class UnorderedIterationRule(Rule):
                 )
                 if name in _ORDER_SENSITIVE_CALLS:
                     return (
-                        _finding(
+                        node_finding(
                             self,
                             module,
                             node,
@@ -489,7 +477,7 @@ class WallClockRule(Rule):
                 name = dotted_name(node.func)
                 if name in WALL_CLOCK_CALLS:
                     findings.append(
-                        _finding(
+                        node_finding(
                             self,
                             module,
                             node,
@@ -503,7 +491,7 @@ class WallClockRule(Rule):
                     hits = [a.name for a in node.names if a.name in banned]
                     if hits:
                         findings.append(
-                            _finding(
+                            node_finding(
                                 self,
                                 module,
                                 node,
@@ -541,7 +529,7 @@ class RawHeappushRule(Rule):
                     name == "heapq.heappush" or name.rsplit(".", 1)[-1] == "heappush"
                 ):
                     findings.append(
-                        _finding(
+                        node_finding(
                             self,
                             module,
                             node,
@@ -552,7 +540,7 @@ class RawHeappushRule(Rule):
             elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
                 if any(a.name == "heappush" for a in node.names):
                     findings.append(
-                        _finding(
+                        node_finding(
                             self,
                             module,
                             node,
@@ -579,7 +567,6 @@ class FingerprintCoverageRule(Rule):
     """FPR001: config specs must be fully fingerprint-covered."""
 
     name = "FPR001"
-    scope = "project"
     summary = "every spec dataclass reachable from SimulationConfig is fingerprinted"
     rationale = (
         "The experiment cache is keyed by a hash of SimulationConfig.to_dict(); "

@@ -451,21 +451,6 @@ class ColumnarCollector:
             phase=record.phase,
         )
 
-    def record_strategy_epoch(self, record: StrategyEpochRecord) -> None:
-        """Append a prebuilt record (tests / hand-built streams)."""
-        self.add_strategy_epoch(
-            time=record.time,
-            epoch=record.epoch,
-            enrolled=record.enrolled,
-            sharing=record.sharing,
-            revised=record.revised,
-            switched_to_sharing=record.switched_to_sharing,
-            switched_to_freeloading=record.switched_to_freeloading,
-            mean_payoff_sharing=record.mean_payoff_sharing,
-            mean_payoff_freeloading=record.mean_payoff_freeloading,
-            phase=record.phase,
-        )
-
     def count(self, name: str, delta: int = 1) -> None:
         """Bump a free-form counter (ring attempts, token failures, ...)."""
         self.counters[name] += delta

@@ -2,33 +2,19 @@
 
 Rule-specific fixture tests live in ``tests/test_simlint_rules.py``;
 this module covers the machinery every rule rides on: suppression
-parsing, baselines, file collection, the runner, and the CLI contract
-(output formats and exit codes) — including the "seeded violation"
+parsing, file collection, the runner, and the CLI contract (its three
+entry points and exit codes) — including the "seeded violation"
 negative test that guarantees the CI static-analysis job actually fails
 when a determinism invariant is broken.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
-import subprocess
+import argparse
 import textwrap
 
-import pytest
-
-from repro.analysis import (
-    RULE_REGISTRY,
-    Finding,
-    baseline_payload,
-    iter_python_files,
-    load_baseline,
-    parse_module,
-    run_lint,
-    run_lint_cached,
-    walk_with_ancestors,
-)
-from repro.analysis.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
+from repro.analysis import RULE_REGISTRY, iter_python_files, parse_module, run_lint
+from repro.analysis.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, build_parser, main
 from repro.analysis.framework import SUPPRESSION_RULE, SYNTAX_RULE
 
 
@@ -175,33 +161,6 @@ class TestSuppressionParsing:
         assert module.meta_findings == []
 
 
-class TestWalkWithAncestors:
-    def test_yields_source_order_with_outermost_first_ancestors(self):
-        import ast
-
-        tree = ast.parse("def outer():\n    def inner():\n        x = 1\n\ny = 2\n")
-        pairs = {
-            type(node).__name__: ancestors
-            for node, ancestors in walk_with_ancestors(tree)
-        }
-        assign_ancestors = [type(a).__name__ for a in pairs["Assign"]]
-        # 'y = 2' is visited last, so pairs["Assign"] holds its (module-only)
-        # chain; 'x = 1' earlier carried Module -> outer -> inner.
-        assert assign_ancestors == ["Module"]
-        names = [
-            node.name
-            for node, _ in walk_with_ancestors(tree)
-            if isinstance(node, ast.FunctionDef)
-        ]
-        assert names == ["outer", "inner"]  # depth-first, source order
-        inner_chain = next(
-            [type(a).__name__ for a in ancestors]
-            for node, ancestors in walk_with_ancestors(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "inner"
-        )
-        assert inner_chain == ["Module", "FunctionDef"]
-
-
 class TestRunner:
     def test_syntax_error_becomes_finding(self, tmp_path):
         path = write(tmp_path, "broken.py", "def f(:\n    pass\n")
@@ -243,33 +202,6 @@ class TestRunner:
         assert [f.rule for f in report.findings] == ["DET001"]
 
 
-class TestBaseline:
-    def test_baseline_roundtrip_subtracts_findings(self, tmp_path):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        report = run_lint([path])
-        assert not report.clean
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(
-            json.dumps(baseline_payload(report.findings)), encoding="utf-8"
-        )
-        accepted = load_baseline(str(baseline_file))
-        assert run_lint([path], baseline=accepted).clean
-
-    def test_baseline_is_exact_on_rule_path_line(self, tmp_path):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        report = run_lint([path])
-        finding = report.findings[0]
-        wrong_line = {(finding.rule, finding.path, finding.line + 5)}
-        assert not run_lint([path], baseline=wrong_line).clean
-
-    def test_payload_shape(self):
-        payload = baseline_payload([Finding("DET003", "a.py", 3, 1, "msg")])
-        assert payload == {
-            "version": 1,
-            "findings": [{"rule": "DET003", "path": "a.py", "line": 3}],
-        }
-
-
 class TestCli:
     def test_clean_run_exits_zero(self, tmp_path, capsys):
         path = write(tmp_path, "mod.py", "x = 1\n")
@@ -289,18 +221,6 @@ class TestCli:
         assert main([path]) == EXIT_FINDINGS
         assert "SCH001" in capsys.readouterr().out
 
-    def test_json_format(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        assert main(["--format", "json", path]) == EXIT_FINDINGS
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["files_checked"] == 1
-        assert payload["findings"][0]["rule"] == "DET003"
-
-    def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "x = 1\n")
-        assert main(["--select", "NOPE123", path]) == EXIT_ERROR
-        assert "unknown rule" in capsys.readouterr().err
-
     def test_no_paths_is_usage_error(self, capsys):
         assert main([]) == EXIT_ERROR
         assert "no paths" in capsys.readouterr().err
@@ -316,216 +236,18 @@ class TestCli:
         for rule in ("RNG001", "RNG002", "DET001", "DET002", "DET003", "SCH001", "FPR001"):
             assert rule in out
 
-    def test_write_baseline(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        baseline_file = tmp_path / "baseline.json"
-        assert main(["--write-baseline", str(baseline_file), path]) == EXIT_CLEAN
-        assert main(["--baseline", str(baseline_file), path]) == EXIT_CLEAN
-        capsys.readouterr()
-
-    def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "x = 1\n")
-        assert main(["--baseline", str(tmp_path / "absent.json"), path]) == EXIT_ERROR
-        capsys.readouterr()
-
-
-class TestStaleBaseline:
-    def _baseline_with_ghost(self, tmp_path, path):
-        report = run_lint([path])
-        payload = baseline_payload(report.findings)
-        payload["findings"].append({"rule": "DET003", "path": "gone.py", "line": 9})
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(json.dumps(payload), encoding="utf-8")
-        return baseline_file
-
-    def test_stale_entry_fails_the_run(self, tmp_path, capsys):
-        """Regression: paid-off debt must not linger silently in the baseline."""
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        baseline_file = self._baseline_with_ghost(tmp_path, path)
-        assert main(["--baseline", str(baseline_file), path]) == EXIT_FINDINGS
-        err = capsys.readouterr().err
-        assert "stale baseline entry" in err
-        assert "gone.py:9" in err
-        assert "--prune-baseline" in err
-
-    def test_prune_baseline_rewrites_and_passes(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        baseline_file = self._baseline_with_ghost(tmp_path, path)
-        assert (
-            main(["--prune-baseline", "--baseline", str(baseline_file), path])
-            == EXIT_CLEAN
-        )
-        assert "pruned 1 stale baseline entry" in capsys.readouterr().out
-        pruned = json.loads(baseline_file.read_text(encoding="utf-8"))
-        assert {f["path"] for f in pruned["findings"]} == {
-            run_lint([path]).findings[0].path
-        }
-        # The pruned file now round-trips cleanly.
-        assert main(["--baseline", str(baseline_file), path]) == EXIT_CLEAN
-        capsys.readouterr()
-
-    def test_report_carries_stale_entries(self, tmp_path):
-        path = write(tmp_path, "mod.py", "x = 1\n")
-        report = run_lint([path], baseline={("DET003", "gone.py", 9)})
-        assert report.stale_baseline == [("DET003", "gone.py", 9)]
-
-    def test_prune_without_baseline_is_usage_error(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "x = 1\n")
-        assert main(["--prune-baseline", path]) == EXIT_ERROR
-        assert "requires --baseline" in capsys.readouterr().err
-
-
-class TestSarifOutput:
-    def test_sarif_shape_and_result(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        assert main(["--format", "sarif", path]) == EXIT_FINDINGS
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        assert "sarif-schema" in payload["$schema"]
-        run = payload["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert "DET003" in rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "DET003"
-        assert result["level"] == "error"
-        assert rule_ids[result["ruleIndex"]] == "DET003"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("mod.py")
-        assert location["region"]["startLine"] == 2
-
-    def test_clean_sarif_has_empty_results(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "x = 1\n")
-        assert main(["--format", "sarif", path]) == EXIT_CLEAN
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"][0]["results"] == []
-
-    def test_warn_demotion_maps_to_sarif_warning_level(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        assert (
-            main(["--format", "sarif", "--warn", "DET003", path]) == EXIT_CLEAN
-        )
-        payload = json.loads(capsys.readouterr().out)
-        (result,) = payload["runs"][0]["results"]
-        assert result["level"] == "warning"
-
-
-class TestIncrementalCache:
-    def test_warm_run_replays_without_analyzing(self, tmp_path):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        cache = tmp_path / "cache.json"
-        rules = [RULE_REGISTRY["DET003"]()]
-        report, stats = run_lint_cached([path], rules, None, str(cache))
-        assert [f.rule for f in report.findings] == ["DET003"]
-        assert (stats.analyzed, stats.replayed) == (1, 0)
-        report, stats = run_lint_cached([path], rules, None, str(cache))
-        assert [f.rule for f in report.findings] == ["DET003"]
-        assert (stats.analyzed, stats.replayed) == (0, 1)
-
-    def test_edit_invalidates_only_the_touched_file(self, tmp_path):
-        a = write(tmp_path, "a.py", "x = 1\n")
-        b = write(tmp_path, "b.py", "y = 2\n")
-        cache = tmp_path / "cache.json"
-        rules = [RULE_REGISTRY["DET003"]()]
-        run_lint_cached([a, b], rules, None, str(cache))
-        write(tmp_path, "b.py", "import time\ny = time.time()\n")
-        report, stats = run_lint_cached([a, b], rules, None, str(cache))
-        assert (stats.analyzed, stats.replayed) == (1, 1)
-        assert [f.rule for f in report.findings] == ["DET003"]
-
-    def test_changing_the_rulepack_invalidates_everything(self, tmp_path):
-        path = write(tmp_path, "mod.py", "x = 1\n")
-        cache = tmp_path / "cache.json"
-        run_lint_cached([path], [RULE_REGISTRY["DET003"]()], None, str(cache))
-        _, stats = run_lint_cached(
-            [path], [RULE_REGISTRY["DET001"]()], None, str(cache)
-        )
-        assert (stats.analyzed, stats.replayed) == (1, 0)
-
-    def test_project_pass_is_replayed_when_nothing_changed(self, tmp_path):
-        path = write(
-            tmp_path,
-            "transfer.py",
-            """\
-            def kick(engine):
-                engine.schedule(1.0, worker)
-
-            def worker():
-                return {"a": 1}
-            """,
-        )
-        cache = tmp_path / "cache.json"
-        rules = [RULE_REGISTRY["HOT001"]()]
-        report, stats = run_lint_cached([path], rules, None, str(cache))
-        assert [f.rule for f in report.findings] == ["HOT001"]
-        assert stats.finalized
-        report, stats = run_lint_cached([path], rules, None, str(cache))
-        assert [f.rule for f in report.findings] == ["HOT001"]
-        assert not stats.finalized  # replayed from the project digest
-
-    def test_corrupt_cache_degrades_to_cold_run(self, tmp_path):
-        path = write(tmp_path, "mod.py", "x = 1\n")
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json", encoding="utf-8")
-        report, stats = run_lint_cached(
-            [path], [RULE_REGISTRY["DET003"]()], None, str(cache)
-        )
-        assert report.clean
-        assert stats.analyzed == 1
-
-    def test_cli_reports_cache_stats(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "x = 1\n")
-        cache = tmp_path / "cache.json"
-        assert main(["--cache", str(cache), path]) == EXIT_CLEAN
-        assert "1 analyzed, 0 replayed" in capsys.readouterr().out
-        assert main(["--cache", str(cache), path]) == EXIT_CLEAN
-        assert "0 analyzed, 1 replayed" in capsys.readouterr().out
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
-class TestChangedMode:
-    def _git(self, cwd, *argv):
-        subprocess.run(
-            ["git", "-c", "user.email=t@example.com", "-c", "user.name=t", *argv],
-            cwd=cwd,
-            check=True,
-            capture_output=True,
-        )
-
-    def test_changed_mode_skips_committed_unchanged_files(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        write(tmp_path, "a.py", "x = 1\n")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", "a.py")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        write(tmp_path, "b.py", "import time\nt = time.time()\n")
-        monkeypatch.chdir(tmp_path)
-        cache = tmp_path / "cache.json"
-        code = main(
-            ["--changed", "--cache", str(cache), "--select", "DET003", str(tmp_path)]
-        )
-        out = capsys.readouterr().out
-        assert code == EXIT_FINDINGS
-        assert "DET003" in out
-        # a.py is committed and untouched: trusted without analysis.
-        assert "1 analyzed, 0 replayed, 1 skipped" in out
-
-    def test_outside_a_repo_falls_back_to_analyzing_everything(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "definitely-not-a-repo"))
-        write(tmp_path, "a.py", "x = 1\n")
-        monkeypatch.chdir(tmp_path)
-        cache = tmp_path / "cache.json"
-        code = main(
-            ["--changed", "--cache", str(cache), "--select", "DET003", str(tmp_path)]
-        )
-        captured = capsys.readouterr()
-        assert code == EXIT_CLEAN
-        assert "git diff failed" in captured.err
-        assert "1 analyzed" in captured.out
+    def test_parser_accepts_only_paths_explain_and_list_rules(self):
+        """The CLI surface is exactly three entry points (plus --help)."""
+        actions = [
+            action
+            for action in build_parser()._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        assert sorted(action.dest for action in actions) == ["explain", "list_rules", "paths"]
+        assert sorted(s for action in actions for s in action.option_strings) == [
+            "--explain",
+            "--list-rules",
+        ]
 
 
 class TestExplainAndWarn:
@@ -533,26 +255,11 @@ class TestExplainAndWarn:
         assert main(["--explain", "HOT001"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         assert "HOT001" in out
-        assert "scope: project (cross-module)" in out
         assert "simlint: disable=HOT001" in out
 
     def test_explain_unknown_rule_is_usage_error(self, capsys):
         assert main(["--explain", "NOPE123"]) == EXIT_ERROR
         assert "unknown rule" in capsys.readouterr().err
-
-    def test_warn_demotion_reports_but_exits_clean(self, tmp_path, capsys):
-        path = write(tmp_path, "mod.py", "import time\nt = time.time()\n")
-        assert main(["--warn", "DET003", path]) == EXIT_CLEAN
-        out = capsys.readouterr().out
-        assert "[warn]" in out
-        assert "0 error(s), 1 warning(s)" in out
-
-    def test_undemoted_rules_still_fail(self, tmp_path, capsys):
-        path = write(
-            tmp_path, "mod.py", "import time\nt = time.time()\na = hash('x')\n"
-        )
-        assert main(["--warn", "DET003", path]) == EXIT_FINDINGS
-        assert "1 error(s), 1 warning(s)" in capsys.readouterr().out
 
 
 class TestCodebaseIsClean:

@@ -4,15 +4,18 @@ Covers :mod:`repro.analysis.project` (module naming, call-graph edges,
 hot-set seeding and closure) and the four contract rules from
 :mod:`repro.analysis.contracts` — each with a positive fixture, a clean
 fixture, and a suppression fixture, mirroring the executable-spec style
-of ``tests/test_simlint_rules.py``.  The ``TestSeededViolations`` class
-is the in-repo mirror of the CI negative tests: each new rule must flag
-a violation planted into a copy of the real tree.
+of ``tests/test_simlint_rules.py``.  ``TestSeededViolations`` holds the
+seeded negatives: one violation per guarded family, planted together
+into a single copy of the real tree, must each fire — and nothing else.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import textwrap
+
+import pytest
 
 from repro.analysis import (
     RULE_REGISTRY,
@@ -22,8 +25,9 @@ from repro.analysis import (
     project_graph,
     run_lint,
 )
-from repro.analysis.cli import EXIT_CLEAN, EXIT_FINDINGS, main
 from repro.analysis.project import module_name
+
+REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
 def lint(tmp_path, source, rules, name="mod.py"):
@@ -45,6 +49,11 @@ def graph_of(tmp_path, sources):
 
 
 class TestModuleName:
+    @pytest.fixture(autouse=True)
+    def _at_repo_root(self, monkeypatch):
+        # module_name reads the package chain from disk, relative to the cwd.
+        monkeypatch.chdir(REPO_ROOT)
+
     def test_src_layout_maps_to_dotted_name(self):
         assert module_name("src/repro/network/peer.py") == "repro.network.peer"
 
@@ -53,6 +62,17 @@ class TestModuleName:
 
     def test_fixture_path_maps_to_stem(self):
         assert module_name("tmp/pytest-1/test0/transfer.py") == "transfer"
+
+    def test_hot_set_does_not_depend_on_the_lint_root(self, monkeypatch):
+        """Names follow the ``__init__.py`` chain, not a ``src`` path component."""
+
+        def hot_set(root):
+            modules = [parse_module(path) for path in iter_python_files(root)]
+            return set(project_graph(Project(modules)).hot)
+
+        from_repo_root = hot_set("src/repro")
+        monkeypatch.chdir("src")
+        assert hot_set("repro") == from_repo_root
 
 
 class TestCallGraph:
@@ -152,10 +172,10 @@ class TestCallGraph:
                 def work():
                     pass
                 """,
+                "src/pkg/__init__.py": "",
             },
         )
         assert graph.is_hot("pkg.b:work")
-        assert "pkg.b" in graph.imports["pkg.a"]
 
     def test_hot_reason_names_the_seed(self, tmp_path):
         graph = graph_of(
@@ -530,136 +550,148 @@ class TestVER001:
         assert findings == []
 
 
+#: Seeded negatives, by test name: (file under src/repro, rule that must
+#: fire, planted code).
+SEEDED_PLANTS = {
+    "sch001": (
+        "sim/engine.py",
+        "SCH001",
+        """
+        def _seeded_push(heap, item):
+            heapq.heappush(heap, item)
+        """,
+    ),
+    "hot001": (
+        "core/exchange_manager.py",
+        "HOT001",
+        """
+        def _seeded_hot(peer):
+            peer.ctx.engine.schedule(0.0, _seeded_hot_cb)
+
+        def _seeded_hot_cb():
+            return {"seeded": True}
+        """,
+    ),
+    "num001": (
+        "metrics/aggregates.py",
+        "NUM001",
+        """
+        def _seeded_num(values):
+            return np.sum(values)
+        """,
+    ),
+    # A pairwise reduction inside a chunk-fold method: the running
+    # aggregates must keep the record-order left-fold.
+    "num001_at_a_fold_site": (
+        "metrics/aggregates.py",
+        "NUM001",
+        """
+        class _SeededFold(RunningSessionAggregates):
+            def fold(self, chunk: Mapping[str, np.ndarray]) -> None:
+                self._total += int(np.sum(chunk["kbit"]))
+        """,
+    ),
+    "mir001": (
+        "network/peer.py",
+        "MIR001",
+        """
+        def _seeded_mir(peer):
+            peer.online = False
+        """,
+    ),
+    "ver001": (
+        "core/peer_table.py",
+        "VER001",
+        """
+        class _SeededVersioned:
+            def __init__(self):
+                self.version = 0
+                self.rows = {}
+
+            def put(self, key):
+                self.rows[key] = key
+        """,
+    ),
+    # Sampling whitewash targets without naming the "adversary" stream.
+    "rng002_in_adversaries": (
+        "security/adversaries.py",
+        "RNG002",
+        """
+        def _seeded_pick_targets(rng, candidate_ids):
+            return rng.sample(candidate_ids, 1)
+        """,
+    ),
+    # Set iteration order feeds the sampler, even on the sanctioned stream.
+    "det002_in_adversaries": (
+        "security/adversaries.py",
+        "DET002",
+        """
+        def _seeded_pick_clique(rng, state):
+            pool = {1, 2, 3}
+            return rng.sample(pool, 1, stream="adversary")
+        """,
+    ),
+}
+
+
 class TestSeededViolations:
-    """In-repo mirror of the CI negative tests: plant one violation per
-    new rule into a copy of the real tree and require a non-zero exit."""
+    """Every seeded negative is planted into one copy of the real tree,
+    which is linted once; each test checks its own plant."""
 
-    def _seeded_tree(self, tmp_path):
-        import os
-
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
-        dest = tmp_path / "repro"
-        shutil.copytree(src, dest)
-        return dest
-
-    def _assert_flags(self, tmp_path, capsys, relpath, snippet, rule):
-        tree = self._seeded_tree(tmp_path)
-        target = tree / relpath
-        target.write_text(
-            target.read_text(encoding="utf-8") + textwrap.dedent(snippet),
-            encoding="utf-8",
+    @pytest.fixture(scope="class")
+    def fired(self, tmp_path_factory):
+        """Rendered findings keyed by the plant they fall on (``None``: no plant)."""
+        tree = tmp_path_factory.mktemp("seeded") / "repro"
+        shutil.copytree(
+            os.path.join(REPO_ROOT, "src", "repro"),
+            tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
         )
-        assert main([str(tree)]) == EXIT_FINDINGS
-        assert rule in capsys.readouterr().out
+        plants = {}  # name -> (path under the tree, rule, lines the plant occupies)
+        for name, (relpath, rule, snippet) in SEEDED_PLANTS.items():
+            target = tree / relpath
+            source = target.read_text(encoding="utf-8")
+            plant = textwrap.dedent(snippet)
+            first = source.count("\n") + 1
+            target.write_text(source + plant, encoding="utf-8")
+            plants[name] = (relpath, rule, range(first, first + plant.count("\n")))
 
-    def test_clean_copy_passes(self, tmp_path, capsys):
-        tree = self._seeded_tree(tmp_path)
-        assert main([str(tree)]) == EXIT_CLEAN
-        capsys.readouterr()
+        def plant_of(finding):
+            relpath = os.path.relpath(os.path.abspath(finding.path), tree).replace(os.sep, "/")
+            for name, (path, rule, lines) in plants.items():
+                if (path, rule) == (relpath, finding.rule) and finding.line in lines:
+                    return name
+            return None
 
-    def test_seeded_hot001(self, tmp_path, capsys):
-        self._assert_flags(
-            tmp_path,
-            capsys,
-            "core/exchange_manager.py",
-            """\
+        fired = {}
+        for finding in run_lint([str(tree)]).findings:
+            fired.setdefault(plant_of(finding), []).append(finding.render())
+        return fired
 
-            def _seeded_hot(peer):
-                peer.ctx.engine.schedule(0.0, _seeded_hot_cb)
+    def test_clean_copy_passes(self, fired):
+        # Outside the planted lines the copied tree lints clean.
+        assert fired.get(None, []) == []
 
-            def _seeded_hot_cb():
-                return {"seeded": True}
-            """,
-            "HOT001",
-        )
+    def test_seeded_sch001(self, fired):
+        assert fired.get("sch001")
 
-    def test_seeded_num001(self, tmp_path, capsys):
-        self._assert_flags(
-            tmp_path,
-            capsys,
-            "metrics/aggregates.py",
-            """\
+    def test_seeded_hot001(self, fired):
+        assert fired.get("hot001")
 
-            def _seeded_num(values):
-                return np.sum(values)
-            """,
-            "NUM001",
-        )
+    def test_seeded_num001(self, fired):
+        assert fired.get("num001")
 
-    def test_seeded_num001_at_a_fold_site(self, tmp_path, capsys):
-        # A pairwise reduction inside a chunk-fold method: the running
-        # aggregates must keep the record-order left-fold.
-        self._assert_flags(
-            tmp_path,
-            capsys,
-            "metrics/aggregates.py",
-            """\
+    def test_seeded_num001_at_a_fold_site(self, fired):
+        assert fired.get("num001_at_a_fold_site")
 
-            class _SeededFold(RunningSessionAggregates):
-                def fold(self, chunk: Mapping[str, np.ndarray]) -> None:
-                    self._total += int(np.sum(chunk["kbit"]))
-            """,
-            "NUM001",
-        )
+    def test_seeded_mir001(self, fired):
+        assert fired.get("mir001")
 
-    def test_seeded_mir001(self, tmp_path, capsys):
-        self._assert_flags(
-            tmp_path,
-            capsys,
-            "network/peer.py",
-            """\
+    def test_seeded_ver001(self, fired):
+        assert fired.get("ver001")
 
-            def _seeded_mir(peer):
-                peer.online = False
-            """,
-            "MIR001",
-        )
+    def test_seeded_rng002_in_adversaries(self, fired):
+        assert fired.get("rng002_in_adversaries")
 
-    def test_seeded_ver001(self, tmp_path, capsys):
-        self._assert_flags(
-            tmp_path,
-            capsys,
-            "core/peer_table.py",
-            """\
-
-            class _SeededVersioned:
-                def __init__(self):
-                    self.version = 0
-                    self.rows = {}
-
-                def put(self, key):
-                    self.rows[key] = key
-            """,
-            "VER001",
-        )
-
-    def test_seeded_rng002_in_adversaries(self, tmp_path, capsys):
-        # An unsanctioned draw in the attacker layer: sampling whitewash
-        # targets without naming the "adversary" stream must be flagged.
-        self._assert_flags(
-            tmp_path,
-            capsys,
-            "security/adversaries.py",
-            """\
-
-            def _seeded_pick_targets(rng, candidate_ids):
-                return rng.sample(candidate_ids, 1)
-            """,
-            "RNG002",
-        )
-
-    def test_seeded_det002_in_adversaries(self, tmp_path, capsys):
-        # Drawing from an unordered pool is nondeterministic even on the
-        # sanctioned stream: set iteration order feeds the sampler.
-        self._assert_flags(
-            tmp_path,
-            capsys,
-            "security/adversaries.py",
-            """\
-
-            def _seeded_pick_clique(rng, state):
-                pool = {1, 2, 3}
-                return rng.sample(pool, 1, stream="adversary")
-            """,
-            "DET002",
-        )
+    def test_seeded_det002_in_adversaries(self, fired):
+        assert fired.get("det002_in_adversaries")

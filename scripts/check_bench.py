@@ -4,13 +4,19 @@
 CI publishes machine-readable ``BENCH_<name>_<scale>.json`` perf records
 under ``benchmarks/results/`` on every push; snapshots deliberately
 committed under ``benchmarks/baselines/`` pin the expected trajectory.
-This script pairs them by filename and enforces two rules:
+This script pairs them by filename and enforces these rules:
 
 * ``events_fired`` must match **exactly**.  The simulator is
   deterministic — same preset, same seed, same event count, on any
   machine.  A drifted count means the run's trajectory changed, which
   is a correctness regression (or an unacknowledged re-baselining),
   never noise.
+* ``counters.counts`` must match **exactly** when both records ran
+  with counters enabled: per-kind fire counts and subsystem work
+  counts are as deterministic as ``events_fired``, so they pin where
+  the work went without a clock.  ``counters.timings_seconds`` is wall
+  clock and stays unchecked; disabled blocks (the micro benches) are
+  skipped.
 * ``events_per_second`` must not collapse: a fresh run below
   ``tolerance`` x baseline fails.  Wall-clock numbers move with the
   machine, so the default tolerance is generous (0.5 — flag only a
@@ -76,6 +82,21 @@ def compare(
             )
         else:
             notes.append(f"events_fired {fresh_events} == baseline")
+    base_counters = baseline.get("counters") or {}
+    fresh_counters = fresh.get("counters") or {}
+    if base_counters.get("enabled") and fresh_counters.get("enabled"):
+        base_counts = base_counters.get("counts", {})
+        fresh_counts = fresh_counters.get("counts", {})
+        differing = [
+            f"{key} {fresh_counts.get(key)} != baseline {base_counts.get(key)}"
+            for key in sorted(set(base_counts) | set(fresh_counts))
+            if fresh_counts.get(key) != base_counts.get(key)
+        ]
+        if differing:
+            ok = False
+            notes.append("counters.counts differ: " + ", ".join(differing))
+        else:
+            notes.append(f"counters.counts == baseline ({len(base_counts)} keys)")
     base_rate = baseline.get("events_per_second")
     fresh_rate = fresh.get("events_per_second")
     if base_rate and fresh_rate:

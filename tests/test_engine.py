@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Engine
@@ -33,6 +33,21 @@ class TestScheduling:
         engine.run(until=5.0)
         with pytest.raises(SchedulingError):
             engine.schedule_at(4.0, lambda: None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN compares False against everything, so a NaN entry would
+        # silently break heap order; inf would park an unreachable event.
+        engine = Engine()
+        with pytest.raises(SchedulingError):
+            engine.schedule_at(bad, lambda: None)
+        with pytest.raises(SchedulingError):
+            engine.schedule(bad, lambda: None)
+        assert engine.events_pending == 0
+        fired = []
+        engine.schedule(1.0, lambda: fired.append(1))
+        engine.run(until=2.0)
+        assert fired == [1]
 
     def test_schedule_at_current_time_allowed(self):
         engine = Engine()
@@ -285,6 +300,118 @@ class TestPropertyBased:
         assert (cancel_index % len(delays)) not in fired
 
 
+#: Delays in quarter seconds, 0..10 s: equal-time ties are common, and the
+#: range reaches well past any short near-future window a store might keep.
+_QUARTERS = st.integers(min_value=0, max_value=40)
+
+#: One program step: schedule ``copies`` events ``q`` quarters ahead
+#: (each with an optional follow-up ``f`` quarters after it fires),
+#: cancel ``handles[start::stride]``, ``run(until, max_events)`` or ``step()``.
+#: Bursts of 80 copies let a bulk cancel cross the 64-entry purge floor.
+_COPIES = st.integers(1, 4) | st.just(80)
+_STRIDE = st.integers(1, 3) | st.integers(4, 64)
+_PROGRAM = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _QUARTERS, st.none() | _QUARTERS, _COPIES),
+        st.tuples(st.just("cancel"), st.integers(0, 200), _STRIDE),
+        st.tuples(st.just("run"), _QUARTERS, st.none() | st.integers(0, 8)),
+        st.tuples(st.just("step")),
+    ),
+    max_size=30,
+)
+
+
+class TestReferenceModel:
+    """The engine against a list-based reference scheduler.
+
+    The reference keeps every scheduled event in a plain list (index ==
+    scheduling order == ``seq``) and fires the pending entry with the
+    smallest ``(time, seq)`` — the order the engine promises.  A store
+    that reorders equal-time ties, loses a far-future event, fires a
+    cancelled one or loses track of an entry diverges here: every
+    scheduled entry is fired, discarded as cancelled, or still stored.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(program=_PROGRAM)
+    def test_engine_matches_reference(self, program):
+        engine = Engine()
+        handles, fired = [], []
+        ref, ref_fired = [], []  # ref entries: [time, follow_up, state]
+        ref_now = 0.0
+
+        def schedule(time, follow):
+            ident = len(handles)
+
+            def callback():
+                fired.append(ident)
+                if follow is not None:
+                    schedule(engine.now + follow / 4, None)
+
+            handles.append(engine.schedule_at(time, callback))
+
+        def ref_next():
+            pending = [(t, s) for s, (t, _f, state) in enumerate(ref) if state == "pending"]
+            return min(pending) if pending else None
+
+        def ref_fire(seq):
+            nonlocal ref_now
+            entry = ref[seq]
+            entry[2] = "fired"
+            ref_now = entry[0]
+            ref_fired.append(seq)
+            if entry[1] is not None:
+                ref.append([ref_now + entry[1] / 4, None, "pending"])
+
+        for op, *args in program:
+            if op == "at":
+                quarters, follow, copies = args
+                for _ in range(copies):
+                    schedule(engine.now + quarters / 4, follow)
+                    ref.append([ref_now + quarters / 4, follow, "pending"])
+                continue
+            if op == "cancel":
+                start, stride = args
+                for index in range(start % max(len(ref), 1), len(ref), stride):
+                    handles[index].cancel()
+                    if ref[index][2] == "pending":
+                        ref[index][2] = "cancelled"
+                continue
+            if op == "step":
+                nxt = ref_next()
+                event = engine.step()
+                assert (event is None) == (nxt is None)
+                if nxt is not None:
+                    ref_fire(nxt[1])
+            else:
+                quarters, max_events = args
+                until = engine.now + quarters / 4
+                count = 0
+                while max_events is None or count < max_events:
+                    nxt = ref_next()
+                    if nxt is None or nxt[0] > until:
+                        break
+                    ref_fire(nxt[1])
+                    count += 1
+                nxt = ref_next()
+                due_fired = nxt is None or nxt[0] > until
+                if due_fired:
+                    ref_now = until
+                assert engine.run(until=until, max_events=max_events) == count
+                if due_fired:
+                    assert engine.now == until
+                else:
+                    assert engine.now <= engine.peek_time()
+            nxt = ref_next()
+            assert fired == ref_fired
+            assert engine.events_fired == len(ref_fired)
+            assert engine.now == ref_now
+            assert engine.peek_time() == (None if nxt is None else nxt[0])
+            assert len(handles) == len(ref)
+            stored = engine.events_pending + engine.cancelled_skipped
+            assert len(handles) == engine.events_fired + stored
+
+
 class TestCancellationPurgeCost:
     """Cancellation stays O(N log M) — asserted on counters, not clocks.
 
@@ -323,6 +450,20 @@ class TestCancellationPurgeCost:
         # Compaction needs >= _PURGE_FLOOR (64) pending cancels per
         # sweep, so sweeps are bounded by N / 64 (+1 slack), never O(N).
         assert 1 <= engine.compactions <= 900 // 64 + 1
+
+    def test_compaction_inside_a_running_loop(self):
+        """A callback's mass cancel compacts the heap the loop is draining."""
+        engine = Engine()
+        fired = []
+        victims = [engine.schedule(2.0 + i, lambda: None) for i in range(100)]
+        for t in (1.0, 50.5, 150.0):
+            engine.schedule(t, lambda t=t: fired.append(t))
+        engine.schedule(1.5, lambda: [event.cancel() for event in victims])
+        engine.run(until=200.0)
+        assert engine.compactions == 1
+        assert fired == [1.0, 50.5, 150.0]
+        assert engine.events_fired == 4
+        assert engine.purge_ops == 100
 
     def test_cancel_after_cancel_costs_nothing_extra(self):
         engine = Engine()

@@ -10,6 +10,7 @@ then an object from the category's rank distribution.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Sequence, Tuple
 
@@ -32,9 +33,13 @@ class InterestProfile:
             )
         if len(set(category_ids)) != len(category_ids):
             raise ConfigError(f"duplicate categories in profile: {category_ids}")
+        # ``not 0 <= w < inf`` also rejects NaN: any of these would build
+        # a decreasing or NaN cumulative table, silently skewing draws.
+        if not all(0.0 <= w < math.inf for w in weights):
+            raise ConfigError(f"interest weights must be finite and >= 0: {weights}")
         total = float(sum(weights))
-        if total <= 0:
-            raise ConfigError("interest weights must have positive total")
+        if not 0.0 < total < math.inf:
+            raise ConfigError("interest weights must have a positive, finite total")
         self.category_ids: Tuple[int, ...] = tuple(category_ids)
         self.weights: Tuple[float, ...] = tuple(w / total for w in weights)
         self._cumulative: List[float] = []
@@ -43,6 +48,17 @@ class InterestProfile:
             acc += w
             self._cumulative.append(acc)
         self._cumulative[-1] = 1.0
+
+    @property
+    def cumulative(self) -> List[float]:
+        """The category table itself — read-only by convention, no copy.
+
+        Entry ``i`` is the weight of ``category_ids[:i + 1]``: finite,
+        nondecreasing and ending at exactly 1.0, so
+        ``bisect_right(cumulative, rand.random())`` indexes the category
+        :meth:`choose_category` draws.
+        """
+        return self._cumulative
 
     def choose_category(self, rand: random.Random) -> int:
         """Draw a category id from the local preference distribution."""
@@ -64,8 +80,8 @@ class InterestProfile:
         returned profile in via
         :meth:`repro.network.peer.Peer.retarget_interests`.
         """
-        if boost <= 0:
-            raise ConfigError(f"boost must be positive, got {boost}")
+        if not 0.0 < boost < math.inf:
+            raise ConfigError(f"boost must be positive and finite, got {boost}")
         target = max(self.weights) * boost
         ids = list(self.category_ids)
         weights = list(self.weights)

@@ -11,12 +11,14 @@ number of attempts handles small categories gracefully.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import List
 
 from repro.content.catalog import Catalog
 from repro.content.interests import InterestProfile
 from repro.content.popularity import PopularityCache
 from repro.content.storage import ObjectStore
+from repro.content.workload import candidate_rows
 from repro.errors import ConfigError
 
 #: Draw attempts per placement slot before giving up on filling it; a
@@ -41,13 +43,17 @@ def place_objects_for_peer(
     placed: List[int] = []
     attempts = 0
     budget = max(target, 1) * _MAX_ATTEMPTS_PER_SLOT
+    # The request draw of :mod:`repro.content.workload`: two random()
+    # calls per candidate, category first.
+    rows = candidate_rows(catalog, profile, popularity_cache, object_factor)
+    table = profile.cumulative
+    draw = rand.random
     while len(store) < target and attempts < budget:
         attempts += 1
-        category = catalog.category(profile.choose_category(rand))
-        distribution = popularity_cache.get(category.size, object_factor)
-        obj = category.objects[distribution.sample_index(rand)]
-        if store.add_if_absent(obj.object_id):
-            placed.append(obj.object_id)
+        objects, ranks = rows[bisect_right(table, draw())]
+        object_id = objects[bisect_left(ranks, draw())].object_id
+        if store.add_if_absent(object_id):
+            placed.append(object_id)
     return placed
 
 

@@ -28,7 +28,7 @@ class RankPopularity:
     def __init__(self, num_ranks: int, factor: float) -> None:
         if num_ranks <= 0:
             raise ConfigError(f"num_ranks must be positive, got {num_ranks}")
-        if factor < 0:
+        if not factor >= 0:  # NaN too: it would build [nan, ..., nan, 1.0]
             raise ConfigError(f"popularity factor must be >= 0, got {factor}")
         self.num_ranks = num_ranks
         self.factor = factor
@@ -53,6 +53,16 @@ class RankPopularity:
     def probabilities(self) -> List[float]:
         """All rank probabilities (copy), in rank order 1..n."""
         return list(self._probabilities)
+
+    @property
+    def cumulative(self) -> List[float]:
+        """The cumulative table itself — read-only by convention, no copy.
+
+        Entry ``i`` is P(rank <= i + 1): finite, nondecreasing and ending
+        at exactly 1.0, so ``bisect_left(cumulative, rand.random())`` is
+        :meth:`sample_index`.  The request sampler bisects it directly.
+        """
+        return self._cumulative
 
     def sample_rank(self, rand: random.Random) -> int:
         """Draw a rank in ``1..n`` from the distribution."""

@@ -14,7 +14,7 @@ because one object can be served in several concurrent exchanges.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Set
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set
 
 from repro.errors import StorageError
 
@@ -53,6 +53,16 @@ class ObjectStore:
     def object_ids(self) -> List[int]:
         """Stored object ids in sorted order (stable for seeded sampling)."""
         return sorted(self._objects)
+
+    def id_view(self) -> AbstractSet[int]:
+        """The live stored-id set itself — read-only by convention, no copy.
+
+        The request sampler tests every candidate against it, where
+        ``in store`` would cost a Python call per candidate.  The store
+        never rebinds the set, so a held reference stays live; holders
+        only read it and mutate through this class.
+        """
+        return self._objects
 
     def is_pinned(self, object_id: int) -> bool:
         """Whether the object is protected from eviction."""

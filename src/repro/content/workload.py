@@ -6,12 +6,23 @@ request is a (category, object) draw; candidates already stored locally
 ("cache hits") or already pending are discarded and the draw repeats
 until a miss is found — exactly the paper's procedure for avoiding
 misleading cache-hit effects.
+
+A candidate is two bisections over the rows of :func:`candidate_rows`:
+``bisect_right`` of the first ``random()`` in the profile's category
+table, then ``bisect_left`` of the second in that category's rank
+table.  These are :meth:`InterestProfile.choose_category`'s
+``point < bound`` scan and :meth:`RankPopularity.sample_index`, and
+neither method's clamp can fire because both tables end at exactly 1.0
+and ``random() < 1.0``.  So the draw is the same function of the same
+two ``random()`` values as that call chain, with no Python call per
+candidate.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Set
+from bisect import bisect_left, bisect_right
+from typing import Container, List, Optional, Tuple
 
 from repro.content.catalog import Catalog, ContentObject
 from repro.content.interests import InterestProfile
@@ -25,25 +36,56 @@ from repro.errors import ConfigError
 #: returns None and the caller retries on the next completion/scan.
 DEFAULT_MAX_MISS_ATTEMPTS = 200
 
+#: One profile category: its objects in popularity order and their
+#: cumulative rank table.
+Row = Tuple[Tuple[ContentObject, ...], List[float]]
+
+
+def candidate_rows(
+    catalog: Catalog,
+    profile: InterestProfile,
+    popularity_cache: PopularityCache,
+    object_factor: float,
+) -> List[Row]:
+    """The draw rows of ``profile``: row ``i`` is ``category_ids[i]``'s.
+
+    A bisect of ``profile.cumulative`` therefore indexes the rows
+    directly.  Building them costs one cache lookup per profile
+    category, so callers build them per call and never keep them:
+    nothing can go stale after a profile swap or
+    :meth:`~repro.content.catalog.Catalog.inject_object`, and no
+    per-peer memory is held.
+    """
+    categories = catalog.categories
+    rows: List[Row] = []
+    for category_id in profile.category_ids:
+        objects = categories[category_id].objects
+        rows.append(
+            (objects, popularity_cache.get(len(objects), object_factor).cumulative)
+        )
+    return rows
+
 
 class RequestGenerator:
     """Draws request candidates for one peer.
 
     Parameters
     ----------
-    is_known:
-        Predicate returning True for objects that must NOT be requested
-        (already stored locally or already pending).  Injected so the
-        generator stays decoupled from peer internals and is trivially
-        testable.
-    is_locatable:
-        Predicate returning True for objects the search mechanism can
-        currently locate (some provider shares them).  Users of real
-        file-sharing systems request out of search results, so draws
-        that search cannot resolve are skipped like cache hits are; the
-        paper's workload keeps ``max_pending`` downloads *active* per
-        peer, which presumes locatable targets.  Pass ``None`` to
-        disable the filter.
+    stored, pending:
+        Live containers of object ids that must NOT be requested: the
+        peer's :meth:`~repro.content.storage.ObjectStore.id_view` and
+        its pending-download map.  They are held by reference, so every
+        draw sees the peer's current state; their owners mutate them in
+        place and never rebind them.
+    locatable:
+        Live container of the object ids the search mechanism can
+        currently locate: the lookup's
+        :meth:`~repro.network.lookup.LookupService.provider_index`.
+        Users of real file-sharing systems request out of search
+        results, so draws that search cannot resolve are skipped like
+        cache hits are; the paper's workload keeps ``max_pending``
+        downloads *active* per peer, which presumes locatable targets.
+        Pass ``None`` to disable the filter.
     """
 
     __slots__ = (
@@ -51,8 +93,9 @@ class RequestGenerator:
         "_profile",
         "_rand",
         "_object_factor",
-        "_is_known",
-        "_is_locatable",
+        "_stored",
+        "_pending",
+        "_locatable",
         "_cache",
         "_max_miss_attempts",
         "candidates_drawn",
@@ -66,12 +109,13 @@ class RequestGenerator:
         profile: InterestProfile,
         rand: random.Random,
         object_factor: float,
-        is_known: Callable[[int], bool],
-        is_locatable: Optional[Callable[[int], bool]] = None,
+        stored: Container[int],
+        pending: Container[int],
+        locatable: Optional[Container[int]] = None,
         popularity_cache: Optional[PopularityCache] = None,
         max_miss_attempts: int = DEFAULT_MAX_MISS_ATTEMPTS,
     ) -> None:
-        if object_factor < 0:
+        if not object_factor >= 0:  # NaN too, here rather than at the first draw
             raise ConfigError(f"object_factor must be >= 0, got {object_factor}")
         if max_miss_attempts < 1:
             raise ConfigError(
@@ -81,8 +125,9 @@ class RequestGenerator:
         self._profile = profile
         self._rand = rand
         self._object_factor = object_factor
-        self._is_known = is_known
-        self._is_locatable = is_locatable
+        self._stored = stored
+        self._pending = pending
+        self._locatable = locatable
         # ``is not None``, not truthiness: PopularityCache defines
         # __len__, so a shared-but-still-empty cache is falsy and a
         # plain ``or`` would silently hand every generator its own
@@ -99,43 +144,38 @@ class RequestGenerator:
         """Swap the interest profile mid-run (scenario demand shifts)."""
         self._profile = profile
 
-    def draw_candidate(self) -> ContentObject:
-        """One raw (category, object) draw, hit or miss."""
-        category = self._catalog.category(self._profile.choose_category(self._rand))
-        distribution = self._cache.get(category.size, self._object_factor)
-        self.candidates_drawn += 1
-        return category.objects[distribution.sample_index(self._rand)]
-
     def next_request(self) -> Optional[ContentObject]:
         """Draw candidates until a locatable miss is found; None if none.
 
-        Returning ``None`` (rather than raising) keeps a fully-saturated
-        peer alive: it simply has no feasible request this instant.
+        Each candidate costs exactly two ``random()`` calls on this
+        peer's stream, category first, and at most
+        ``max_miss_attempts`` candidates are drawn.  Returning ``None``
+        (rather than raising) keeps a fully-saturated peer alive: it
+        simply has no feasible request this instant.
         """
+        profile = self._profile
+        rows = candidate_rows(
+            self._catalog, profile, self._cache, self._object_factor
+        )
+        table = profile.cumulative
+        rand = self._rand.random
+        stored = self._stored
+        pending = self._pending
+        locatable = self._locatable
+        hits = unlocatable = 0
+        found: Optional[ContentObject] = None
         for _ in range(self._max_miss_attempts):
-            candidate = self.draw_candidate()
-            if self._is_known(candidate.object_id):
-                self.hits_skipped += 1
-                continue
-            if self._is_locatable is not None and not self._is_locatable(
-                candidate.object_id
-            ):
-                self.unlocatable_skipped += 1
-                continue
-            return candidate
-        return None
-
-
-def pending_and_stored_filter(
-    stored: Set[int], pending: Set[int]
-) -> Callable[[int], bool]:
-    """Convenience ``is_known`` predicate over two live sets.
-
-    The sets are captured by reference, so the predicate always sees the
-    peer's current state.
-    """
-
-    def is_known(object_id: int) -> bool:
-        return object_id in stored or object_id in pending
-
-    return is_known
+            objects, ranks = rows[bisect_right(table, rand())]
+            candidate = objects[bisect_left(ranks, rand())]
+            object_id = candidate.object_id
+            if object_id in stored or object_id in pending:
+                hits += 1
+            elif locatable is not None and object_id not in locatable:
+                unlocatable += 1
+            else:
+                found = candidate
+                break
+        self.candidates_drawn += hits + unlocatable + (found is not None)
+        self.hits_skipped += hits
+        self.unlocatable_skipped += unlocatable
+        return found

@@ -34,7 +34,7 @@ Two determinism notes that downstream consumers rely on:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Set
+from typing import Dict, List, Mapping, Set
 
 from repro.errors import LookupError_
 
@@ -127,6 +127,18 @@ class LookupService:
         """
         view = self._providers.get(object_id)
         return view if view is not None else _EMPTY_PROVIDERS
+
+    def provider_index(self) -> Mapping[int, Set[int]]:
+        """The live object → provider-set map — read-only by convention.
+
+        Invariant: every key maps to a nonempty set, because
+        :meth:`unregister` deletes a set the moment it empties.  So
+        ``object_id in provider_index()`` is exactly
+        ``provider_count(object_id) > 0``, which is how the request
+        sampler tests locatability without a method call per candidate.
+        The map is never rebound, so a held reference stays live.
+        """
+        return self._providers
 
     def provider_count(self, object_id: int) -> int:
         """Number of live providers of ``object_id`` (0 if unlocatable)."""

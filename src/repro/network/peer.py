@@ -116,6 +116,7 @@ class Peer:
         self.upload_pool = SlotPool(upload_capacity_kbit, config.slot_kbit)
         self.download_pool = SlotPool(download_capacity_kbit, config.slot_kbit)
         self.irq = IncomingRequestQueue(config.irq_capacity, counters=ctx.counters)
+        # The request generator holds this dict live: mutate, never rebind.
         self.pending: Dict[int, DownloadState] = {}
         self.workload: Optional[RequestGenerator] = None  # set by attach_workload
         self._uploads: Dict[Tuple[int, int], "Transfer"] = {}

@@ -373,8 +373,9 @@ class FileSharingSimulation:
             profile,
             rng.stream(f"workload{peer_id}"),
             config.object_factor,
-            is_known=self._make_is_known(peer),
-            is_locatable=self._make_is_locatable(ctx),
+            stored=store.id_view(),
+            pending=peer.pending,
+            locatable=ctx.lookup.provider_index(),
             popularity_cache=self._workload_cache,
             max_miss_attempts=config.max_miss_attempts,
         )
@@ -472,20 +473,6 @@ class FileSharingSimulation:
         else:
             self._num_freeloaders -= 1
         self.ctx.metrics.count("scenario.peer_left")
-
-    @staticmethod
-    def _make_is_known(peer: Peer):
-        def is_known(object_id: int) -> bool:
-            return object_id in peer.store or object_id in peer.pending
-
-        return is_known
-
-    @staticmethod
-    def _make_is_locatable(ctx: SimContext):
-        def is_locatable(object_id: int) -> bool:
-            return ctx.lookup.provider_count(object_id) > 0
-
-        return is_locatable
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.content.catalog import Catalog, Category, ContentObject
 from repro.content.interests import InterestProfile, build_interest_profile
-from repro.content.popularity import RankPopularity
-from repro.content.workload import RequestGenerator, pending_and_stored_filter
+from repro.content.placement import _MAX_ATTEMPTS_PER_SLOT, place_objects_for_peer
+from repro.content.popularity import PopularityCache, RankPopularity
+from repro.content.storage import ObjectStore
+from repro.content.workload import RequestGenerator
 from repro.errors import ConfigError
+from repro.network.lookup import LookupService
 
 from tests.helpers import tiny_catalog
 
@@ -45,6 +50,20 @@ class TestInterestProfile:
     def test_rejects_zero_total_weight(self):
         with pytest.raises(ConfigError):
             InterestProfile([1, 2], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, -0.5, 1.0], [math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]],
+        ids=["negative", "nan", "inf", "minus-inf"],
+    )
+    def test_rejects_weights_that_break_the_table(self, weights):
+        with pytest.raises(ConfigError):
+            InterestProfile(list(range(len(weights))), weights)
+
+    @pytest.mark.parametrize("boost", [math.nan, math.inf, 0.0, -1.0])
+    def test_with_category_rejects_bad_boost(self, boost):
+        with pytest.raises(ConfigError, match="boost"):
+            InterestProfile([0, 1], [1.0, 1.0]).with_category(2, boost=boost)
 
 
 class TestBuildInterestProfile:
@@ -90,14 +109,15 @@ class TestRequestGenerator:
             profile,
             random.Random(seed),
             factor,
-            is_known=lambda oid: oid in known,
-            is_locatable=locatable,
+            stored=known,
+            pending={},
+            locatable=locatable,
         )
 
     def test_draws_objects_from_interest_categories(self):
         generator = self._generator()
         for _ in range(20):
-            obj = generator.draw_candidate()
+            obj = generator.next_request()
             assert obj.category_id in (0, 1, 2)
 
     def test_skips_known_objects(self):
@@ -110,7 +130,7 @@ class TestRequestGenerator:
         assert generator.hits_skipped > 0
 
     def test_skips_unlocatable_objects(self):
-        generator = self._generator(locatable=lambda oid: oid == 5)
+        generator = self._generator(locatable={5})
         obj = generator.next_request()
         assert obj is not None and obj.object_id == 5
         assert generator.unlocatable_skipped > 0
@@ -120,22 +140,16 @@ class TestRequestGenerator:
         assert generator.next_request() is None
 
     def test_returns_none_when_nothing_locatable(self):
-        generator = self._generator(locatable=lambda oid: False)
+        generator = self._generator(locatable=set())
         assert generator.next_request() is None
 
     def test_rejects_negative_factor(self):
         with pytest.raises(ConfigError):
             self._generator(factor=-1.0)
 
-    def test_pending_and_stored_filter_sees_live_sets(self):
-        stored, pending = set(), set()
-        is_known = pending_and_stored_filter(stored, pending)
-        assert not is_known(7)
-        stored.add(7)
-        assert is_known(7)
-        stored.discard(7)
-        pending.add(7)
-        assert is_known(7)
+    def test_rejects_nan_factor(self):
+        with pytest.raises(ConfigError):
+            self._generator(factor=math.nan)
 
     @settings(max_examples=25)
     @given(known=st.sets(st.integers(min_value=0, max_value=11), max_size=11))
@@ -144,3 +158,241 @@ class TestRequestGenerator:
         obj = generator.next_request()
         if obj is not None:
             assert obj.object_id not in known
+
+
+# ----------------------------------------------------------------------
+# The sampler against the call chain it replaces
+# ----------------------------------------------------------------------
+
+
+def _catalog(sizes):
+    """A catalog with one category per entry of ``sizes``, ids dense."""
+    categories = []
+    next_id = 0
+    for cid, size in enumerate(sizes):
+        objects = tuple(
+            ContentObject(next_id + r, cid, r + 1, 4096.0) for r in range(size)
+        )
+        next_id += size
+        categories.append(Category(cid, cid + 1, objects))
+    return Catalog(categories)
+
+
+def _draw_profile(data, num_categories):
+    """A profile over some of the categories, zero weights included."""
+    ids = data.draw(st.permutations(range(num_categories)))
+    count = data.draw(st.integers(1, num_categories))
+    weights = data.draw(
+        st.lists(
+            st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5]), min_size=count, max_size=count
+        ).filter(lambda ws: sum(ws) > 0)
+    )
+    return InterestProfile(ids[:count], weights)
+
+
+class _ChainGenerator:
+    """Reference request draw: the call chain ``choose_category`` →
+    ``catalog.category`` → ``PopularityCache.get`` → ``sample_index``,
+    then the known and locatable checks, one candidate at a time."""
+
+    def __init__(self, catalog, profile, rand, factor, store, pending, lookup, attempts):
+        self.catalog = catalog
+        self.profile = profile
+        self.rand = rand
+        self.factor = factor
+        self.store = store
+        self.pending = pending
+        self.lookup = lookup
+        self.attempts = attempts
+        self.cache = PopularityCache()
+        self.candidates_drawn = 0
+        self.hits_skipped = 0
+        self.unlocatable_skipped = 0
+
+    def next_request(self):
+        for _ in range(self.attempts):
+            category = self.catalog.category(self.profile.choose_category(self.rand))
+            distribution = self.cache.get(category.size, self.factor)
+            self.candidates_drawn += 1
+            candidate = category.objects[distribution.sample_index(self.rand)]
+            object_id = candidate.object_id
+            if object_id in self.store or object_id in self.pending:
+                self.hits_skipped += 1
+                continue
+            if self.lookup is not None and self.lookup.provider_count(object_id) == 0:
+                self.unlocatable_skipped += 1
+                continue
+            return candidate
+        return None
+
+
+def _generator(catalog, profile, rand, factor, store, pending, lookup, attempts):
+    """The generator under test, reading the same live state as the reference."""
+    return RequestGenerator(
+        catalog,
+        profile,
+        rand,
+        factor,
+        stored=store.id_view(),
+        pending=pending,
+        locatable=None if lookup is None else lookup.provider_index(),
+        max_miss_attempts=attempts,
+    )
+
+
+def _counters(generator):
+    return (
+        generator.candidates_drawn,
+        generator.hits_skipped,
+        generator.unlocatable_skipped,
+    )
+
+
+class _ScriptedRandom:
+    """A ``random()`` that returns a fixed script of values."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+class TestSamplerMatchesCallChain:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_next_request_matches_the_call_chain(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+        catalog = _catalog(sizes)
+        profile = _draw_profile(data, len(sizes))
+        factor = data.draw(st.sampled_from([0.0, 0.2, 1.0, 3.0]))
+        attempts = data.draw(st.integers(1, 20))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        store = ObjectStore(capacity=64)
+        pending = {}
+        lookup = LookupService()
+        filtered = lookup if data.draw(st.booleans()) else None
+        ours_rand, reference_rand = random.Random(seed), random.Random(seed)
+        ours = _generator(
+            catalog, profile, ours_rand, factor, store, pending, filtered, attempts
+        )
+        reference = _ChainGenerator(
+            catalog, profile, reference_rand, factor, store, pending, filtered,
+            attempts,
+        )
+        object_ids = st.integers(0, catalog.num_objects - 1)
+        for oid in data.draw(st.sets(object_ids)):
+            store.add(oid)
+        for oid in data.draw(st.sets(object_ids)):
+            pending[oid] = None
+        for oid in data.draw(st.sets(object_ids)):
+            lookup.register(0, oid)
+        steps = data.draw(
+            st.lists(
+                st.sampled_from(
+                    ["call", "call", "call", "store", "pending", "provider",
+                     "inject", "profile"]
+                ),
+                min_size=1,
+                max_size=25,
+            )
+        )
+        for step in steps + ["call"]:
+            if step == "store":
+                object_id = data.draw(st.integers(0, catalog.num_objects - 1))
+                if object_id in store:
+                    store.remove(object_id)
+                else:
+                    store.add(object_id)
+            elif step == "pending":
+                object_id = data.draw(st.integers(0, catalog.num_objects - 1))
+                if object_id in pending:
+                    del pending[object_id]
+                else:
+                    pending[object_id] = None
+            elif step == "provider":
+                peer = data.draw(st.integers(0, 2))
+                object_id = data.draw(st.integers(0, catalog.num_objects - 1))
+                if peer in lookup.provider_view(object_id):
+                    lookup.unregister(peer, object_id)
+                else:
+                    lookup.register(peer, object_id)
+                # The sampler's locatable test is key membership.
+                assert all(lookup.provider_index().values())
+            elif step == "inject":
+                catalog.inject_object(
+                    data.draw(st.integers(0, len(sizes) - 1)),
+                    4096.0,
+                    position=data.draw(st.integers(0, 6)),
+                )
+            elif step == "profile":
+                profile = _draw_profile(data, len(sizes))
+                ours.set_profile(profile)
+                reference.profile = profile
+            else:
+                got = ours.next_request()
+                want = reference.next_request()
+                assert got is want
+                assert _counters(ours) == _counters(reference)
+                assert ours_rand.getstate() == reference_rand.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_placement_matches_the_call_chain(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+        catalog = _catalog(sizes)
+        profile = _draw_profile(data, len(sizes))
+        factor = data.draw(st.sampled_from([0.0, 0.2, 1.0, 3.0]))
+        capacity = data.draw(st.integers(1, 12))
+        fill_fraction = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        prefilled = data.draw(st.sets(st.integers(0, catalog.num_objects - 1)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        stores = (ObjectStore(capacity), ObjectStore(capacity))
+        for store in stores:
+            for object_id in prefilled:
+                store.add(object_id)
+        ours_rand, reference_rand = random.Random(seed), random.Random(seed)
+        placed = place_objects_for_peer(
+            catalog, profile, stores[0], ours_rand, factor, PopularityCache(),
+            fill_fraction=fill_fraction,
+        )
+        # The reference: the same placement loop through the call chain.
+        cache = PopularityCache()
+        target = int(round(capacity * fill_fraction))
+        budget = max(target, 1) * _MAX_ATTEMPTS_PER_SLOT
+        expected = []
+        attempts = 0
+        while len(stores[1]) < target and attempts < budget:
+            attempts += 1
+            category = catalog.category(profile.choose_category(reference_rand))
+            distribution = cache.get(category.size, factor)
+            candidate = category.objects[distribution.sample_index(reference_rand)]
+            if stores[1].add_if_absent(candidate.object_id):
+                expected.append(candidate.object_id)
+        assert placed == expected
+        assert stores[0].object_ids() == stores[1].object_ids()
+        assert ours_rand.getstate() == reference_rand.getstate()
+
+    def test_exact_table_boundaries_match_the_call_chain(self):
+        # Random floats almost never land on a table entry, the one place
+        # where bisect_left and bisect_right disagree: script them there.
+        catalog = _catalog([1, 3, 4, 2])
+        profile = InterestProfile([3, 0, 2, 1], [0.0, 1.0, 0.0, 3.0])
+        factor = 1.0
+        cache = PopularityCache()
+        tables = [cache.get(size, factor).cumulative for size in (1, 2, 3, 4)]
+        category_points = sorted({0.0} | {c for c in profile.cumulative if c < 1.0})
+        object_points = sorted({0.0} | {c for t in tables for c in t if c < 1.0})
+        assert 0.0 in profile.cumulative  # a zero-weight category leads
+        for category_point in category_points:
+            for object_point in object_points:
+                script = [category_point, object_point]
+                ours = _generator(
+                    catalog, profile, _ScriptedRandom(script), factor,
+                    ObjectStore(1), {}, None, 1,
+                )
+                reference = _ChainGenerator(
+                    catalog, profile, _ScriptedRandom(script), factor,
+                    ObjectStore(1), {}, None, 1,
+                )
+                assert ours.next_request() is reference.next_request()

@@ -25,6 +25,16 @@ class TestIndexMaintenance:
         assert lookup.providers(100) == set()
         assert lookup.objects_indexed() == 0
 
+    def test_unregistering_the_last_provider_drops_the_key(self):
+        # The request sampler tests locatability as key membership.
+        lookup = LookupService()
+        lookup.register(1, 100)
+        lookup.register(2, 100)
+        lookup.unregister(1, 100)
+        assert 100 in lookup.provider_index()
+        lookup.unregister(2, 100)
+        assert 100 not in lookup.provider_index()
+
     def test_unregister_unknown_raises(self):
         lookup = LookupService()
         with pytest.raises(LookupError_):

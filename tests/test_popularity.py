@@ -57,6 +57,12 @@ class TestDistributionShape:
         with pytest.raises(ConfigError):
             RankPopularity(num_ranks=5, factor=-0.1)
 
+    @pytest.mark.parametrize("factor", [math.nan, -math.inf])
+    def test_rejects_factor_that_breaks_the_table(self, factor):
+        # A NaN factor builds [nan, ..., nan, 1.0]: every draw lands on the last rank.
+        with pytest.raises(ConfigError):
+            RankPopularity(num_ranks=3, factor=factor)
+
 
 class TestSampling:
     def test_sample_in_range(self):

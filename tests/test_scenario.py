@@ -541,7 +541,8 @@ class TestMaxMissAttempts:
             profile,
             random.Random(1),
             object_factor=0.2,
-            is_known=lambda oid: True,  # everything is a cache hit
+            stored=range(4),  # everything is a cache hit
+            pending={},
             max_miss_attempts=3,
         )
         assert generator.next_request() is None
@@ -552,7 +553,8 @@ class TestMaxMissAttempts:
                 profile,
                 random.Random(1),
                 object_factor=0.2,
-                is_known=lambda oid: False,
+                stored=set(),
+                pending={},
                 max_miss_attempts=0,
             )
 

@@ -23,9 +23,7 @@ from conftest import SCALE, SEED, publish_bench, run_once
 
 
 def _run_adversarial():
-    config = adversarial_config(SCALE, "credit", "whitewash", SEED).replace(
-        perf_counters=True
-    )
+    config = adversarial_config(SCALE, "credit", "whitewash", SEED)
     started = time.perf_counter()
     result = run_simulation(config)
     wall = time.perf_counter() - started

@@ -30,14 +30,7 @@ from conftest import SEED, publish_bench, run_once
 
 
 def _run_huge():
-    # Perf counters attribute the throughput/RSS trajectory to
-    # subsystems without moving an event.
-    config = preset(
-        "huge",
-        exchange_mechanism="2-5-way",
-        seed=SEED,
-        perf_counters=True,
-    )
+    config = preset("huge", exchange_mechanism="2-5-way", seed=SEED)
     sim = FileSharingSimulation(config)
     build_started = time.perf_counter()
     sim.build()

@@ -14,7 +14,7 @@ from repro.sim.engine import Engine
 from conftest import publish_bench
 
 
-def _churn(num_events: int) -> int:
+def _churn(num_events: int) -> Engine:
     engine = Engine()
     fired = [0]
 
@@ -25,17 +25,23 @@ def _churn(num_events: int) -> int:
 
     engine.schedule(1.0, tick)
     engine.run(until=float(num_events + 1))
-    return fired[0]
+    return engine
 
 
 def test_engine_throughput(benchmark):
     def timed():
         started = time.perf_counter()
-        fired = _churn(20_000)
-        return fired, time.perf_counter() - started
+        engine = _churn(20_000)
+        return engine, time.perf_counter() - started
 
-    fired, wall = benchmark(timed)
-    publish_bench("micro_engine", wall_seconds=wall, events_fired=fired)
+    engine, wall = benchmark(timed)
+    fired = engine.events_fired
+    publish_bench(
+        "micro_engine",
+        wall_seconds=wall,
+        events_fired=fired,
+        counters=engine.counters.snapshot(),
+    )
     assert fired == 20_000
 
 
@@ -47,9 +53,14 @@ def test_engine_cancellation_cost(benchmark):
         for event in events[::2]:
             event.cancel()
         engine.run(until=100.0)
-        return engine.events_fired, time.perf_counter() - started
+        return engine, time.perf_counter() - started
 
-    result = benchmark(cancel_heavy)
-    fired, wall = result
-    publish_bench("micro_engine_cancel", wall_seconds=wall, events_fired=fired)
+    engine, wall = benchmark(cancel_heavy)
+    fired = engine.events_fired
+    publish_bench(
+        "micro_engine_cancel",
+        wall_seconds=wall,
+        events_fired=fired,
+        counters=engine.counters.snapshot(),
+    )
     assert fired == 2_500

@@ -25,15 +25,7 @@ from conftest import SEED, publish_bench, run_once
 
 
 def _run_scale(**overrides):
-    # Perf counters attribute any trajectory movement to a subsystem;
-    # they never feed simulation state, so the trajectory pins hold.
-    config = preset(
-        "scale",
-        exchange_mechanism="2-5-way",
-        seed=SEED,
-        perf_counters=True,
-        **overrides,
-    )
+    config = preset("scale", exchange_mechanism="2-5-way", seed=SEED, **overrides)
     started = time.perf_counter()
     result = run_simulation(config)
     wall = time.perf_counter() - started

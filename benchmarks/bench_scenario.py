@@ -23,7 +23,7 @@ from conftest import SCALE, SEED, publish_bench, run_once
 
 
 def _run_flashcrowd():
-    base = preset(SCALE, exchange_mechanism="2-5-way", seed=SEED, perf_counters=True)
+    base = preset(SCALE, exchange_mechanism="2-5-way", seed=SEED)
     config = base.replace(scenario=flash_crowd_scenario(base))
     started = time.perf_counter()
     result = run_simulation(config)

@@ -62,30 +62,24 @@ def peak_rss_mb() -> float:
     return round(peak / 1024.0, 1)
 
 
-#: Shape of the ``counters`` block every bench record carries when the
-#: run had no (enabled) :class:`repro.sim.counters.PerfCounters` — the
-#: block is present unconditionally so downstream tooling can rely on it.
-DISABLED_COUNTERS = {"enabled": False, "counts": {}, "timings_seconds": {}}
-
-
 def publish_bench(
     name: str,
     wall_seconds: float,
     events_fired: Optional[int] = None,
     scale: Optional[str] = None,
-    counters: Optional[dict] = None,
+    *,
+    counters: dict,
     **extra,
 ) -> dict:
     """Write ``BENCH_<name>_<scale>.json`` with the perf measurements.
 
     ``events_fired`` may be None for benches that only time wall clock;
     ``events_per_second`` is derived when both numbers are present.
-    Every record carries the process peak RSS (MB); simulation benches
-    pass ``counters`` (``ctx.counters.snapshot()``) to attribute
-    regressions to a subsystem — omitted, a disabled-empty block is stored so the key is
-    always present.  Extra keyword fields are stored verbatim (e.g.
-    peer counts), so a bench can carry whatever context makes its
-    trajectory readable.
+    Every record carries the process peak RSS (MB) and the run's
+    ``counters`` (``PerfCounters.snapshot()``), which attribute
+    regressions to a subsystem.  Extra keyword fields are stored
+    verbatim (e.g. peer counts), so a bench can carry whatever context
+    makes its trajectory readable.
     """
     record = {
         "name": name,
@@ -99,7 +93,7 @@ def publish_bench(
             else None
         ),
         "peak_rss_mb": peak_rss_mb(),
-        "counters": counters if counters is not None else dict(DISABLED_COUNTERS),
+        "counters": counters,
     }
     record.update(extra)
     os.makedirs(RESULTS_DIR, exist_ok=True)

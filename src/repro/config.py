@@ -10,12 +10,17 @@ model, storage, request workload, and the exchange mechanism itself.
 All validation happens eagerly in :meth:`validate` (called from
 ``__post_init__``) so a bad sweep fails before any simulation time is
 spent.
+
+Every field describes the simulated experiment: the config is hashable,
+and its :meth:`~SimulationConfig.to_dict` form keys the result cache.
+Instrumentation has no field — the perf counters
+(:mod:`repro.sim.counters`) are always on and cannot move an event.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -127,15 +132,6 @@ class SimulationConfig:
     block_size_kbit: float = 4096.0
     bootstrap_window: float = 60.0
     seed: int = 42
-    #: Enable the per-subsystem perf-counter layer (see
-    #: :mod:`repro.sim.counters`).  Off by default: counters feed
-    #: benchmark artifacts only and never affect the trajectory, but the
-    #: bump branches are not entirely free, so figure runs leave them
-    #: disabled.
-    perf_counters: bool = False
-
-    # ------------------------------------------------------------------ extra
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Accept lists (e.g. from JSON round-trips) but store tuples so

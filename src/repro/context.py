@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.config import SimulationConfig
 from repro.core.peer_table import PeerStateTable
 from repro.metrics.columnar import ColumnarCollector
-from repro.sim.counters import PerfCounters
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomSource
 
@@ -36,21 +35,11 @@ class SimContext:
         metrics: Optional[ColumnarCollector] = None,
     ) -> None:
         self.config = config
-        #: Per-subsystem perf counters (see :mod:`repro.sim.counters`);
-        #: disabled unless the config asks — every instrumented path
-        #: guards on the flag, so a disabled set costs one branch.  When
-        #: a prebuilt engine is passed in, its counter set (if any) wins
-        #: so engine-internal tallies and context tallies stay one set.
-        if engine is not None:
-            self.engine = engine
-            self.counters = (
-                engine.counters
-                if engine.counters is not None
-                else PerfCounters(enabled=config.perf_counters)
-            )
-        else:
-            self.counters = PerfCounters(enabled=config.perf_counters)
-            self.engine = Engine(counters=self.counters)
+        self.engine = engine if engine is not None else Engine()
+        #: Per-subsystem perf counters (see :mod:`repro.sim.counters`):
+        #: the engine's set, so its per-event tallies and every other
+        #: subsystem's land in one snapshot.
+        self.counters = self.engine.counters
         self.rng = rng if rng is not None else RandomSource(config.seed)
         #: The metrics sink; pass a collector built with
         #: ``keep_records=True`` to read record views after the run.

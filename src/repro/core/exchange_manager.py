@@ -7,7 +7,9 @@ token protocol into the three trigger points the paper describes:
   Request Tree to see if any peer provides o" (:func:`try_form_exchanges`
   with ``only_object``);
 * on receipt of a request, the provider checks the incoming tree "for
-  any object that P still wants" (``entries=[entry]``);
+  any object that P still wants": registering the request schedules
+  the provider's next pass (``Peer.register_request_at``), which runs
+  the full search;
 * and peers "regularly examine" their IRQs (the periodic scan calls the
   unrestricted form).
 
@@ -20,7 +22,7 @@ that "only one will be initiated successfully".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core import token_protocol
 from repro.core.ring import ExchangeRing, RingEdge, edges_from_candidate
@@ -31,7 +33,6 @@ from repro.metrics.records import TerminationReason
 from repro.network.transfer import Transfer
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.core.irq import RequestEntry
     from repro.network.peer import Peer
 
 
@@ -91,11 +92,7 @@ def search_state_key(peer: "Peer") -> tuple:
     return tuple(parts)
 
 
-def try_form_exchanges(
-    peer: "Peer",
-    only_object: Optional[int] = None,
-    entries: Optional[Iterable["RequestEntry"]] = None,
-) -> int:
+def try_form_exchanges(peer: "Peer", only_object: Optional[int] = None) -> int:
     """Search for feasible rings through this peer and commit them.
 
     Returns the number of rings formed.  Candidates are re-validated
@@ -114,13 +111,11 @@ def try_form_exchanges(
     if not policy.enables_exchanges or not peer.shares:
         return 0
     counters = peer.ctx.counters
-    counting = counters.enabled
     gate_key = None
-    if only_object is None and entries is None:
+    if only_object is None:
         gate_key = search_state_key(peer)
         if gate_key == peer.idle_search_key:
-            if counting:
-                counters.bump("ring_search.gated_skips")
+            counters.bump("ring_search.gated_skips")
             return 0
     wants = open_wants(peer, only_object=only_object)
     if not wants:
@@ -128,21 +123,16 @@ def try_form_exchanges(
             peer.idle_search_key = gate_key
         return 0
     ctx = peer.ctx
-    if counting:
-        counters.bump("ring_search.searches")
-        token = counters.clock()
+    counters.bump("ring_search.searches")
     candidates = find_candidates(
         peer.peer_id,
         peer.irq,
         wants,
         policy.max_ring,
-        entries=entries,
         peer_table=ctx.peer_table,
         object_version_of=ctx.lookup.object_versions().get,
     )
-    if counting:
-        counters.add_elapsed("ring_search.find_candidates", token)
-        counters.bump("ring_search.candidates", len(candidates))
+    counters.bump("ring_search.candidates", len(candidates))
     if not candidates:
         if gate_key is not None:
             peer.idle_search_key = gate_key
@@ -181,7 +171,7 @@ def try_form_exchanges(
         metrics.count("ring.formed")
         metrics.count(f"ring.formed.size{len(edges)}")
         formed += 1
-    if counting and formed:
+    if formed:
         counters.bump("ring_search.rings_formed", formed)
     return formed
 

@@ -32,12 +32,12 @@ import numpy as np
 from repro.core.request_tree import (
     Path,
     RequestTreeNode,
-    occurrence_index,
     occurrence_subindex,
     prune,
     tree_peer_set,
 )
 from repro.errors import ProtocolError
+from repro.sim.counters import PerfCounters
 
 _NO_PATHS: tuple = ()
 
@@ -63,7 +63,6 @@ class RequestEntry:
         "tree",
         "active",
         "transfer",
-        "_occ",
         "_paths",
         "_indexed",
         "_pruned",
@@ -83,10 +82,9 @@ class RequestEntry:
         self.active = True
         #: The transfer currently serving this request (None = queued).
         self.transfer = None
-        self._occ: Optional[Dict[int, List[Path]]] = None
-        #: Per-peer materialized path lists (lazier than ``_occ``: ring
-        #: search usually probes one or two providers per entry, not
-        #: every peer in the tree).
+        #: Per-peer materialized path lists (lazy: ring search usually
+        #: probes one or two providers per entry, not every peer in the
+        #: tree).
         self._paths: Optional[Dict[int, List[Path]]] = None
         #: The peer-id set this entry is indexed under in its queue —
         #: the cheap :func:`tree_peer_set` walk, not the occurrence
@@ -107,39 +105,16 @@ class RequestEntry:
         """Waiting for service (live and unattached)."""
         return self.active and self.transfer is None
 
-    def occurrences(self) -> Dict[int, List[Path]]:
-        """peer_id → paths (cached until the tree is refreshed).
-
-        Shared through the snapshot root: the same frozen tree travels
-        to every provider in a request's fanout, so sibling entries for
-        the same (requester, object) reuse one index instead of each
-        walking the tree.  The shared index is read-only by convention.
-        """
-        occ = self._occ
-        if occ is None:
-            tree = self.tree
-            if tree is None:
-                occ = occurrence_index(self.requester_id, self.object_id, None)
-            else:
-                cache = tree.occurrence_cache()
-                key = (self.requester_id, self.object_id)
-                occ = cache.get(key)
-                if occ is None:
-                    occ = occurrence_index(self.requester_id, self.object_id, tree)
-                    cache[key] = occ
-            self._occ = occ
-        return occ
-
     def paths_for(self, peer_id: int) -> List[Path]:
         """This entry's usable paths ending at one peer (lazy, cached).
 
-        Equivalent to ``occurrences().get(peer_id, [])`` but only
-        materializes the requested peer's bucket — ring search probes a
-        couple of providers per entry, not the whole tree.
+        Each path starts with the entry's own step ``(requester,
+        object)``; a path that would visit a peer twice is not a ring
+        and is left out.  Only the requested peer's bucket is
+        materialized — ring search probes a couple of providers per
+        entry, not the whole tree — and the object-independent tree walk
+        behind it is shared through the snapshot root.
         """
-        occ = self._occ
-        if occ is not None:
-            return occ.get(peer_id, _NO_PATHS)
         cache = self._paths
         if cache is None:
             cache = {}  # simlint: disable=HOT001 -- lazy once-per-entry path cache (amortizes per-event work); dropped on set_tree
@@ -199,7 +174,6 @@ class RequestEntry:
     def set_tree(self, tree: Optional[RequestTreeNode]) -> None:
         """Replace the attached snapshot (invalidates the path caches)."""
         self.tree = tree
-        self._occ = None
         self._paths = None
         self._pruned = None
 
@@ -230,16 +204,12 @@ class IncomingRequestQueue:
         "_counters",
     )
 
-    def __init__(self, capacity: int, counters=None) -> None:
+    def __init__(self, capacity: int, counters: Optional[PerfCounters] = None) -> None:
         if capacity <= 0:
             raise ProtocolError(f"IRQ capacity must be positive, got {capacity}")
         self.capacity = capacity
-        #: Perf-counter sink (:class:`repro.sim.counters.PerfCounters`),
-        #: kept only when enabled so every bump site pays one ``is not
-        #: None`` branch in the common disabled case.
-        self._counters = (
-            counters if counters is not None and counters.enabled else None
-        )
+        #: Perf-counter sink; a peer passes its context's shared set.
+        self._counters = counters if counters is not None else PerfCounters()
         self._entries: "OrderedDict[Tuple[int, int], RequestEntry]" = OrderedDict()
         #: Inverted index: peer id → RequestEntry (single occurrence,
         #: the common case, stored unboxed) or List[RequestEntry] in
@@ -311,8 +281,7 @@ class IncomingRequestQueue:
             else:
                 index[peer_id] = [bucket, entry]
         self.version += 1
-        if self._counters is not None:
-            self._counters.bump("irq.adds")
+        self._counters.bump("irq.adds")
         return True
 
     def remove(self, requester_id: int, object_id: int) -> Optional[RequestEntry]:
@@ -323,8 +292,7 @@ class IncomingRequestQueue:
         entry.active = False
         self._dead_in_index += len(entry._indexed)
         self.version += 1
-        if self._counters is not None:
-            self._counters.bump("irq.removes")
+        self._counters.bump("irq.removes")
         self._maybe_compact()
         return entry
 
@@ -345,7 +313,8 @@ class IncomingRequestQueue:
         Models the paper's incremental request-tree updates (§V) at
         scan granularity.  Index lists for peers that vanished from the
         tree become harmless garbage (``paths_to`` re-reads the entry's
-        occurrence map) and are purged by the next compaction.
+        paths, which no longer reach them) and are purged by the next
+        compaction.
         """
         if self._entries.get(entry.key) is not entry:
             raise ProtocolError(f"cannot refresh unknown entry {entry!r}")
@@ -365,8 +334,7 @@ class IncomingRequestQueue:
                     index[peer_id] = [bucket, entry]
             self._dead_in_index += len(old_peers - new_peers)
         self.version += 1
-        if self._counters is not None:
-            self._counters.bump("irq.tree_refreshes")
+        self._counters.bump("irq.tree_refreshes")
         self._maybe_compact()
 
     # ------------------------------------------------------------------
@@ -488,8 +456,7 @@ class IncomingRequestQueue:
         self._index = new_index
         self._keys_array_version = -1
         self._dead_in_index = 0
-        if self._counters is not None:
-            self._counters.bump("irq.compactions")
+        self._counters.bump("irq.compactions")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IncomingRequestQueue({len(self._entries)}/{self.capacity})"

@@ -226,44 +226,13 @@ def build_snapshot(
     return RequestTreeNode(peer_id, None, tuple(children))
 
 
-def iter_occurrences(
-    requester_id: int, object_id: int, tree: Optional[RequestTreeNode]
-) -> Iterator[Tuple[int, Path]]:
-    """All (peer, path) occurrences contributed by one IRQ entry.
-
-    The entry itself is the first occurrence (the direct requester at
-    composite depth 2, i.e. a pairwise candidate with path length 1);
-    deeper occurrences come from the attached snapshot.  Paths with
-    repeated peers are *not* yielded — a ring must consist of distinct
-    peers, and filtering here keeps the per-entry index clean.
-    """
-    root_step: PathStep = (requester_id, object_id)
-    yield requester_id, (root_step,)
-    if tree is None:
-        return
-
-    def walk(
-        node: RequestTreeNode, path: Tuple[PathStep, ...], seen: frozenset
-    ) -> Iterator[Tuple[int, Path]]:
-        for child in node.children:
-            if child.object_id is None:
-                continue  # malformed: non-root without an edge label
-            if child.peer_id in seen:
-                continue
-            step: PathStep = (child.peer_id, child.object_id)
-            child_path = path + (step,)
-            yield child.peer_id, child_path
-            yield from walk(child, child_path, seen | {child.peer_id})
-
-    yield from walk(tree, (root_step,), frozenset((requester_id,)))
-
-
 def tree_peer_set(
     requester_id: int, tree: Optional[RequestTreeNode]
 ) -> Set[int]:
     """All peer ids appearing in one entry's composite tree, cheaply.
 
-    A *superset* of :func:`occurrence_index`'s keys: the walk skips the
+    A *superset* of the peers the entry has usable paths to (see
+    :meth:`~repro.core.irq.RequestEntry.paths_for`): the walk skips the
     duplicate-peer path filter, so a peer reachable only through paths
     that revisit a peer is still included.  The IRQ's inverted index
     tolerates that — a lookup for such a peer just finds no usable path
@@ -300,7 +269,7 @@ def tree_peer_set(
 
 
 #: Reserved key under which a root's object-independent sub-index is
-#: cached in its occurrence cache (real keys are (peer, object) tuples).
+#: cached in its occurrence cache (the pruned views use tuple keys).
 _SUBINDEX_KEY = "subindex"
 
 
@@ -337,7 +306,8 @@ def _occurrence_subindex(tree: RequestTreeNode, requester_id: int) -> dict:
     (requester, object) differs between the entries sharing one
     snapshot — so one walk per tree serves every (object, provider)
     combination of the requester's fanout, with
-    :func:`occurrence_index` just prefixing the root step.
+    :meth:`~repro.core.irq.RequestEntry.paths_for` just prefixing the
+    root step.
     """
     index: dict = {}
     bucket_of = index.get
@@ -367,25 +337,4 @@ def _occurrence_subindex(tree: RequestTreeNode, requester_id: int) -> dict:
                 bucket.append(child_path)
             if child.children:
                 push((child, child_path))
-    return index
-
-
-def occurrence_index(
-    requester_id: int, object_id: int, tree: Optional[RequestTreeNode]
-) -> dict:
-    """``{peer_id: [path, ...]}`` over one entry's occurrences.
-
-    Paths are short (max ring size), so duplicate-peer filtering scans
-    the path instead of carrying a set.  When the snapshot root is the
-    requester (the only shape the protocol produces), the expensive
-    walk is shared through the root's cache and only the per-object
-    root-step prefixing happens here.
-    """
-    root_step: PathStep = (requester_id, object_id)
-    index: dict = {requester_id: [(root_step,)]}
-    if tree is None:
-        return index
-    prefix = (root_step,)
-    for peer_id, paths in occurrence_subindex(requester_id, tree).items():
-        index[peer_id] = [prefix + path for path in paths]
     return index

@@ -18,7 +18,7 @@ IRQ's inverted peer index, so its cost is proportional to the number of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.core.peer_table import BITSET_MIN
 from repro.core.request_tree import Path
@@ -85,7 +85,6 @@ def find_candidates(
     irq: "IncomingRequestQueue",
     wants: Dict[int, Set[int]],
     max_ring: int,
-    entries: Optional[Iterable["RequestEntry"]] = None,
     peer_table: Optional["PeerStateTable"] = None,
     object_version_of: Optional[Callable[[int, int], int]] = None,
 ) -> List[RingCandidate]:
@@ -97,9 +96,6 @@ def find_candidates(
         ``{object_id: provider_peer_ids}`` for the searcher's open
         requests (provider sets from lookup; may be shared live sets —
         they are only read).
-    entries:
-        Restrict the search to these IRQ entries (receive-side check of
-        one incoming request); None searches the whole queue.
     peer_table / object_version_of:
         When both are given, the provider ∩ request-index intersection
         goes through :meth:`~repro.core.peer_table.PeerStateTable.
@@ -114,49 +110,35 @@ def find_candidates(
     if max_ring < 2 or not wants or irq.is_empty:
         return []
     candidates: List[RingCandidate] = []
-    if entries is None:
-        index_keys = irq.index_key_set()
-        use_table = peer_table is not None and object_version_of is not None
-        # The sorted key array only matters on the mask path, and
-        # sorted_intersection takes that path only when *both* operands
-        # clear BITSET_MIN — so probe the provider sizes before paying
-        # the rebuild (O(index log index) on every IRQ version bump,
-        # measured ~11% of a whole 50k-peer run when built eagerly for
-        # provider sets that never grow past a handful).
-        index_keys_arr = (
-            irq.index_keys_array()
-            if use_table
-            and len(index_keys) >= BITSET_MIN
-            and any(len(p) >= BITSET_MIN for p in wants.values())
-            else None
-        )
-        for object_id in sorted(wants):
-            providers = wants[object_id]
-            if use_table:
-                hits_sorted = peer_table.sorted_intersection(
-                    object_id,
-                    object_version_of(object_id, 0),
-                    providers,
-                    index_keys_arr,
-                    index_keys,
-                )
-            else:
-                hits_sorted = sorted(providers & index_keys)
-            for provider_id in hits_sorted:
-                for entry, path in irq.paths_to(provider_id):
-                    if path_is_usable(path, searcher_id, max_ring):
-                        candidates.append(RingCandidate(object_id, path, entry))
-    else:
-        wanted_ids = sorted(wants)
-        for entry in entries:
-            if not entry.active:
-                continue
-            occurrences = entry.occurrences()
-            occ_keys = occurrences.keys()
-            for object_id in wanted_ids:
-                providers = wants[object_id]
-                for provider_id in sorted(providers & occ_keys):
-                    for path in occurrences[provider_id]:
-                        if path_is_usable(path, searcher_id, max_ring):
-                            candidates.append(RingCandidate(object_id, path, entry))
+    index_keys = irq.index_key_set()
+    use_table = peer_table is not None and object_version_of is not None
+    # The sorted key array only matters on the mask path, and
+    # sorted_intersection takes that path only when *both* operands
+    # clear BITSET_MIN — so probe the provider sizes before paying
+    # the rebuild (O(index log index) on every IRQ version bump,
+    # measured ~11% of a whole 50k-peer run when built eagerly for
+    # provider sets that never grow past a handful).
+    index_keys_arr = (
+        irq.index_keys_array()
+        if use_table
+        and len(index_keys) >= BITSET_MIN
+        and any(len(p) >= BITSET_MIN for p in wants.values())
+        else None
+    )
+    for object_id in sorted(wants):
+        providers = wants[object_id]
+        if use_table:
+            hits_sorted = peer_table.sorted_intersection(
+                object_id,
+                object_version_of(object_id, 0),
+                providers,
+                index_keys_arr,
+                index_keys,
+            )
+        else:
+            hits_sorted = sorted(providers & index_keys)
+        for provider_id in hits_sorted:
+            for entry, path in irq.paths_to(provider_id):
+                if path_is_usable(path, searcher_id, max_ring):
+                    candidates.append(RingCandidate(object_id, path, entry))
     return candidates

@@ -47,6 +47,7 @@ from repro.metrics.records import (
     TerminationReason,
     TrafficClass,
 )
+from repro.sim.counters import PerfCounters
 
 #: Rows staged as Python tuples before being frozen into numpy chunks.
 _CHUNK = 4096
@@ -123,8 +124,6 @@ class _ColumnTable:
         "_following",
         "_kept",
         "_kept_from",
-        "_perf",
-        "_perf_key",
     )
 
     def __init__(
@@ -132,8 +131,6 @@ class _ColumnTable:
         schema: _Schema,
         on_freeze: Optional[Callable[[Dict[str, np.ndarray]], None]] = None,
         keep_all: bool = False,
-        perf=None,
-        perf_key: str = "collector.chunks",
     ) -> None:
         self._schema = schema
         self._index = {name: i for i, (name, _) in enumerate(schema)}
@@ -146,11 +143,6 @@ class _ColumnTable:
         #: Row index of the first kept row (of the staging tail when no
         #: chunk is kept).
         self._kept_from = 0
-        #: Perf-counter sink (kept only when enabled) tallying chunk
-        #: freezes under ``perf_key`` — the collector's unit of
-        #: amortized work.
-        self._perf = perf if perf is not None and perf.enabled else None
-        self._perf_key = perf_key
 
     def __len__(self) -> int:
         return self._count
@@ -176,8 +168,6 @@ class _ColumnTable:
         else:
             self._kept_from += len(self._staging)
         self._staging.clear()
-        if self._perf is not None:
-            self._perf.bump(self._perf_key)
 
     def drain(self) -> None:
         """Freeze the staging tail now (partial chunk; query-time use).
@@ -234,19 +224,33 @@ class _ColumnTable:
         )
 
 
+def _counted(
+    fold: Callable[[Dict[str, np.ndarray]], None], counters: PerfCounters, name: str
+) -> Callable[[Dict[str, np.ndarray]], None]:
+    """``fold`` plus one ``name`` bump per frozen chunk, the collector's
+    unit of amortized work."""
+
+    def on_freeze(frozen: Dict[str, np.ndarray]) -> None:
+        fold(frozen)
+        counters.bump(name)
+
+    return on_freeze
+
+
 class ColumnarCollector:
     """Numpy-backed metrics sink: the ``add_*`` scalar hot path, the
     ``record_*`` dataclass compatibility path, counters, phase stamping,
     the summary-input queries and the strategy layer's row feeds.
 
     ``warmup`` is the measurement-window boundary the folds censor at;
-    ``keep_records`` keeps every row for the record views.
+    ``perf_counters`` receives the chunk-freeze tallies (a private set
+    when omitted); ``keep_records`` keeps every row for the record views.
     """
 
     def __init__(
         self,
         warmup: float = 0.0,
-        perf_counters=None,
+        perf_counters: Optional[PerfCounters] = None,
         keep_records: bool = False,
     ) -> None:
         #: Shared string-interning table for class and phase labels.
@@ -259,19 +263,18 @@ class ColumnarCollector:
             warmup, traffic_labels, self._labels, _NON_EXCHANGE_CODE
         )
         self._download_fold = RunningDownloadTimes(warmup, self._labels)
+        perf = perf_counters if perf_counters is not None else PerfCounters()
         self._sessions = _ColumnTable(
             _SESSION_SCHEMA,
-            on_freeze=self._session_fold.fold,
+            on_freeze=_counted(self._session_fold.fold, perf, "collector.session_chunks"),
             keep_all=keep_records,
-            perf=perf_counters,
-            perf_key="collector.session_chunks",
         )
         self._downloads = _ColumnTable(
             _DOWNLOAD_SCHEMA,
-            on_freeze=self._download_fold.fold,
+            on_freeze=_counted(
+                self._download_fold.fold, perf, "collector.download_chunks"
+            ),
             keep_all=keep_records,
-            perf=perf_counters,
-            perf_key="collector.download_chunks",
         )
         # One row per revision epoch, never a memory concern: the
         # summary reads the whole table.

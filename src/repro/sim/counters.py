@@ -1,91 +1,47 @@
-"""Per-subsystem perf counters: event counts plus coarse wall timings.
+"""Per-subsystem perf counters: named event and work counts.
 
 The benchmark layer needs to attribute a throughput or RSS regression to
 a *subsystem* (engine, IRQ, ring search, collector) instead of staring
 at one wall-seconds number.  :class:`PerfCounters` is that attribution
-channel: hot paths bump named integer counters and time coarse blocks,
-and the bench harness publishes :meth:`PerfCounters.snapshot` into every
-``BENCH_*.json``.
+channel: hot paths bump named integer counters, and the bench harness
+publishes :meth:`PerfCounters.snapshot` into every ``BENCH_*.json``.
+Per-layer wall time comes from outside the program, through the e2e
+tracer (``benchmarks/e2e/run.py --trace 1``).
 
 Design constraints:
 
-* **Zero overhead when off.**  The default is disabled; every call site
-  either guards on :attr:`PerfCounters.enabled` (hot loops hoist the
-  check) or calls methods that return immediately on the flag.  A
-  disabled counter set adds one predictable branch to the paths it
-  instruments, nothing else.
-* **No trajectory coupling.**  Counters read the wall clock only through
-  the two sanctioned call sites below (DET003); values feed benchmark
-  artifacts, never simulation state, RNG, or scheduling.  Enabling the
-  counters cannot move a single event.
+* **Always on.**  Every run counts, so the counted path is the one
+  every test and benchmark runs.
+* **No trajectory coupling.**  Counters read no clock and feed
+  benchmark artifacts only, never simulation state, RNG, or
+  scheduling: counting cannot move a single event.
 * **Deterministic publication.**  :meth:`snapshot` sorts keys, so two
   runs of the same build diff cleanly in the JSON artifacts.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
 
 class PerfCounters:
-    """Named integer counters + accumulated wall-clock timings."""
+    """Named integer counters."""
 
-    __slots__ = ("enabled", "counts", "timings")
+    __slots__ = ("counts",)
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         #: name -> integer tally.  Public so hot loops can bind the dict
-        #: once (inside an ``enabled`` guard) instead of paying a method
-        #: call per bump.
+        #: once instead of paying a method call per bump.
         self.counts: Dict[str, int] = {}
-        #: name -> accumulated seconds.
-        self.timings: Dict[str, float] = {}
 
-    # ------------------------------------------------------------------
     def bump(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to one named counter (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Add ``amount`` to one named counter."""
         counts = self.counts
         counts[name] = counts.get(name, 0) + amount
 
-    def clock(self) -> float:
-        """A wall-clock token for :meth:`add_elapsed`; 0.0 when disabled.
-
-        The only sanctioned wall-time reads of the counter layer live
-        here and in :meth:`add_elapsed`: the values land in benchmark
-        artifacts only and never feed simulation state.
-        """
-        if not self.enabled:
-            return 0.0
-        return time.perf_counter()  # simlint: disable=DET003 -- perf-counter timing channel; feeds BENCH artifacts, never simulation state
-
-    def add_elapsed(self, name: str, token: float) -> None:
-        """Accumulate time since ``token`` (from :meth:`clock`) under ``name``."""
-        if not self.enabled:
-            return
-        elapsed = time.perf_counter() - token  # simlint: disable=DET003 -- perf-counter timing channel; feeds BENCH artifacts, never simulation state
-        timings = self.timings
-        timings[name] = timings.get(name, 0.0) + elapsed
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-ready view: sorted counts and timings (seconds, rounded).
-
-        Returned even when disabled (all-empty), so benchmark records
-        carry a ``counters`` block unconditionally and downstream guards
-        can rely on its presence.
-        """
-        return {
-            "enabled": self.enabled,
-            "counts": {name: self.counts[name] for name in sorted(self.counts)},
-            "timings_seconds": {
-                name: round(self.timings[name], 6)
-                for name in sorted(self.timings)
-            },
-        }
+    def snapshot(self) -> Dict[str, Dict[str, int]]:
+        """JSON-ready view: ``{"counts": ...}`` with sorted keys."""
+        return {"counts": {name: self.counts[name] for name in sorted(self.counts)}}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "on" if self.enabled else "off"
-        return f"PerfCounters({state}, counts={len(self.counts)})"
+        return f"PerfCounters(counts={len(self.counts)})"

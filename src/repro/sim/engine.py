@@ -51,9 +51,7 @@ class Engine:
     slice of the whole simulation.
     """
 
-    def __init__(
-        self, start_time: float = 0.0, *, counters: Optional[PerfCounters] = None
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._seq = 0
         self._fired = 0
@@ -67,7 +65,9 @@ class Engine:
         self._live = 0
         #: Cancelled entries still inside the heap.
         self._cancelled_pending = 0
-        self.counters = counters if counters is not None else PerfCounters()
+        #: Per-event-kind fire counts plus ``engine.fired``, and the
+        #: tallies of every subsystem sharing this engine's context.
+        self.counters = PerfCounters()
 
     # ------------------------------------------------------------------
     # clock
@@ -243,9 +243,7 @@ class Engine:
             raise SimulationError("engine is already running (re-entrant run() call)")
         self._running = True
         fired = 0
-        counters = self.counters
-        counting = counters.enabled
-        event_counts = counters.counts if counting else None
+        event_counts = self.counters.counts
         heap = self._heap
         head = self._head
         heappop = heapq.heappop
@@ -265,16 +263,12 @@ class Engine:
                 self._now = time
                 self._fired += 1
                 fired += 1
-                if counting:
-                    kind = event.name.partition(".")[0]
-                    event_counts[kind] = event_counts.get(kind, 0) + 1  # type: ignore[union-attr]
+                kind = event.name.partition(".")[0]
+                event_counts[kind] = event_counts.get(kind, 0) + 1
                 event.callback()  # inlined Event.fire(): once per event
         finally:
             self._running = False
-        if counting:
-            event_counts["engine.fired"] = (  # type: ignore[index]
-                event_counts.get("engine.fired", 0) + fired  # type: ignore[union-attr]
-            )
+        event_counts["engine.fired"] = event_counts.get("engine.fired", 0) + fired
         if until is not None and self._now < until:
             next_time = self.peek_time()
             if next_time is None or next_time > until:

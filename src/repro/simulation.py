@@ -68,10 +68,9 @@ class SimulationResult:
     metrics: ColumnarCollector
     events_fired: int
     wall_seconds: float
-    #: JSON-ready perf-counter snapshot (``ctx.counters.snapshot()``) —
-    #: all-empty with ``enabled: False`` unless ``config.perf_counters``
-    #: asked for instrumentation.  Benchmarks publish this verbatim.
-    perf_counters: Dict[str, object] = dataclasses.field(default_factory=dict)
+    #: JSON-ready perf-counter snapshot (``ctx.counters.snapshot()``,
+    #: ``{"counts": {...}}``).  Benchmarks publish this verbatim.
+    perf_counters: Dict[str, Dict[str, int]] = dataclasses.field(default_factory=dict)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

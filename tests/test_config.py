@@ -152,3 +152,20 @@ class TestReplace:
         config = SimulationConfig(object_size_mb=1.0, block_size_kbit=3000.0)
         # 8192 kbit / 3000 => 3 blocks
         assert config.blocks_per_object == 3
+
+
+class TestHashing:
+    def test_default_and_smoke_figure_configs_hash(self):
+        """Frozen configs are hashable, and equal configs hash equal."""
+        from repro.experiments.figures import FIGURES
+
+        configs = [SimulationConfig()] + [
+            config
+            for spec in FIGURES.values()
+            for config in spec.build_grid("smoke", 42).values()
+        ]
+        assert len(configs) > len(FIGURES)
+        for config in configs:
+            twin = config.replace()
+            assert twin is not config and twin == config
+            assert hash(twin) == hash(config)

@@ -111,8 +111,6 @@ def mutate(value, field: dataclasses.Field):
         if name == "spec":
             return PeerClassSpec(name="inline", behavior="sharer")
         return 1
-    if isinstance(value, dict):
-        return {**value, "extra-knob": 1}
     if isinstance(value, tuple):
         return value + value[-1:] if value else value
     raise AssertionError(f"no mutation strategy for field {name}={value!r}")

@@ -125,9 +125,13 @@ class TestPeerIndex:
         assert irq.indexed_peers() == set()
 
     def test_occurrences_cached(self):
+        """``paths_for`` builds a peer's paths once per attached tree."""
         e = entry(tree=self._tree())
-        first = e.occurrences()
-        assert e.occurrences() is first
+        first = e.paths_for(5)
+        assert first == [((2, 20), (4, 44), (5, 55))]
+        assert e.paths_for(5) is first
+        e.set_tree(RequestTreeNode(2, None, (RequestTreeNode(5, 50),)))
+        assert e.paths_for(5) == [((2, 20), (5, 50))]
 
 
 class TestCompactionProperty:

@@ -5,13 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.irq import IncomingRequestQueue, RequestEntry
-from repro.core.request_tree import (
-    RequestTreeNode,
-    build_snapshot,
-    iter_occurrences,
-    occurrence_index,
-    prune,
-)
+from repro.core.request_tree import RequestTreeNode, build_snapshot, prune
 
 
 def leaf(peer_id, object_id):
@@ -143,31 +137,33 @@ class TestBuildSnapshot:
 
 
 class TestOccurrences:
+    """``RequestEntry.paths_for``: an entry's paths to one peer."""
+
     def test_entry_itself_is_first_occurrence(self):
-        occurrences = list(iter_occurrences(2, 20, None))
-        assert occurrences == [(2, ((2, 20),))]
+        entry = RequestEntry(2, 20, 0.0)
+        assert entry.paths_for(2) == [((2, 20),)]
 
     def test_deep_occurrences_carry_paths(self):
         tree = node(2, None, node(4, 44, leaf(5, 55)))
-        index = occurrence_index(2, 20, tree)
-        assert index[4] == [((2, 20), (4, 44))]
-        assert index[5] == [((2, 20), (4, 44), (5, 55))]
+        entry = RequestEntry(2, 20, 0.0, tree=tree)
+        assert entry.paths_for(4) == [((2, 20), (4, 44))]
+        assert entry.paths_for(5) == [((2, 20), (4, 44), (5, 55))]
 
     def test_duplicate_peer_paths_filtered(self):
         # Peer 2 appears again below itself: the path 2 -> 4 -> 2 would
         # repeat peer 2 and must not be yielded.
         tree = node(2, None, node(4, 44, leaf(2, 22)))
-        index = occurrence_index(2, 20, tree)
-        assert 4 in index
-        assert index[2] == [((2, 20),)]  # only the direct occurrence
+        entry = RequestEntry(2, 20, 0.0, tree=tree)
+        assert entry.paths_for(4)
+        assert entry.paths_for(2) == [((2, 20),)]  # only the direct occurrence
 
     def test_same_peer_on_two_branches_kept(self):
         tree = node(2, None, node(4, 44, leaf(6, 66)), node(5, 55, leaf(6, 67)))
-        index = occurrence_index(2, 20, tree)
-        assert len(index[6]) == 2
+        entry = RequestEntry(2, 20, 0.0, tree=tree)
+        assert len(entry.paths_for(6)) == 2
 
     def test_malformed_root_label_ignored(self):
         # A non-root node without an object label cannot be an edge.
         tree = node(2, None, RequestTreeNode(4, None))
-        index = occurrence_index(2, 20, tree)
-        assert 4 not in index
+        entry = RequestEntry(2, 20, 0.0, tree=tree)
+        assert not entry.paths_for(4)

@@ -82,23 +82,11 @@ class TestFindCandidates:
         irq = self._irq(RequestEntry(2, 20, 0.0, tree=snapshot))
         assert find_candidates(1, irq, wants={7: {4}}, max_ring=5) == []
 
-    def test_entries_restriction(self):
-        first = RequestEntry(2, 20, 0.0)
-        second = RequestEntry(3, 30, 1.0)
-        irq = self._irq(first, second)
-        candidates = find_candidates(
-            1, irq, wants={7: {2}, 8: {3}}, max_ring=5, entries=[second]
-        )
-        assert [(c.want_object_id, c.closing_peer_id) for c in candidates] == [(8, 3)]
-
     def test_inactive_entries_skipped(self):
         first = RequestEntry(2, 20, 0.0)
         irq = self._irq(first)
         irq.remove(2, 20)
         assert find_candidates(1, irq, wants={7: {2}}, max_ring=5) == []
-        assert (
-            find_candidates(1, irq, wants={7: {2}}, max_ring=5, entries=[first]) == []
-        )
 
     def test_no_exchange_when_ring_too_small(self):
         irq = self._irq(RequestEntry(2, 20, 0.0))

@@ -20,6 +20,7 @@ Instrumentation has no field — the perf counters
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -186,6 +187,13 @@ class SimulationConfig:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`ConfigError` on the first invalid field."""
+        # NaN or ±inf in any numeric field either slips past the range
+        # checks below or only fails deep inside a run (an endless
+        # duration, an unschedulable interval, a slot count from inf).
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         checks: Tuple[Tuple[bool, str], ...] = (
             (self.num_peers >= 2, f"num_peers must be >= 2, got {self.num_peers}"),
             (

@@ -34,6 +34,7 @@ from repro.core.request_tree import (
     RequestTreeNode,
     occurrence_subindex,
     prune,
+    shares_children,
     tree_peer_set,
 )
 from repro.errors import ProtocolError
@@ -199,6 +200,7 @@ class IncomingRequestQueue:
         "rejected_duplicate",
         "version",
         "binding_epoch",
+        "shape_version",
         "_snapshot",
         "_snapshot_version",
         "_counters",
@@ -231,6 +233,11 @@ class IncomingRequestQueue:
         #: ``(version, binding_epoch)`` while tree-snapshot caches keep
         #: keying off ``version`` alone, exactly as before.
         self.binding_epoch = 0
+        #: Bumped on every content change but a refresh that re-roots
+        #: the held tree (see :meth:`refresh_tree`): with
+        #: ``binding_epoch`` it covers everything
+        #: :func:`~repro.core.request_tree.build_snapshot` reads.
+        self.shape_version = 0
         self._snapshot: Optional[List[RequestEntry]] = None
         self._snapshot_version = -1
 
@@ -281,6 +288,7 @@ class IncomingRequestQueue:
             else:
                 index[peer_id] = [bucket, entry]
         self.version += 1
+        self.shape_version += 1
         self._counters.bump("irq.adds")
         return True
 
@@ -292,6 +300,7 @@ class IncomingRequestQueue:
         entry.active = False
         self._dead_in_index += len(entry._indexed)
         self.version += 1
+        self.shape_version += 1
         self._counters.bump("irq.removes")
         self._maybe_compact()
         return entry
@@ -311,28 +320,40 @@ class IncomingRequestQueue:
         """Replace an entry's snapshot with a fresher one.
 
         Models the paper's incremental request-tree updates (§V) at
-        scan granularity.  Index lists for peers that vanished from the
-        tree become harmless garbage (``paths_to`` re-reads the entry's
-        paths, which no longer reach them) and are purged by the next
-        compaction.
+        scan granularity.  Every call counts as a content change
+        (``version`` moves), whatever the new tree holds.
+
+        A re-rooting of the held tree (see
+        :func:`~repro.core.request_tree.reuse_equal`) has the same
+        paths and the same peers, so the entry keeps its path caches
+        and its index slots.  Any other tree drops the path caches and
+        indexes the entry under the peers that joined it.  The entry
+        stays in the buckets of peers that left the tree until the next
+        compaction: a lookup there finds no path, but if such a peer
+        re-enters the tree first, the entry is appended to its bucket a
+        second time and ``paths_to`` yields the entry's paths twice.
         """
         if self._entries.get(entry.key) is not entry:
             raise ProtocolError(f"cannot refresh unknown entry {entry!r}")
-        old_peers = entry._indexed
-        entry.set_tree(tree)
-        new_peers = tree_peer_set(entry.requester_id, tree)
-        if new_peers != old_peers:
-            entry._indexed = new_peers
-            index = self._index
-            for peer_id in new_peers - old_peers:
-                bucket = index.get(peer_id)
-                if bucket is None:
-                    index[peer_id] = entry
-                elif type(bucket) is list:
-                    bucket.append(entry)
-                else:
-                    index[peer_id] = [bucket, entry]
-            self._dead_in_index += len(old_peers - new_peers)
+        if shares_children(entry.tree, tree):
+            entry.tree = tree
+        else:
+            self.shape_version += 1
+            old_peers = entry._indexed
+            entry.set_tree(tree)
+            new_peers = tree_peer_set(entry.requester_id, tree)
+            if new_peers != old_peers:
+                entry._indexed = new_peers
+                index = self._index
+                for peer_id in new_peers - old_peers:
+                    bucket = index.get(peer_id)
+                    if bucket is None:
+                        index[peer_id] = entry
+                    elif type(bucket) is list:
+                        bucket.append(entry)
+                    else:
+                        index[peer_id] = [bucket, entry]
+                self._dead_in_index += len(old_peers - new_peers)
         self.version += 1
         self._counters.bump("irq.tree_refreshes")
         self._maybe_compact()

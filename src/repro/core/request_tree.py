@@ -17,6 +17,10 @@ for cycles to chains of up to 5 predecessors").
 A configurable node budget bounds snapshot size (the paper's §V concedes
 the full tree "may be prohibitive" and proposes Bloom filters, which we
 implement separately in :mod:`repro.core.bloom_tree`).
+
+A rebuilt snapshot is often node-for-node equal to the one it replaces;
+:func:`reuse_equal` then returns a fresh root over the old children and
+root caches, so the views derived from the old snapshot carry over.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ class RequestTreeNode:
 
     Nodes are immutable once built (``children`` is a tuple and is never
     reassigned), which is what lets :func:`prune` share whole subtrees
-    between snapshots instead of deep-copying them, and what makes the
-    cached ``node_count``/``depth`` values safe.
+    between snapshots instead of deep-copying them, lets
+    :func:`reuse_equal` hang a fresh root over an older snapshot's
+    children, and makes the cached ``node_count``/``depth`` values safe.
     """
 
     __slots__ = (
@@ -224,6 +229,84 @@ def build_snapshot(
                 RequestTreeNode(entry.requester_id, entry.object_id, child_children)
             )
     return RequestTreeNode(peer_id, None, tuple(children))
+
+
+def same_shape(
+    a: Optional[RequestTreeNode], b: Optional[RequestTreeNode]
+) -> bool:
+    """Whether two trees are node-for-node equal: labels and child order.
+
+    Subtrees that :func:`prune` and :func:`build_snapshot` share between
+    snapshots compare by identity, so checking a rebuild against the
+    tree it replaces stops at every subtree the two hold in common.
+    """
+    if a is b:
+        return True
+    if a is None or b is None:
+        return False
+    if a.peer_id != b.peer_id or a.object_id != b.object_id:
+        return False
+    stack = [(a.children, b.children)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        a_children, b_children = pop()
+        if a_children is b_children:
+            continue
+        if len(a_children) != len(b_children):
+            return False
+        for a_child, b_child in zip(a_children, b_children):
+            if a_child is b_child:
+                continue
+            if a_child.peer_id != b_child.peer_id or a_child.object_id != b_child.object_id:
+                return False
+            push((a_child.children, b_child.children))
+    return True
+
+
+def reuse_equal(
+    tree: Optional[RequestTreeNode], previous: Optional[RequestTreeNode]
+) -> Optional[RequestTreeNode]:
+    """``tree``, or a re-rooting of ``previous`` when the two are equal.
+
+    The re-rooting is a *new* root object over ``previous``'s very
+    ``children`` tuple, carrying its root caches (peer set, occurrence
+    cache, node count, depth): every holder of either root derives the
+    same views, computed once.  Being a new object, it still reads as a
+    changed snapshot wherever a caller compares roots by identity.
+    """
+    if tree is None or previous is None or not same_shape(tree, previous):
+        return tree
+    return reroot(previous)
+
+
+def reroot(previous: RequestTreeNode) -> RequestTreeNode:
+    """A new root over ``previous``'s children, carrying its root caches."""
+    root = RequestTreeNode(previous.peer_id, previous.object_id, previous.children)
+    root._node_count = previous._node_count
+    root._depth = previous._depth
+    root._peer_set = previous._peer_set
+    root._occ_cache = previous.occurrence_cache()
+    return root
+
+
+def shares_children(
+    old: Optional[RequestTreeNode], new: Optional[RequestTreeNode]
+) -> bool:
+    """Whether ``new`` is ``old`` or a :func:`reuse_equal` re-rooting of it.
+
+    O(1): the same root label over the same ``children`` tuple means
+    the same paths and the same peer set.
+    """
+    if old is new:
+        return True
+    return (
+        old is not None
+        and new is not None
+        and old.children is new.children
+        and old.peer_id == new.peer_id
+        and old.object_id == new.object_id
+    )
 
 
 def tree_peer_set(

@@ -25,7 +25,7 @@ from repro.core import exchange_manager, scheduler
 from repro.core.disciplines import ServiceDiscipline, make_discipline
 from repro.core.irq import IncomingRequestQueue, RequestEntry
 from repro.core.policies import ExchangePolicy
-from repro.core.request_tree import build_snapshot
+from repro.core.request_tree import RequestTreeNode, build_snapshot, reroot, reuse_equal
 from repro.errors import ProtocolError
 from repro.metrics.records import TerminationReason
 from repro.network.behaviors import FREELOADER, SHARER, PeerBehavior
@@ -129,7 +129,7 @@ class Peer:
         #: This peer's periodic scan/storage processes, attached by the
         #: simulation assembly so churn can pause them while offline.
         self.periodic_processes: List["PeriodicProcess"] = []
-        self._snapshot_cache: Optional[Tuple[int, object]] = None
+        self._snapshot_cache: Optional[Tuple[int, Tuple[int, int], Optional[RequestTreeNode]]] = None
         self._last_tree_refresh = -math.inf
         #: IRQ version whose snapshot a *completed* refresh pass pushed
         #: to every live registered entry; None when some entry could
@@ -342,22 +342,38 @@ class Peer:
             return False
         return self.register_request_at(provider.peer_id, download)
 
-    def _tree_snapshot(self):
+    def _tree_snapshot(self) -> Optional[RequestTreeNode]:
         """The tree attached to outgoing requests, cached by IRQ version.
 
         Rebuilt only when this peer's IRQ content changed, so idle peers
-        pay nothing for the periodic tree propagation.
+        pay nothing for the periodic tree propagation.  A rebuild equal
+        to the cached tree comes back as a fresh root over the cached
+        children (:func:`~repro.core.request_tree.reuse_equal`): it is
+        still a new snapshot, so every push happens, but the providers
+        keep the views they derived from the old one.  The build itself
+        is skipped when nothing it reads has moved: the queued entries
+        and their tree shapes (``shape_version``) and their exchange
+        bindings (``binding_epoch``).
         """
         levels = self.policy.tree_levels
         if levels <= 0:
             return None
+        irq = self.irq
+        version = irq.version
         cached = self._snapshot_cache
-        if cached is not None and cached[0] == self.irq.version:
-            return cached[1]
-        tree = build_snapshot(
-            self.peer_id, self.irq, levels, self.ctx.config.max_tree_nodes
-        )
-        self._snapshot_cache = (self.irq.version, tree)
+        if cached is not None and cached[0] == version:
+            return cached[2]
+        inputs = (irq.shape_version, irq.binding_epoch)
+        if cached is not None and cached[1] == inputs and cached[2] is not None:
+            # Only re-rooting refreshes moved the version.
+            tree = reroot(cached[2])
+        else:
+            tree = build_snapshot(
+                self.peer_id, irq, levels, self.ctx.config.max_tree_nodes
+            )
+            if cached is not None:
+                tree = reuse_equal(tree, cached[2])
+        self._snapshot_cache = (version, inputs, tree)
         return tree
 
     # ------------------------------------------------------------------

@@ -28,6 +28,7 @@ keeps every legacy config bit-identical across the refactor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -165,6 +166,15 @@ class ResolvedPeerClass:
 
     def validate(self, slot_kbit: float) -> None:
         """Check the concrete per-class values against the slot geometry."""
+        for label, value in (
+            ("upload", self.upload_capacity_kbit),
+            ("download", self.download_capacity_kbit),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"peer class {self.name!r}: {label} capacity must be "
+                    f"finite, got {value}"
+                )
         if self.upload_capacity_kbit < slot_kbit:
             raise ConfigError(
                 f"peer class {self.name!r}: upload capacity smaller than one "

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.config import SimulationConfig
@@ -108,6 +111,29 @@ class TestValidation:
         message = str(info.value)
         for form in ("none", "pairwise", "N-2-way", "2-N-way"):
             assert form in message
+
+    FLOAT_FIELDS = sorted(
+        f.name
+        for f in dataclasses.fields(SimulationConfig)
+        if isinstance(f.default, float)
+    )
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_float_fields_rejected(self, field, value):
+        # Unchecked, an infinite duration or category factor runs
+        # forever, an infinite interval fails scheduling mid-build and
+        # an infinite capacity crashes on a NaN slot count.
+        with pytest.raises(ConfigError, match="finite"):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["upload_capacity_kbit", "download_capacity_kbit"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_class_capacity_rejected(self, field, value):
+        from repro.population import PeerClassSpec
+
+        with pytest.raises(ConfigError, match="finite"):
+            SimulationConfig(population=(PeerClassSpec(name="fast", **{field: value}),))
 
     def test_invalid_population_rejected(self):
         from repro.population import PeerClassSpec

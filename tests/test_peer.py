@@ -3,7 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.irq import RequestEntry
+from repro.core.request_tree import (
+    RequestTreeNode,
+    build_snapshot,
+    occurrence_subindex,
+    tree_peer_set,
+)
 from repro.errors import ProtocolError
 from repro.metrics.records import TerminationReason
 
@@ -213,3 +222,168 @@ class TestTreeRefresh:
         assert any(child.peer_id == 2 for child in refreshed.tree.children)
         # The provider's index now knows peer 2 is reachable through 1.
         assert 2 in provider.irq.indexed_peers()
+
+    def test_equal_rebuild_is_still_pushed(self):
+        # An IRQ change that leaves the requester's tree equal still
+        # reaches every provider as a new snapshot: a new root object,
+        # one version bump and one counted refresh per entry.  Only the
+        # work behind the push is saved: the index buckets stay as
+        # they were.
+        config = small_config(tree_refresh_interval=1.0)
+        ctx = make_ctx(config)
+        requester = build_peer(ctx, 0)
+        providers = [build_peer(ctx, 1), build_peer(ctx, 2)]
+        third = build_peer(ctx, 3)
+        for provider in providers:
+            give(ctx, provider, 0)
+        give(ctx, requester, 1)
+        download = requester.start_download(ctx.catalog.object(0))
+        assert download.registered_at == {1, 2}
+        third.start_download(ctx.catalog.object(1))
+        ctx.engine.run(until=2.0)
+        requester.refresh_outgoing_trees()
+        held = {p.peer_id: p.irq.get(0, 0).tree for p in providers}
+        assert all(tree.children for tree in held.values())
+        versions = {p.peer_id: p.irq.version for p in providers}
+        buckets = {p.peer_id: p.irq.index_view() for p in providers}
+
+        incoming = requester.irq.get(3, 1)
+        requester.irq.refresh_tree(incoming, incoming.tree)
+        refreshes = ctx.counters.counts["irq.tree_refreshes"]
+        ctx.engine.run(until=4.0)
+        requester.refresh_outgoing_trees()
+
+        for provider in providers:
+            tree = provider.irq.get(0, 0).tree
+            assert tree is not held[provider.peer_id]
+            assert tree.to_dict() == held[provider.peer_id].to_dict()
+            assert provider.irq.version == versions[provider.peer_id] + 1
+            assert provider.irq.index_view() == buckets[provider.peer_id]
+        assert ctx.counters.counts["irq.tree_refreshes"] == refreshes + len(providers)
+
+
+class _ExchangeStub:
+    """Stands in for an exchange transfer bound to an IRQ entry."""
+
+    is_exchange = True
+
+
+class TestSnapshotReuseOracle:
+    """Equal snapshot rebuilds may reuse derived state, never change it.
+
+    Random programs over three peers add and remove IRQ entries, bind
+    and release them to exchanges, and refresh entries with the
+    requester's current snapshot, with the tree already held, with an
+    equal fresh copy of it, or with a different tree.  After every step
+    each peer's snapshot must equal a fresh ``build_snapshot`` made at
+    its last IRQ version change, and every cached view on every root
+    (snapshots and attached trees alike) must equal the view computed
+    on a serialized copy.
+    """
+
+    PEERS = 3
+    KINDS = ("add", "remove", "push", "same", "copy", "other", "bind", "release")
+    #: (kind, owner, pick, peer, object): ``pick`` chooses the entry
+    #: (or, for ``add``, the requester), ``peer``/``object`` label the
+    #: child of an ``other`` tree and the object of an ``add``.
+    OPS = st.lists(
+        st.tuples(
+            st.sampled_from(KINDS),
+            st.integers(0, PEERS - 1),
+            st.integers(0, 63),
+            st.integers(0, PEERS - 1),
+            st.integers(0, 5),
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=OPS, max_nodes=st.sampled_from([3, 6, 128]))
+    # A bind moves no version, so only a later content change may
+    # show it in the snapshot; an equal refresh is such a change.
+    @example(
+        ops=[("add", 0, 0, 0, 0), ("bind", 0, 0, 0, 0), ("same", 0, 0, 0, 0)],
+        max_nodes=128,
+    )
+    def test_reuse_matches_fresh_rebuild(self, ops, max_nodes):
+        ctx = make_ctx(small_config(max_tree_nodes=max_nodes))
+        peers = [build_peer(ctx, i) for i in range(self.PEERS)]
+        levels = peers[0].policy.tree_levels
+        reference = {}
+        for kind, owner_id, pick, peer_id, object_id in ops:
+            irq = peers[owner_id].irq
+            if kind == "add":
+                requester = peers[(owner_id + 1 + pick % (self.PEERS - 1)) % self.PEERS]
+                irq.add(
+                    RequestEntry(
+                        requester.peer_id, object_id, 0.0, requester._tree_snapshot()
+                    )
+                )
+            else:
+                entries = irq.snapshot()
+                if not entries:
+                    continue
+                entry = entries[pick % len(entries)]
+                if kind == "remove":
+                    irq.remove(entry.requester_id, entry.object_id)
+                elif kind == "push":
+                    tree = peers[entry.requester_id]._tree_snapshot()
+                    if entry.tree is not tree:
+                        irq.refresh_tree(entry, tree)
+                elif kind == "same":
+                    irq.refresh_tree(entry, entry.tree)
+                elif kind == "copy":
+                    irq.refresh_tree(entry, _copy(entry.tree))
+                elif kind == "other":
+                    irq.refresh_tree(
+                        entry,
+                        RequestTreeNode(
+                            entry.requester_id,
+                            None,
+                            (RequestTreeNode(peer_id, object_id),),
+                        ),
+                    )
+                elif kind == "bind" and entry.transfer is None:
+                    entry.transfer = _ExchangeStub()
+                    irq.note_binding_change()
+                elif kind == "release" and entry.transfer is not None:
+                    entry.transfer = None
+                    irq.note_binding_change()
+            for peer in peers:
+                version = peer.irq.version
+                if peer.peer_id not in reference or reference[peer.peer_id][0] != version:
+                    fresh = build_snapshot(
+                        peer.peer_id, peer.irq, levels, ctx.config.max_tree_nodes
+                    )
+                    reference[peer.peer_id] = (version, fresh)
+                snapshot = peer._tree_snapshot()
+                assert snapshot.to_dict() == reference[peer.peer_id][1].to_dict()
+                _assert_views_exact(RequestEntry(peer.peer_id, -1, 0.0, snapshot))
+                for entry in peer.irq.snapshot():
+                    _assert_views_exact(entry)
+                    assert entry._indexed == tree_peer_set(
+                        entry.requester_id, _copy(entry.tree)
+                    )
+
+
+def _copy(tree):
+    return None if tree is None else RequestTreeNode.from_dict(tree.to_dict())
+
+
+def _assert_views_exact(entry):
+    """Every view cached on ``entry`` or its root equals a fresh one."""
+    fresh = RequestEntry(entry.requester_id, entry.object_id, 0.0, _copy(entry.tree))
+    root, copy = entry.tree, fresh.tree
+    if root is not None:
+        assert root.node_count() == copy.node_count()
+        assert root.depth() == copy.depth()
+    requester = entry.requester_id
+    assert tree_peer_set(requester, root) == tree_peer_set(requester, copy)
+    assert occurrence_subindex(requester, root) == occurrence_subindex(requester, copy)
+    for levels in (1, 2, 3):
+        children, count = entry.pruned_children(levels)
+        fresh_children, fresh_count = fresh.pruned_children(levels)
+        assert count == fresh_count
+        assert [c.to_dict() for c in children] == [c.to_dict() for c in fresh_children]
+    for peer_id in range(TestSnapshotReuseOracle.PEERS):
+        assert entry.paths_for(peer_id) == fresh.paths_for(peer_id)

@@ -18,12 +18,14 @@ Determinism guarantees:
 so a simulation driven by a seeded :class:`~repro.sim.rng.RandomSource`
 replays exactly, event for event.
 
-Cancellation is **eagerly indexed**: every event knows its engine, so
-:meth:`~repro.sim.events.Event.cancel` notifies the engine immediately
-instead of leaving a tombstone for the run loop to trip over.  When
-cancelled entries outnumber live ones (past a small floor) the engine
-compacts the heap in one sweep, so N cancellations cost O(N) amortized
-regardless of how many events are pending.
+Cancellation leaves a **tombstone**: :meth:`~repro.sim.events.Event.cancel`
+only flags the event, and :meth:`Engine._head` pops it once it reaches
+the head, at O(log pending).  Pop order is the ``(time, seq)`` order with
+or without tombstones, so they cannot move a trajectory.  They stay few
+because every cancel the model makes during a run is of an event due
+within one block time (a terminated transfer's next block) or one
+interval (a paused or stopped periodic process's next firing), and no
+tombstone outlives its due time.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.counters import PerfCounters
 from repro.sim.events import Event
-
-#: Cancelled entries tolerated before a compaction sweep may trigger
-#: (it still requires cancelled > live).  Mirrors the IRQ's compaction
-#: floor: tiny queues never pay a rebuild.
-_PURGE_FLOOR = 64
 
 
 class Engine:
@@ -56,15 +53,8 @@ class Engine:
         self._seq = 0
         self._fired = 0
         self._cancelled_skipped = 0
-        self._purge_ops = 0
-        self._compactions = 0
         self._running = False
         self._heap: List[Tuple[float, int, Event]] = []
-        #: Pending non-cancelled events (the heap may briefly hold more
-        #: entries than this: cancelled ones awaiting purge).
-        self._live = 0
-        #: Cancelled entries still inside the heap.
-        self._cancelled_pending = 0
         #: Per-event-kind fire counts plus ``engine.fired``, and the
         #: tallies of every subsystem sharing this engine's context.
         self.counters = PerfCounters()
@@ -89,23 +79,8 @@ class Engine:
 
     @property
     def cancelled_skipped(self) -> int:
-        """Number of cancelled events discarded (scans + compactions)."""
+        """Number of cancelled events popped from the heap and discarded."""
         return self._cancelled_skipped
-
-    @property
-    def purge_ops(self) -> int:
-        """Entries touched while discarding cancelled events.
-
-        The cancellation-cost regression guard asserts this stays O(N)
-        in the number of cancellations, independent of how many live
-        events are pending around them.
-        """
-        return self._purge_ops
-
-    @property
-    def compactions(self) -> int:
-        """Number of eager compaction sweeps performed."""
-        return self._compactions
 
     # ------------------------------------------------------------------
     # scheduling
@@ -149,59 +124,25 @@ class Engine:
                 f"cannot schedule {name or callback!r} at non-finite t={time}"
             )
         seq = self._seq
-        event = Event(time, seq, callback, name, engine=self)
+        event = Event(time, seq, callback, name)
         heapq.heappush(self._heap, (time, seq, event))  # simlint: disable=SCH001 -- this IS the seq-tie-break API every other push must go through
         self._seq = seq + 1
-        self._live += 1
         return event
 
     # ------------------------------------------------------------------
-    # cancellation
+    # execution
     # ------------------------------------------------------------------
     def _head(self) -> Optional[Tuple[float, int, Event]]:
-        """The next live heap entry (cancelled heads popped), or None."""
+        """The next live heap entry, or None; the one place tombstones are popped."""
         heap = self._heap
         while heap:
             entry = heap[0]
             if not entry[2]._cancelled:
                 return entry
             heapq.heappop(heap)
-            self._cancelled_pending -= 1
             self._cancelled_skipped += 1
-            self._purge_ops += 1
         return None
 
-    def _note_cancelled(self) -> None:
-        """Eager-cancellation hook called by :meth:`Event.cancel`.
-
-        Keeps the live count exact and compacts the heap once cancelled
-        entries outnumber live ones (beyond a small floor), so mass
-        cancellation never leaves an O(pending) tombstone field for the
-        run loop to wade through.
-        """
-        self._live -= 1
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= _PURGE_FLOOR
-            and self._cancelled_pending > self._live
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry from the heap, in place."""
-        heap = self._heap
-        kept = [entry for entry in heap if not entry[2]._cancelled]
-        removed = len(heap) - len(kept)
-        heap[:] = kept  # in place: a running loop holds this list
-        heapq.heapify(heap)
-        self._cancelled_skipped += removed
-        self._cancelled_pending -= removed
-        self._purge_ops += removed
-        self._compactions += 1
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
     def step(self) -> Optional[Event]:
         """Fire the next non-cancelled event; return it, or None if empty."""
         entry = self._head()
@@ -209,8 +150,6 @@ class Engine:
             return None
         heapq.heappop(self._heap)
         event = entry[2]
-        self._live -= 1
-        event.engine = None  # fired: a late cancel must not re-account it
         self._now = entry[0]
         self._fired += 1
         event.fire()
@@ -222,8 +161,10 @@ class Engine:
         Parameters
         ----------
         until:
-            Stop once the next event would fire after this time; the
-            clock is advanced to ``until`` (events *at* ``until`` fire)
+            Stop once the next event would fire after this time, which
+            must be finite (NaN never stops the loop; an infinite clock
+            rejects every later schedule).  The clock is advanced to
+            ``until`` (events *at* ``until`` fire)
             unless the loop stopped early on ``max_events`` with
             undrained events at or before ``until`` — advancing past
             those would let the clock move backwards on the next
@@ -239,6 +180,8 @@ class Engine:
         """
         if until is None and max_events is None:
             raise SimulationError("run() needs an 'until' time or a max_events bound")
+        if until is not None and not math.isfinite(until):
+            raise SimulationError(f"run() needs a finite 'until', got {until}")
         if self._running:
             raise SimulationError("engine is already running (re-entrant run() call)")
         self._running = True
@@ -248,7 +191,7 @@ class Engine:
         head = self._head
         heappop = heapq.heappop
         try:
-            while self._live:
+            while heap:
                 if max_events is not None and fired >= max_events:
                     break
                 entry = head()
@@ -258,8 +201,6 @@ class Engine:
                 if until is not None and time > until:
                     break
                 heappop(heap)
-                self._live -= 1
-                event.engine = None  # fired: a late cancel must not re-account it
                 self._now = time
                 self._fired += 1
                 fired += 1

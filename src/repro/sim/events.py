@@ -8,11 +8,10 @@ runs reproducible under a fixed seed.  The ordering itself lives in the
 engine's store entries — ``(time, seq, event)`` tuples — so events carry
 no comparison methods of their own.
 
-Cancellation is *eagerly indexed*: cancelling marks the event AND
-notifies the owning engine, which keeps an exact live count and compacts
-its store when cancelled entries pile up.  The engine clears the
-back-reference when it pops an event to fire it, so a late cancel (a
-transfer racing ring tear-down) stays a harmless no-op.
+Cancelling only flags the event: it stays in the engine's store as a
+tombstone until it reaches the head, where the engine discards it.
+Cancelling an event that already fired touches nothing but the event,
+so a late cancel (a transfer racing ring tear-down) is a harmless no-op.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ class Event:
     user code holds on to them only to call :meth:`cancel`.
     """
 
-    __slots__ = ("time", "seq", "callback", "name", "engine", "_cancelled")
+    __slots__ = ("time", "seq", "callback", "name", "_cancelled")
 
     def __init__(
         self,
@@ -35,15 +34,11 @@ class Event:
         seq: int,
         callback: Callable[[], None],
         name: Optional[str] = None,
-        engine: Optional[object] = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.name = name or getattr(callback, "__name__", "event")
-        #: Back-reference for eager cancellation accounting; the engine
-        #: sets this to None when the event is popped to fire.
-        self.engine = engine
         self._cancelled = False
 
     @property
@@ -58,16 +53,10 @@ class Event:
         harmless no-op; transfers race with ring tear-down and both
         sides may try to cancel the same block event.
         """
-        if self._cancelled:
-            return
         self._cancelled = True
         # Drop the callback reference so cancelled events do not keep
         # large object graphs (peers, transfers) alive inside the store.
         self.callback = _noop
-        engine = self.engine
-        if engine is not None:
-            self.engine = None
-            engine._note_cancelled()
 
     def fire(self) -> None:
         """Invoke the callback (the engine calls this; tests may too)."""

@@ -3,11 +3,13 @@
 Peers run several recurring activities — IRQ scans for feasible
 exchanges, storage-limit checks — which the paper describes as happening
 "in regular intervals".  :class:`PeriodicProcess` packages the
-schedule/fire/reschedule loop with clean cancellation semantics.
+schedule/fire/reschedule loop with clean cancellation semantics: pausing
+or stopping cancels the one pending firing.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -20,9 +22,14 @@ class PeriodicProcess:
 
     The first firing happens at ``start_delay`` (default: one full
     interval) so that, e.g., storage checks do not all run at t=0 before
-    anything happened.  Pass ``jitter_fn`` to desynchronize the peers'
-    scan phases — with 200 peers all scanning at the same instant the
-    simulation would serialize ring formation artificially.
+    anything happened.  Callers desynchronize the peers' scan phases by
+    passing a random ``start_delay`` — with 200 peers all scanning at
+    the same instant the simulation would serialize ring formation
+    artificially.
+
+    ``interval`` must be finite and positive (NaN would refire at one
+    instant forever); ``start_delay`` must be finite and not negative,
+    or the engine raises :class:`~repro.errors.SchedulingError`.
     """
 
     __slots__ = (
@@ -30,7 +37,6 @@ class PeriodicProcess:
         "_interval",
         "_callback",
         "_name",
-        "_jitter_fn",
         "_event",
         "_stopped",
         "_paused",
@@ -44,23 +50,18 @@ class PeriodicProcess:
         callback: Callable[[], None],
         name: str = "periodic",
         start_delay: Optional[float] = None,
-        jitter_fn: Optional[Callable[[], float]] = None,
     ) -> None:
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive, got {interval}")
+        if not 0.0 < interval < math.inf:  # also False for NaN
+            raise SimulationError(f"periodic interval must be finite and positive, got {interval}")
         self._engine = engine
         self._interval = interval
         self._callback = callback
         self._name = name
-        self._jitter_fn = jitter_fn
-        self._event: Optional[Event] = None
         self._stopped = False
         self._paused = False
         self._fired = 0
         first = interval if start_delay is None else start_delay
-        if jitter_fn is not None:
-            first += jitter_fn()
-        self._event = engine.schedule(max(0.0, first), self._fire, name=name)
+        self._event: Optional[Event] = engine.schedule(first, self._fire, name=name)
 
     @property
     def fired(self) -> int:
@@ -109,19 +110,17 @@ class PeriodicProcess:
         """Resume a paused process.
 
         ``start_delay`` seconds until the next firing; None restarts
-        the regular cadence (one interval, plus jitter if configured).
-        Callers that staggered the original phases should pass a fresh
-        stagger here — peers pausing together (e.g. a churn burst)
-        would otherwise resume in phase.  Idempotent; a no-op unless
-        paused.
+        the regular cadence (one interval).  Callers that staggered the
+        original phases should pass a fresh stagger here — peers pausing
+        together (e.g. a churn burst) would otherwise resume in phase.
+        Idempotent; a no-op unless paused.  An invalid ``start_delay``
+        raises and leaves the process paused.
         """
         if self._stopped or not self._paused:
             return
-        self._paused = False
         delay = self._interval if start_delay is None else start_delay
-        if start_delay is None and self._jitter_fn is not None:
-            delay += self._jitter_fn()
-        self._event = self._engine.schedule(max(0.0, delay), self._fire, name=self._name)
+        self._event = self._engine.schedule(delay, self._fire, name=self._name)
+        self._paused = False
 
     def _fire(self) -> None:
         if self._stopped or self._paused:
@@ -130,19 +129,5 @@ class PeriodicProcess:
         # Reschedule before invoking the callback so a callback that
         # raises still leaves the process alive for the next tick, and a
         # callback that calls stop() cancels the already-queued event.
-        delay = self._interval
-        if self._jitter_fn is not None:
-            delay += self._jitter_fn()
-        self._event = self._engine.schedule(max(0.0, delay), self._fire, name=self._name)
+        self._event = self._engine.schedule(self._interval, self._fire, name=self._name)
         self._callback()
-
-
-def every(
-    engine: Engine,
-    interval: float,
-    callback: Callable[[], None],
-    name: str = "periodic",
-    start_delay: Optional[float] = None,
-) -> PeriodicProcess:
-    """Shorthand constructor mirroring ``engine.schedule``'s shape."""
-    return PeriodicProcess(engine, interval, callback, name=name, start_delay=start_delay)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -67,7 +66,6 @@ class SimulationResult:
     summary: SimulationSummary
     metrics: ColumnarCollector
     events_fired: int
-    wall_seconds: float
     #: JSON-ready perf-counter snapshot (``ctx.counters.snapshot()``,
     #: ``{"counts": {...}}``).  Benchmarks publish this verbatim.
     perf_counters: Dict[str, Dict[str, int]] = dataclasses.field(default_factory=dict)
@@ -481,9 +479,6 @@ class FileSharingSimulation:
         if not self._built:
             self.build()
         self._ran = True
-        # Wall-clock here measures the run for reporting only — it
-        # never feeds simulation state, which advances on engine time.
-        started = time.perf_counter()  # simlint: disable=DET003 -- sanctioned wall-time measurement of the run itself
         # The built world (peers, stores, catalog — millions of objects
         # at scale) is long-lived: freeze it out of the cyclic collector
         # so every mid-run full collection stops re-tracing it.  GC
@@ -497,7 +492,6 @@ class FileSharingSimulation:
             gc.unfreeze()
         for process in self._processes:
             process.stop()
-        wall = time.perf_counter() - started  # simlint: disable=DET003 -- sanctioned wall-time measurement of the run itself
         # Class sizes come from the live accounting, not the legacy
         # freeloader_fraction properties: scenario arrivals/departures
         # move them mid-run, and under an explicit population the
@@ -520,7 +514,6 @@ class FileSharingSimulation:
             summary=summary,
             metrics=self.ctx.metrics,
             events_fired=self.ctx.engine.events_fired,
-            wall_seconds=wall,
             perf_counters=self.ctx.counters.snapshot(),
         )
 

@@ -3,7 +3,9 @@
 :class:`SimulationConfig` collects every knob of the system.  The
 defaults reproduce the paper's Table II ("basic simulation parameters")
 exactly; experiment sweeps override individual fields via
-:meth:`SimulationConfig.replace`.
+:meth:`SimulationConfig.replace`.  Engineering bounds that no experiment
+varies (the bootstrap window, the workload's miss and retry bounds) are
+module constants next to the code that uses them.
 
 Fields are grouped as in the paper: population, link capacities, content
 model, storage, request workload, and the exchange mechanism itself.
@@ -81,23 +83,12 @@ class SimulationConfig:
     storage_min_objects: int = 5
     storage_max_objects: int = 40
     storage_check_interval: float = 500.0
-    initial_fill_fraction: float = 1.0
 
     # --------------------------------------------------------------- workload
     max_pending: int = 6
     irq_capacity: int = 1000
     request_fanout: int = 5
     lookup_coverage: float = 1.0
-    #: Abandon a pending download after this many consecutive scans in
-    #: which no provider could be located (the object left the network,
-    #: e.g. every copy was evicted).  Frees the pending slot for a
-    #: locatable request, like a user cancelling a dead download.
-    abandon_after_lookup_failures: int = 5
-    #: Candidate draws per request before the workload generator gives
-    #: up for this instant (was a hardcoded module constant).
-    #: Arrival-heavy scenarios over sparse catalogs need more attempts
-    #: to find a locatable miss than the closed-world default.
-    max_miss_attempts: int = 200
 
     # -------------------------------------------------------------- mechanism
     exchange_mechanism: str = "2-5-way"
@@ -115,9 +106,6 @@ class SimulationConfig:
     tree_refresh_interval: float = 60.0
     serve_partial: bool = False  # §V extension: serve chunks of incomplete objects
     max_tree_nodes: int = 128  # engineering bound on attached request trees
-    #: Back-off before a peer whose workload found no requestable object
-    #: tries drawing candidates again.
-    workload_retry_interval: float = 240.0
 
     # ------------------------------------------------------------------ churn
     #: Extension: alternate peers between online/offline sessions (the
@@ -131,7 +119,6 @@ class SimulationConfig:
     duration: float = 60_000.0
     warmup: float = 6_000.0
     block_size_kbit: float = 4096.0
-    bootstrap_window: float = 60.0
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -231,21 +218,9 @@ class SimulationConfig:
                 f"[{self.storage_min_objects}, {self.storage_max_objects}]",
             ),
             (self.storage_check_interval > 0, "storage_check_interval must be positive"),
-            (
-                0.0 <= self.initial_fill_fraction <= 1.0,
-                f"initial_fill_fraction must be in [0,1], got {self.initial_fill_fraction}",
-            ),
             (self.max_pending >= 1, f"max_pending must be >= 1, got {self.max_pending}"),
             (self.irq_capacity >= 1, "irq_capacity must be >= 1"),
             (self.request_fanout >= 1, "request_fanout must be >= 1"),
-            (
-                self.abandon_after_lookup_failures >= 1,
-                "abandon_after_lookup_failures must be >= 1",
-            ),
-            (
-                self.max_miss_attempts >= 1,
-                f"max_miss_attempts must be >= 1, got {self.max_miss_attempts}",
-            ),
             (
                 0.0 < self.lookup_coverage <= 1.0,
                 f"lookup_coverage must be in (0,1], got {self.lookup_coverage}",
@@ -262,10 +237,6 @@ class SimulationConfig:
             (self.tree_refresh_interval > 0, "tree_refresh_interval must be positive"),
             (self.max_tree_nodes >= 1, "max_tree_nodes must be >= 1"),
             (
-                self.workload_retry_interval >= 0,
-                "workload_retry_interval must be >= 0",
-            ),
-            (
                 self.churn_mean_online > 0 and self.churn_mean_offline > 0,
                 "churn session means must be positive",
             ),
@@ -275,7 +246,6 @@ class SimulationConfig:
                 f"warmup must be in [0, duration), got {self.warmup}",
             ),
             (self.block_size_kbit > 0, "block_size_kbit must be positive"),
-            (self.bootstrap_window >= 0, "bootstrap_window must be >= 0"),
         )
         for ok, message in checks:
             if not ok:

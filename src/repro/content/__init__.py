@@ -9,7 +9,6 @@ private interest profile over a handful of categories.
 
 from repro.content.catalog import Catalog, Category, ContentObject
 from repro.content.interests import InterestProfile, build_interest_profile
-from repro.content.placement import initial_placement
 from repro.content.popularity import RankPopularity
 from repro.content.storage import ObjectStore
 from repro.content.workload import RequestGenerator
@@ -23,5 +22,4 @@ __all__ = [
     "RankPopularity",
     "RequestGenerator",
     "build_interest_profile",
-    "initial_placement",
 ]

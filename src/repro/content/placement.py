@@ -1,11 +1,11 @@
 """Initial object placement.
 
 "We initially place objects on each peer based on the peer's category
-preferences" (§IV-A).  Each peer's store is filled up to
-``fill_fraction`` of its capacity with distinct objects drawn the same
-way requests are drawn: category from the local preference, object from
-the category's rank popularity.  Rejection-sampling with a bounded
-number of attempts handles small categories gracefully.
+preferences" (§IV-A).  Each peer's store is filled to capacity with
+distinct objects drawn the same way requests are drawn: category from
+the local preference, object from the category's rank popularity.
+Rejection-sampling with a bounded number of attempts handles small
+categories gracefully.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.content.interests import InterestProfile
 from repro.content.popularity import PopularityCache
 from repro.content.storage import ObjectStore
 from repro.content.workload import candidate_rows
-from repro.errors import ConfigError
 
 #: Draw attempts per placement slot before giving up on filling it; a
 #: peer interested only in a 3-object category simply ends up with
@@ -34,15 +33,12 @@ def place_objects_for_peer(
     rand: random.Random,
     object_factor: float,
     popularity_cache: PopularityCache,
-    fill_fraction: float = 1.0,
 ) -> List[int]:
     """Fill one peer's store; returns the placed object ids."""
-    if not 0.0 <= fill_fraction <= 1.0:
-        raise ConfigError(f"fill_fraction must be in [0, 1], got {fill_fraction}")
-    target = int(round(store.capacity * fill_fraction))
+    target = store.capacity
     placed: List[int] = []
     attempts = 0
-    budget = max(target, 1) * _MAX_ATTEMPTS_PER_SLOT
+    budget = target * _MAX_ATTEMPTS_PER_SLOT
     # The request draw of :mod:`repro.content.workload`: two random()
     # calls per candidate, category first.
     rows = candidate_rows(catalog, profile, popularity_cache, object_factor)
@@ -56,32 +52,3 @@ def place_objects_for_peer(
             placed.append(object_id)
     return placed
 
-
-def initial_placement(
-    catalog: Catalog,
-    profiles: List[InterestProfile],
-    stores: List[ObjectStore],
-    rand: random.Random,
-    object_factor: float,
-    fill_fraction: float = 1.0,
-) -> List[List[int]]:
-    """Place initial objects for every peer; returns per-peer placements."""
-    if len(profiles) != len(stores):
-        raise ConfigError(
-            f"{len(profiles)} profiles but {len(stores)} stores in placement"
-        )
-    cache = PopularityCache()
-    placements: List[List[int]] = []
-    for profile, store in zip(profiles, stores):
-        placements.append(
-            place_objects_for_peer(
-                catalog,
-                profile,
-                store,
-                rand,
-                object_factor,
-                cache,
-                fill_fraction=fill_fraction,
-            )
-        )
-    return placements

@@ -14,7 +14,7 @@ because one object can be served in several concurrent exchanges.
 from __future__ import annotations
 
 import random
-from typing import AbstractSet, Dict, Iterable, List, Optional, Set
+from typing import AbstractSet, Dict, List, Set
 
 from repro.errors import StorageError
 
@@ -119,24 +119,16 @@ class ObjectStore:
         """Unpinned stored objects, in sorted order."""
         return [oid for oid in sorted(self._objects) if not self.is_pinned(oid)]
 
-    def evict_random_overflow(
-        self, rand: random.Random, protect: Optional[Iterable[int]] = None
-    ) -> List[int]:
+    def evict_random_overflow(self, rand: random.Random) -> List[int]:
         """Evict random unpinned objects until within capacity.
 
-        ``protect`` lists additional object ids to spare this round
-        (e.g. objects currently being served in non-exchange uploads may
-        be sacrificed or spared depending on caller policy).  Returns
-        the evicted ids.  If everything over capacity is pinned the
-        store simply stays overfull until pins are released — matching
-        the paper's "postpone removing" semantics.
+        Returns the evicted ids.  If everything over capacity is pinned
+        the store simply stays overfull until pins are released —
+        matching the paper's "postpone removing" semantics.
         """
-        protected = set(protect) if protect is not None else set()
         evicted: List[int] = []
         while self.over_capacity:
-            candidates = [
-                oid for oid in self.eviction_candidates() if oid not in protected
-            ]
+            candidates = self.eviction_candidates()
             if not candidates:
                 break
             victim = rand.choice(candidates)

@@ -29,12 +29,11 @@ from repro.content.interests import InterestProfile
 from repro.content.popularity import PopularityCache
 from repro.errors import ConfigError
 
-#: Default bound on miss-finding attempts (overridable per generator
-#: via ``max_miss_attempts``, wired to ``config.max_miss_attempts`` by
-#: the simulation assembly).  A peer whose categories are almost fully
-#: cached may legitimately fail to find a miss; the generator then
-#: returns None and the caller retries on the next completion/scan.
-DEFAULT_MAX_MISS_ATTEMPTS = 200
+#: Candidate draws per :meth:`RequestGenerator.next_request` call.  A
+#: peer whose categories are almost fully cached may legitimately fail
+#: to find a miss; the generator then returns None and the caller
+#: retries later.
+MAX_MISS_ATTEMPTS = 200
 
 #: One profile category: its objects in popularity order and their
 #: cumulative rank table.
@@ -85,7 +84,6 @@ class RequestGenerator:
         results, so draws that search cannot resolve are skipped like
         cache hits are; the paper's workload keeps ``max_pending``
         downloads *active* per peer, which presumes locatable targets.
-        Pass ``None`` to disable the filter.
     """
 
     __slots__ = (
@@ -97,7 +95,6 @@ class RequestGenerator:
         "_pending",
         "_locatable",
         "_cache",
-        "_max_miss_attempts",
         "candidates_drawn",
         "hits_skipped",
         "unlocatable_skipped",
@@ -111,16 +108,11 @@ class RequestGenerator:
         object_factor: float,
         stored: Container[int],
         pending: Container[int],
-        locatable: Optional[Container[int]] = None,
+        locatable: Container[int],
         popularity_cache: Optional[PopularityCache] = None,
-        max_miss_attempts: int = DEFAULT_MAX_MISS_ATTEMPTS,
     ) -> None:
         if not object_factor >= 0:  # NaN too, here rather than at the first draw
             raise ConfigError(f"object_factor must be >= 0, got {object_factor}")
-        if max_miss_attempts < 1:
-            raise ConfigError(
-                f"max_miss_attempts must be >= 1, got {max_miss_attempts}"
-            )
         self._catalog = catalog
         self._profile = profile
         self._rand = rand
@@ -135,7 +127,6 @@ class RequestGenerator:
         self._cache = (
             popularity_cache if popularity_cache is not None else PopularityCache()
         )
-        self._max_miss_attempts = max_miss_attempts
         self.candidates_drawn = 0
         self.hits_skipped = 0
         self.unlocatable_skipped = 0
@@ -149,7 +140,7 @@ class RequestGenerator:
 
         Each candidate costs exactly two ``random()`` calls on this
         peer's stream, category first, and at most
-        ``max_miss_attempts`` candidates are drawn.  Returning ``None``
+        :data:`MAX_MISS_ATTEMPTS` candidates are drawn.  Returning ``None``
         (rather than raising) keeps a fully-saturated peer alive: it
         simply has no feasible request this instant.
         """
@@ -164,13 +155,13 @@ class RequestGenerator:
         locatable = self._locatable
         hits = unlocatable = 0
         found: Optional[ContentObject] = None
-        for _ in range(self._max_miss_attempts):
+        for _ in range(MAX_MISS_ATTEMPTS):
             objects, ranks = rows[bisect_right(table, rand())]
             candidate = objects[bisect_left(ranks, rand())]
             object_id = candidate.object_id
             if object_id in stored or object_id in pending:
                 hits += 1
-            elif locatable is not None and object_id not in locatable:
+            elif object_id not in locatable:
                 unlocatable += 1
             else:
                 found = candidate

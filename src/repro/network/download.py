@@ -36,7 +36,6 @@ class DownloadState:
         "transfers",
         "exchange_sources",
         "registered_at",
-        "known_providers",
         "lookup_failures",
         "epoch",
     )
@@ -68,8 +67,6 @@ class DownloadState:
         self.exchange_sources = 0
         #: Providers holding a live request entry (queued or being served).
         self.registered_at: Set[int] = set()
-        #: Providers known from lookup (refreshed opportunistically).
-        self.known_providers: Set[int] = set()
         #: Consecutive starved re-lookups that found no provider.
         self.lookup_failures = 0
         #: Bumped on every state change an exchange search can observe

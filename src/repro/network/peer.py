@@ -39,6 +39,15 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.network.transfer import Transfer
     from repro.sim.processes import PeriodicProcess
 
+#: Back-off, in seconds, before a peer whose workload found no
+#: requestable object draws candidates again.
+WORKLOAD_RETRY_INTERVAL = 240.0
+#: Abandon a pending download after this many consecutive scans in
+#: which no provider could be located (the object left the network,
+#: e.g. every copy was evicted).  Frees the pending slot for a
+#: locatable request, like a user cancelling a dead download.
+ABANDON_AFTER_LOOKUP_FAILURES = 5
+
 
 class Peer:
     """One participant of the file-sharing network."""
@@ -234,7 +243,7 @@ class Peer:
         """Issue new requests until ``max_pending`` is reached.
 
         A peer whose interest categories currently offer no requestable
-        object backs off for ``workload_retry_interval`` instead of
+        object backs off for :data:`WORKLOAD_RETRY_INTERVAL` instead of
         redrawing hundreds of candidates on every scan.
         """
         if self.workload is None:
@@ -253,9 +262,7 @@ class Peer:
             candidate = self.workload.next_request()
             if candidate is None:
                 self.ctx.metrics.count("workload.no_candidate")
-                self._workload_stalled_until = (
-                    self.ctx.now + self.ctx.config.workload_retry_interval
-                )
+                self._workload_stalled_until = self.ctx.now + WORKLOAD_RETRY_INTERVAL
                 break
             self.start_download(candidate)
             issued += 1
@@ -277,7 +284,6 @@ class Peer:
         )
         self.pending[obj.object_id] = download
         providers = ctx.lookup.find_providers(obj.object_id, self.peer_id, self._rand)
-        download.known_providers.update(providers)
         if not providers:
             ctx.metrics.count("lookup.miss")
             return download
@@ -658,14 +664,10 @@ class Peer:
             if not providers:
                 ctx.metrics.count("lookup.retry_miss")
                 download.lookup_failures += 1
-                if (
-                    download.lookup_failures
-                    >= config.abandon_after_lookup_failures
-                ):
+                if download.lookup_failures >= ABANDON_AFTER_LOOKUP_FAILURES:
                     self.abandon_download(download)
                 continue
             download.lookup_failures = 0
-            download.known_providers.update(providers)
             self._register_at_providers(download, providers)
 
     def abandon_download(self, download: DownloadState) -> None:

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.errors import ConfigError
-from repro.population import PeerClassSpec
+from repro.population import PeerClassSpec, resolve_spec
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.config import SimulationConfig
@@ -99,7 +99,8 @@ class PeerArrival:
     Exactly one of ``class_name`` (an existing population class, e.g.
     the derived legacy ``"sharer"``/``"freeloader"``) or ``spec`` (an
     inline class with ``count``/``fraction`` left ``None``) selects the
-    arrivals' class.
+    arrivals' class.  An inline spec is resolved against the config
+    when the config is validated, so one that cannot run fails there.
     """
 
     time: float
@@ -366,7 +367,9 @@ def validate_scenario(config: "SimulationConfig") -> None:
                         f"arrival spec {event.spec.name!r} must leave "
                         "count/fraction unset (the event's count sizes the wave)"
                     )
-                event.spec.validate()
+                # Resolve now, as the wave will when it fires: a spec
+                # whose inherited shape cannot run fails at build.
+                resolve_spec(event.spec, event.count, config)
         elif isinstance(event, PeerDeparture):
             if event.count < 1:
                 raise ConfigError(
@@ -416,7 +419,14 @@ def validate_scenario(config: "SimulationConfig") -> None:
                     f"capacity change for {event.class_name!r} changes nothing"
                 )
             for value in (event.upload_capacity_kbit, event.download_capacity_kbit):
-                if value is not None and value < config.slot_kbit:
+                if value is None:
+                    continue
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"capacity change for {event.class_name!r} must be "
+                        f"finite, got {value}"
+                    )
+                if value < config.slot_kbit:
                     raise ConfigError(
                         f"capacity change for {event.class_name!r} below one "
                         f"slot ({value} < {config.slot_kbit})"
@@ -523,9 +533,6 @@ class ScenarioDirector:
     def __init__(self, sim: "FileSharingSimulation") -> None:
         self.sim = sim
         self.ctx = sim.ctx
-        self.events_applied = 0
-        self.peers_spawned = 0
-        self.peers_retired = 0
         self._rand = self.ctx.rng.stream("scenario")
         # The adversarial events' stream, created on first use so
         # attack-free timelines never touch it (stream creation is
@@ -544,7 +551,6 @@ class ScenarioDirector:
 
     # ------------------------------------------------------------------
     def _fire(self, event: ScenarioEvent) -> None:
-        self.events_applied += 1
         self.ctx.metrics.count(f"scenario.{event.kind}")
         if isinstance(event, Phase):
             self.ctx.metrics.current_phase = event.name
@@ -574,7 +580,6 @@ class ScenarioDirector:
         resolved = self.sim.arrival_class(event.class_name, event.spec, event.count)
         for _ in range(event.count):
             self.sim.spawn_peer(resolved)
-        self.peers_spawned += event.count
 
     def _alive_peer_ids(self, class_name: Optional[str] = None) -> list:
         # Columnar scan: ascending-id enumeration over the peer table's
@@ -586,7 +591,6 @@ class ScenarioDirector:
         chosen = self._rand.sample(candidates, min(event.count, len(candidates)))
         for peer_id in chosen:
             self.sim.retire_peer(self.ctx.peers[peer_id])
-        self.peers_retired += len(chosen)
 
     def _apply_flash_crowd(self, event: FlashCrowd) -> None:
         ctx = self.ctx
@@ -696,13 +700,10 @@ class ScenarioDirector:
         )
         for peer_id in chosen:
             state.whitewash(self.ctx.peers[peer_id])
-        self.peers_retired += len(chosen)
-        self.peers_spawned += len(chosen)
 
     def _apply_sybil_spawn(self, event: SybilSpawn) -> None:
         resolved = self.sim.arrival_class(event.class_name, None, event.count)
         members = [self.sim.spawn_peer(resolved) for _ in range(event.count)]
-        self.peers_spawned += len(members)
         # spawn_peer enrolled every member, so the state exists now.
         self.sim.adversary.form_ring(members)
         self.ctx.metrics.count("adversary.sybil_identities", len(members))

@@ -57,6 +57,11 @@ from repro.scenario import ScenarioDirector
 from repro.sim.processes import PeriodicProcess
 from repro.strategy import StrategyDirector
 
+#: Seconds over which peers issue their first request burst: each peer
+#: bootstraps at a uniform offset within the window, drawn from the
+#: ``"bootstrap"`` stream, at build time and on a scenario arrival.
+BOOTSTRAP_WINDOW = 60.0
+
 
 @dataclass
 class SimulationResult:
@@ -281,10 +286,8 @@ class FileSharingSimulation:
             self._create_peer(peer_id, class_of[peer_id])
         for peer in ctx.peers.values():
             self._start_peer_processes(peer)
-        window = config.bootstrap_window
         for peer in ctx.peers.values():
-            delay = self._bootstrap_stagger.random() * window if window > 0 else 0.0
-            self._schedule_bootstrap(peer, delay)
+            self._schedule_bootstrap(peer)
 
         if config.churn_enabled:
             from repro.network.churn import ChurnModel
@@ -360,7 +363,6 @@ class FileSharingSimulation:
             self._placement_rand,
             config.object_factor,
             self._placement_cache,
-            fill_fraction=config.initial_fill_fraction,
         )
         if behavior.shares:
             for object_id in placed:
@@ -374,7 +376,6 @@ class FileSharingSimulation:
             pending=peer.pending,
             locatable=ctx.lookup.provider_index(),
             popularity_cache=self._workload_cache,
-            max_miss_attempts=config.max_miss_attempts,
         )
         peer.attach_workload(workload)
         ctx.peers[peer_id] = peer
@@ -407,8 +408,9 @@ class FileSharingSimulation:
         peer.attach_periodic(storage)
         self._processes.extend((scan, storage))
 
-    def _schedule_bootstrap(self, peer: Peer, delay: float) -> None:
-        """Issue the peer's initial request burst after ``delay``."""
+    def _schedule_bootstrap(self, peer: Peer) -> None:
+        """Issue the peer's initial request burst within the window."""
+        delay = self._bootstrap_stagger.random() * BOOTSTRAP_WINDOW
         self.ctx.engine.schedule(
             delay, peer.fill_pending, name=f"bootstrap.p{peer.peer_id}"
         )
@@ -427,9 +429,7 @@ class FileSharingSimulation:
         self._classes_by_name.setdefault(peer_class.name, peer_class)
         peer = self._create_peer(peer_id, peer_class)
         self._start_peer_processes(peer)
-        window = self.config.bootstrap_window
-        delay = self._bootstrap_stagger.random() * window if window > 0 else 0.0
-        self._schedule_bootstrap(peer, delay)
+        self._schedule_bootstrap(peer)
         self._class_sizes[peer_class.name] = (
             self._class_sizes.get(peer_class.name, 0) + 1
         )

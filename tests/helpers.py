@@ -53,7 +53,6 @@ def small_config(**overrides) -> SimulationConfig:
         scan_interval=30.0,
         duration=8000.0,
         warmup=1000.0,
-        bootstrap_window=20.0,
         seed=11,
     )
     defaults.update(overrides)

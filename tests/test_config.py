@@ -75,11 +75,11 @@ class TestValidation:
             {"storage_min_objects": 0},
             {"storage_min_objects": 50, "storage_max_objects": 40},
             {"storage_check_interval": 0.0},
-            {"initial_fill_fraction": 1.5},
+            {"tree_refresh_interval": 0.0},
             {"max_pending": 0},
             {"irq_capacity": 0},
             {"request_fanout": 0},
-            {"abandon_after_lookup_failures": 0},
+            {"scheduler_mode": "lottery"},
             {"lookup_coverage": 0.0},
             {"lookup_coverage": 1.5},
             {"ring_break_policy": "explode"},
@@ -89,7 +89,7 @@ class TestValidation:
             {"warmup": -1.0},
             {"warmup": 99999999.0},
             {"block_size_kbit": 0.0},
-            {"bootstrap_window": -1.0},
+            {"categories_per_peer_min": 5, "categories_per_peer_max": 2},
             {"exchange_mechanism": "carrier-pigeon"},
         ],
     )

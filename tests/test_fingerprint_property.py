@@ -80,7 +80,7 @@ def mutate(value, field: dataclasses.Field):
         return "credit" if value != "credit" else "fifo"
     if name == "adversary":
         return "whitewash" if value != "whitewash" else "sybil"
-    if name in ("initial_fill_fraction", "lookup_coverage"):
+    if name == "lookup_coverage":
         return 0.5 if value != 0.5 else 0.75  # stay inside the validated (0,1] range
     if isinstance(value, StrategySpec):
         return dataclasses.replace(value, revision_period=value.revision_period + 1.0)

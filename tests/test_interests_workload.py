@@ -13,7 +13,7 @@ from repro.content.interests import InterestProfile, build_interest_profile
 from repro.content.placement import _MAX_ATTEMPTS_PER_SLOT, place_objects_for_peer
 from repro.content.popularity import PopularityCache, RankPopularity
 from repro.content.storage import ObjectStore
-from repro.content.workload import RequestGenerator
+from repro.content.workload import MAX_MISS_ATTEMPTS, RequestGenerator
 from repro.errors import ConfigError
 from repro.network.lookup import LookupService
 
@@ -101,7 +101,9 @@ class TestBuildInterestProfile:
 
 
 class TestRequestGenerator:
-    def _generator(self, known=frozenset(), locatable=None, factor=0.2, seed=3):
+    def _generator(
+        self, known=frozenset(), locatable=frozenset(range(12)), factor=0.2, seed=3
+    ):
         catalog = tiny_catalog(num_categories=3, objects_per_category=4)
         profile = InterestProfile([0, 1, 2], [1.0, 1.0, 1.0])
         return RequestGenerator(
@@ -195,7 +197,7 @@ class _ChainGenerator:
     ``catalog.category`` → ``PopularityCache.get`` → ``sample_index``,
     then the known and locatable checks, one candidate at a time."""
 
-    def __init__(self, catalog, profile, rand, factor, store, pending, lookup, attempts):
+    def __init__(self, catalog, profile, rand, factor, store, pending, lookup):
         self.catalog = catalog
         self.profile = profile
         self.rand = rand
@@ -203,14 +205,13 @@ class _ChainGenerator:
         self.store = store
         self.pending = pending
         self.lookup = lookup
-        self.attempts = attempts
         self.cache = PopularityCache()
         self.candidates_drawn = 0
         self.hits_skipped = 0
         self.unlocatable_skipped = 0
 
     def next_request(self):
-        for _ in range(self.attempts):
+        for _ in range(MAX_MISS_ATTEMPTS):
             category = self.catalog.category(self.profile.choose_category(self.rand))
             distribution = self.cache.get(category.size, self.factor)
             self.candidates_drawn += 1
@@ -219,14 +220,14 @@ class _ChainGenerator:
             if object_id in self.store or object_id in self.pending:
                 self.hits_skipped += 1
                 continue
-            if self.lookup is not None and self.lookup.provider_count(object_id) == 0:
+            if self.lookup.provider_count(object_id) == 0:
                 self.unlocatable_skipped += 1
                 continue
             return candidate
         return None
 
 
-def _generator(catalog, profile, rand, factor, store, pending, lookup, attempts):
+def _generator(catalog, profile, rand, factor, store, pending, lookup):
     """The generator under test, reading the same live state as the reference."""
     return RequestGenerator(
         catalog,
@@ -235,9 +236,16 @@ def _generator(catalog, profile, rand, factor, store, pending, lookup, attempts)
         factor,
         stored=store.id_view(),
         pending=pending,
-        locatable=None if lookup is None else lookup.provider_index(),
-        max_miss_attempts=attempts,
+        locatable=lookup.provider_index(),
     )
+
+
+def _everything_located(catalog):
+    """A lookup in which one provider holds every object of ``catalog``."""
+    lookup = LookupService()
+    for object_id in range(catalog.num_objects):
+        lookup.register(0, object_id)
+    return lookup
 
 
 def _counters(generator):
@@ -266,19 +274,15 @@ class TestSamplerMatchesCallChain:
         catalog = _catalog(sizes)
         profile = _draw_profile(data, len(sizes))
         factor = data.draw(st.sampled_from([0.0, 0.2, 1.0, 3.0]))
-        attempts = data.draw(st.integers(1, 20))
         seed = data.draw(st.integers(0, 2**32 - 1))
         store = ObjectStore(capacity=64)
         pending = {}
-        lookup = LookupService()
-        filtered = lookup if data.draw(st.booleans()) else None
+        # Every object locatable, or some of them.
+        lookup = _everything_located(catalog) if data.draw(st.booleans()) else LookupService()
         ours_rand, reference_rand = random.Random(seed), random.Random(seed)
-        ours = _generator(
-            catalog, profile, ours_rand, factor, store, pending, filtered, attempts
-        )
+        ours = _generator(catalog, profile, ours_rand, factor, store, pending, lookup)
         reference = _ChainGenerator(
-            catalog, profile, reference_rand, factor, store, pending, filtered,
-            attempts,
+            catalog, profile, reference_rand, factor, store, pending, lookup
         )
         object_ids = st.integers(0, catalog.num_objects - 1)
         for oid in data.draw(st.sets(object_ids)):
@@ -344,7 +348,6 @@ class TestSamplerMatchesCallChain:
         profile = _draw_profile(data, len(sizes))
         factor = data.draw(st.sampled_from([0.0, 0.2, 1.0, 3.0]))
         capacity = data.draw(st.integers(1, 12))
-        fill_fraction = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         prefilled = data.draw(st.sets(st.integers(0, catalog.num_objects - 1)))
         seed = data.draw(st.integers(0, 2**32 - 1))
         stores = (ObjectStore(capacity), ObjectStore(capacity))
@@ -353,16 +356,15 @@ class TestSamplerMatchesCallChain:
                 store.add(object_id)
         ours_rand, reference_rand = random.Random(seed), random.Random(seed)
         placed = place_objects_for_peer(
-            catalog, profile, stores[0], ours_rand, factor, PopularityCache(),
-            fill_fraction=fill_fraction,
+            catalog, profile, stores[0], ours_rand, factor, PopularityCache()
         )
-        # The reference: the same placement loop through the call chain.
+        # The reference: the same placement loop through the call chain,
+        # filling the store to capacity.
         cache = PopularityCache()
-        target = int(round(capacity * fill_fraction))
-        budget = max(target, 1) * _MAX_ATTEMPTS_PER_SLOT
+        budget = capacity * _MAX_ATTEMPTS_PER_SLOT
         expected = []
         attempts = 0
-        while len(stores[1]) < target and attempts < budget:
+        while len(stores[1]) < capacity and attempts < budget:
             attempts += 1
             category = catalog.category(profile.choose_category(reference_rand))
             distribution = cache.get(category.size, factor)
@@ -384,15 +386,16 @@ class TestSamplerMatchesCallChain:
         category_points = sorted({0.0} | {c for c in profile.cumulative if c < 1.0})
         object_points = sorted({0.0} | {c for t in tables for c in t if c < 1.0})
         assert 0.0 in profile.cumulative  # a zero-weight category leads
+        lookup = _everything_located(catalog)  # the first candidate is taken
         for category_point in category_points:
             for object_point in object_points:
                 script = [category_point, object_point]
                 ours = _generator(
                     catalog, profile, _ScriptedRandom(script), factor,
-                    ObjectStore(1), {}, None, 1,
+                    ObjectStore(1), {}, lookup,
                 )
                 reference = _ChainGenerator(
                     catalog, profile, _ScriptedRandom(script), factor,
-                    ObjectStore(1), {}, None, 1,
+                    ObjectStore(1), {}, lookup,
                 )
                 assert ours.next_request() is reference.next_request()

@@ -15,6 +15,7 @@ from repro.core.request_tree import (
 )
 from repro.errors import ProtocolError
 from repro.metrics.records import TerminationReason
+from repro.network.peer import ABANDON_AFTER_LOOKUP_FAILURES
 
 from tests.helpers import build_peer, give, make_ctx, small_config
 
@@ -116,8 +117,7 @@ class TestStorageCheck:
 
 class TestAbandonment:
     def test_starved_download_abandoned_after_retries(self):
-        config = small_config(abandon_after_lookup_failures=2)
-        ctx = make_ctx(config)
+        ctx = make_ctx()
         provider = build_peer(ctx, 0, mechanism="none")
         requester = build_peer(ctx, 1, mechanism="none")
         give(ctx, provider, 0)
@@ -130,20 +130,21 @@ class TestAbandonment:
         for entry_provider in list(download.registered_at):
             ctx.peer(entry_provider).irq.remove(1, 0)
         download.registered_at.clear()
+        for failures in range(1, ABANDON_AFTER_LOOKUP_FAILURES):
+            requester._replenish_downloads()
+            assert 0 in requester.pending  # a failure below the bound only counts
+            assert download.lookup_failures == failures
         requester._replenish_downloads()
-        assert 0 in requester.pending  # first failure only counts
-        requester._replenish_downloads()
-        assert 0 not in requester.pending  # second failure abandons
+        assert 0 not in requester.pending  # the last failure abandons
         assert ctx.metrics.counters["download.abandoned"] == 1
 
     def test_successful_lookup_resets_failure_count(self):
-        config = small_config(abandon_after_lookup_failures=2)
-        ctx = make_ctx(config)
+        ctx = make_ctx()
         provider = build_peer(ctx, 0, mechanism="none")
         requester = build_peer(ctx, 1, mechanism="none")
         give(ctx, provider, 0)
         download = requester.start_download(ctx.catalog.object(0))
-        download.lookup_failures = 1
+        download.lookup_failures = ABANDON_AFTER_LOOKUP_FAILURES - 1
         requester._replenish_downloads()  # has sources: resets the count
         assert download.lookup_failures == 0
 

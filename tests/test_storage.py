@@ -108,13 +108,6 @@ class TestEviction:
         assert evicted == []
         assert store.over_capacity
 
-    def test_eviction_respects_protect_list(self):
-        store = ObjectStore(capacity=1)
-        store.add(1)
-        store.add(2)
-        evicted = store.evict_random_overflow(random.Random(0), protect=[2])
-        assert evicted == [1]
-
     def test_eviction_deterministic_under_seed(self):
         def run():
             store = ObjectStore(capacity=3)

@@ -36,7 +36,7 @@ def _build_irq(num_entries: int, fanout: int, seed: int = 7) -> IncomingRequestQ
 def test_ring_search_speed(benchmark):
     irq = _build_irq(num_entries=64, fanout=4)
     # Wants whose provider sets partially intersect the indexed peers.
-    indexed = sorted(irq.indexed_peers())
+    indexed = sorted(irq.index_key_set())
     wants = {
         1: set(indexed[::7]),
         2: set(indexed[::11]),

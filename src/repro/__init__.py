@@ -36,7 +36,6 @@ from repro.errors import (
     SchedulingError,
     SimulationError,
     StorageError,
-    TokenValidationFailed,
 )
 from repro.metrics.records import (
     DownloadRecord,
@@ -98,7 +97,6 @@ __all__ = [
     "StrategyShock",
     "StrategySpec",
     "TerminationReason",
-    "TokenValidationFailed",
     "TrafficClass",
     "__version__",
     "parse_mechanism",

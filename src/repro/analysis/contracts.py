@@ -55,10 +55,6 @@ HOT_PATH_BASENAMES = frozenset(
     {"transfer.py", "peer.py", "strategy.py", "exchange_manager.py", "irq.py"}
 )
 
-#: Compat shims that allocate a record object per call; hot paths must
-#: use the scalar ``add_*`` column API instead.
-RECORD_COMPAT_CALLS = frozenset({"record_session", "record_download"})
-
 #: File basenames under the NUM001 byte-identity contract.
 NUMERIC_BASENAMES = frozenset({"aggregates.py", "columnar.py"})
 
@@ -117,11 +113,11 @@ class HotPathAllocationRule(Rule):
         "from a callback handed to Engine.schedule/schedule_at (directly or "
         "through a callback= parameter such as PeriodicProcess's).  Within "
         "hot functions of transfer/peer/strategy/exchange_manager/irq the "
-        "rule flags dict displays, dict() calls, dict comprehensions, "
-        "*Record(...) constructions and the record_* compat shims.  Dunder "
-        "methods (__init__ and friends) are exempt: they run per entity, "
-        "not per event.  Deliberate small allocations carry an inline "
-        "suppression explaining the amortization argument."
+        "rule flags dict displays, dict() calls, dict comprehensions and "
+        "*Record(...) constructions.  Dunder methods (__init__ and "
+        "friends) are exempt: they run per entity, not per event.  "
+        "Deliberate small allocations carry an inline suppression "
+        "explaining the amortization argument."
     )
 
     def finalize(self, project: Project) -> Iterable[Finding]:
@@ -175,10 +171,7 @@ class HotPathAllocationRule(Rule):
                         f"dict() allocated in hot function '{label}' ({why}); "
                         "hoist it or use the columnar scalar API",
                     )
-                elif final is not None and (
-                    final in RECORD_COMPAT_CALLS
-                    or (final.endswith("Record") and final[0].isupper())
-                ):
+                elif final is not None and final.endswith("Record") and final[0].isupper():
                     yield node_finding(
                         self,
                         module,
@@ -368,12 +361,12 @@ class VersionBumpRule(Rule):
         "containers in place must bump self.version"
     )
     rationale = (
-        "The bitset mask caches (and the idle-search gate before them) key "
-        "off version fingerprints: LookupService per-object versions, "
-        "IncomingRequestQueue.version, PeerStateTable.version.  A mutation "
-        "that skips the bump makes a cached mask stale while its key still "
-        "matches — the 'structurally impossible' case PERFORMANCE.md "
-        "relies on.  The rule applies to any class whose __init__ assigns "
+        "Version-keyed caches (the IRQ's FIFO snapshot and sorted key "
+        "array, the request-tree snapshot) key off version fingerprints "
+        "such as IncomingRequestQueue.version.  A mutation that skips the "
+        "bump makes a cached value stale while its key still matches — the "
+        "'structurally impossible' case PERFORMANCE.md relies on.  The "
+        "rule applies to any class whose __init__ assigns "
         "self.version; in its other methods, subscript stores/deletes on "
         "self attributes and in-place mutator calls (append/add/pop/...) "
         "rooted at self require a self.version bump somewhere in the same "

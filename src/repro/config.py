@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.population import PeerClassSpec, ResolvedPeerClass
+from repro.population import PeerClassSpec, ResolvedPeerClass, require_integer
 from repro.scenario import ScenarioEvent
 from repro.strategy import StrategySpec
 from repro.units import mb_to_kbit
@@ -181,6 +182,8 @@ class SimulationConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in _INT_FIELDS:
+            require_integer(name, getattr(self, name))
         checks: Tuple[Tuple[bool, str], ...] = (
             (self.num_peers >= 2, f"num_peers must be >= 2, got {self.num_peers}"),
             (
@@ -298,3 +301,11 @@ class SimulationConfig:
         for f in dataclasses.fields(self):
             lines.append(f"  {f.name} = {getattr(self, f.name)!r}")
         return "\n".join(lines)
+
+
+#: :class:`SimulationConfig` fields annotated ``int``.
+_INT_FIELDS = tuple(
+    name
+    for name, hint in typing.get_type_hints(SimulationConfig).items()
+    if hint is int
+)

@@ -68,10 +68,6 @@ class ObjectStore:
         """Whether the object is protected from eviction."""
         return self._pins.get(object_id, 0) > 0
 
-    def pin_count(self, object_id: int) -> int:
-        """Reference count of pins on one object (0 = evictable)."""
-        return self._pins.get(object_id, 0)
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.core.policies import (
 from repro.core.request_tree import RequestTreeNode, build_snapshot
 from repro.core.ring import ExchangeRing, RingEdge, edges_from_candidate
 from repro.core.ring_search import RingCandidate, find_candidates
-from repro.core.token_protocol import validate_ring
 
 __all__ = [
     "ExchangePolicy",
@@ -41,5 +40,4 @@ __all__ = [
     "edges_from_candidate",
     "find_candidates",
     "parse_mechanism",
-    "validate_ring",
 ]

@@ -24,7 +24,7 @@ the moment claimer and server run different disciplines.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.baselines.credit import CreditLedger
 from repro.baselines.participation import ParticipationReporter, participation_priority
@@ -47,8 +47,8 @@ class ServiceDiscipline:
     snapshot as-is, and ranked disciplines heapify once — O(n) — and
     pop only as many entries as free slots actually consume, instead of
     fully sorting the queue on every scheduling pass.  The heap's
-    ``(key, position)`` tiebreak reproduces a stable sort exactly, so
-    the lazy order is bit-identical to the eager one.
+    ``(key, position)`` tiebreak reproduces a stable sort by descending
+    rank exactly.
     """
 
     name = "fifo"
@@ -105,18 +105,6 @@ class ServiceDiscipline:
                 yield heapq.heappop(heap)[2]
 
         return pop_all()
-
-    def order(self, peer: "Peer", entries: List["RequestEntry"]) -> List["RequestEntry"]:
-        """Eager view of :meth:`service_iter`, for tests and tooling.
-
-        Inherits its semantics: ranked disciplines return only *queued*
-        entries (non-queued ones cannot be served and are dropped at
-        heap-build time), FIFO returns the input unchanged.  Production
-        scheduling consumes :meth:`service_iter` directly.
-        """
-        if self.ranked and len(entries) > 1:
-            return list(self.service_iter(peer, entries))
-        return entries
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(peer={self.peer_id})"

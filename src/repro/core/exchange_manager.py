@@ -28,7 +28,6 @@ from repro.core import token_protocol
 from repro.core.ring import ExchangeRing, RingEdge, edges_from_candidate
 from repro.core.ring_search import RingCandidate, find_candidates
 from repro.core.scheduler import preempt_for_exchange
-from repro.core.token_protocol import validate_ring  # noqa: F401  (public API re-export)
 from repro.metrics.records import TerminationReason
 from repro.network.transfer import Transfer
 
@@ -45,9 +44,8 @@ def open_wants(peer: "Peer", only_object: Optional[int] = None) -> Dict[int, Set
 
     The provider sets are the lookup service's *live* views, not copies
     (:meth:`~repro.network.lookup.LookupService.provider_view`): ring
-    search only reads them, and any path through the searcher itself is
-    rejected by ``path_is_usable``, so skipping the per-pass
-    copy-with-exclude is observationally identical.
+    search only reads them, and a set may hold the searcher itself,
+    because ``path_is_usable`` rejects any path through the searcher.
     """
     lookup = peer.ctx.lookup
     wants: Dict[int, Set[int]] = {}  # simlint: disable=HOT001 -- one scratch dict per search pass, not per event; passes are gated by the idle-search version check
@@ -102,7 +100,7 @@ def try_form_exchanges(peer: "Peer", only_object: Optional[int] = None) -> int:
     The unrestricted form (the periodic scan) is gated on change
     tracking: a pass whose previous search found *no candidates* and
     whose :func:`search_state_key` has not moved since skips the whole
-    search — no provider-set copies, no index intersections.  Searches
+    search — no provider-set reads, no index intersections.  Searches
     that found candidates are never gated (their outcome also depends
     on remote validation state the key deliberately does not cover),
     so metrics and formed rings are bit-identical to the ungated code.
@@ -189,11 +187,11 @@ def _candidate_veto(
 ) -> Optional[Tuple[str, int]]:
     """First token veto for a candidate's ring, or None if it validates.
 
-    Walks the same edges :func:`~repro.core.ring.edges_from_candidate`
-    would build, in the same order, applying the same per-edge checks as
-    :func:`~repro.core.token_protocol.validate_ring` — but exception-free,
-    without materializing :class:`~repro.core.ring.RingEdge` objects for
-    the ~99% of attempts that are vetoed, and memoized per pass (the
+    This is the token pass: :func:`~repro.core.token_protocol.edge_veto`
+    over the edges :func:`~repro.core.ring.edges_from_candidate` would
+    build, in the same order, stopping at the first veto — without
+    materializing :class:`~repro.core.ring.RingEdge` objects for the
+    ~99% of attempts that are vetoed, and memoized per pass (the
     overwhelmingly common veto, ``already-exchanging``, repeats for every
     path anchored at the same busy entry).
     """
@@ -224,9 +222,9 @@ def _candidate_veto(
 def commit_ring(peer: "Peer", edges: Sequence[RingEdge]) -> ExchangeRing:
     """Commit a validated ring: replace/preempt slots and start transfers.
 
-    Must run in the same event as :func:`~repro.core.token_protocol.validate_ring`
-    (no interleaving), which is what makes the per-edge bookkeeping
-    below safe without re-checking capacity.
+    Must run in the same event as the token pass that validated it
+    (:func:`_candidate_veto`, no interleaving), which is what makes the
+    per-edge bookkeeping below safe without re-checking capacity.
     """
     ctx = peer.ctx
     ring = ExchangeRing(

@@ -255,11 +255,6 @@ class IncomingRequestQueue:
         """Whether no entry is queued or attached."""
         return not self._entries
 
-    @property
-    def is_full(self) -> bool:
-        """Whether the queue reached its capacity bound."""
-        return len(self._entries) >= self.capacity
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -308,13 +303,6 @@ class IncomingRequestQueue:
     def note_binding_change(self) -> None:
         """An entry was attached to / detached from a transfer."""
         self.binding_epoch += 1
-
-    def pop_entry(self, entry: RequestEntry) -> None:
-        """Remove a specific entry object (used when serving it)."""
-        current = self._entries.get(entry.key)
-        if current is not entry:
-            raise ProtocolError(f"entry {entry!r} is not queued here")
-        self.remove(entry.requester_id, entry.object_id)
 
     def refresh_tree(self, entry: RequestEntry, tree: Optional[RequestTreeNode]) -> None:
         """Replace an entry's snapshot with a fresher one.
@@ -395,15 +383,11 @@ class IncomingRequestQueue:
             if entry.transfer is None or not entry.transfer.is_exchange:
                 yield entry
 
-    def indexed_peers(self) -> Set[int]:
-        """Peers appearing in any attached tree (may include stale keys)."""
-        return set(self._index)
-
     def index_keys_array(self) -> np.ndarray:
         """Sorted unique indexed peer ids as an int array (read-only).
 
         Ring search fancy-indexes provider masks with this array; it is
-        exactly ``sorted(indexed_peers())``.  Built on demand and cached
+        exactly ``sorted(index_key_set())``.  Built on demand and cached
         per version — callers that stay on the small-set intersection
         path never pay for it.
         """
@@ -416,7 +400,11 @@ class IncomingRequestQueue:
         return self._keys_array
 
     def index_key_set(self) -> "KeysView[int]":
-        """Indexed peer ids as a set-like view (read-only, live)."""
+        """Indexed peer ids as a set-like view (read-only, live).
+
+        Every peer appearing in an attached tree, plus stale keys of
+        peers whose entries left since the last compaction.
+        """
         return self._index.keys()
 
     def index_view(self) -> Dict[int, List[RequestEntry]]:

@@ -28,13 +28,13 @@ filters ring candidates — counter-visible behaviour (``ring.attempt``,
 ``ring.reject.*``) is untouched.
 
 The per-object provider-mask cache keys off the same version
-fingerprint the idle-search gate uses (``LookupService.
-object_version``), so a cached mask is exactly as fresh as the gate's
-own view of the world.  The request-index side of the intersection
-needs no mask at all: the IRQ hands over its sorted CSR key array and
-the provider mask is fancy-indexed by it — O(index size) per probe and
-zero per-searcher cache (the old per-searcher bool masks were the
-single largest RSS consumer at 50k peers).
+fingerprint the idle-search gate uses (the object's count in
+``LookupService.object_versions()``), so a cached mask is exactly as
+fresh as the gate's own view of the world.  The request-index side of
+the intersection needs no mask at all: the IRQ hands over its sorted
+CSR key array and the provider mask is fancy-indexed by it — O(index
+size) per probe and zero per-searcher cache (the old per-searcher bool
+masks were the single largest RSS consumer at 50k peers).
 """
 
 from __future__ import annotations

@@ -10,19 +10,18 @@ roughly simultaneously").
 
 The simulator executes the token pass instantaneously (the paper's own
 simulation makes the same simplification; §V) but checks the same
-predicates a real token pass would, failing with a reason string that
-metrics aggregate — the reject mix is itself an interesting measurement.
+predicates a real token pass would: :func:`edge_veto` once per ring
+edge, in ring order, stopping at the first veto
+(:mod:`repro.core.exchange_manager` walks a candidate's edges).  A veto
+carries a reason string that metrics aggregate — the reject mix is
+itself an interesting measurement.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
-
-from repro.core.ring import RingEdge
-from repro.errors import TokenValidationFailed
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.context import SimContext
     from repro.network.peer import Peer
 
 
@@ -38,39 +37,22 @@ REASON_NO_UPLOAD_SLOT = "no-upload-slot"
 REASON_NO_DOWNLOAD_SLOT = "no-download-slot"
 
 
-def validate_ring(ctx: "SimContext", edges: Iterable[RingEdge]) -> None:
-    """Run the token pass; raises :class:`TokenValidationFailed` on veto.
-
-    For every edge the *provider* must be online, sharing, hold the
-    object (or enough of it, under the partial-serving extension) and
-    have an upload slot not already committed to another exchange
-    (non-exchange uploads are preemptible, so they do not count
-    against availability).  The *requester* must still want the object
-    — an open, not-yet-exchange-served download with unassigned blocks
-    — and be able to receive it.
-    """
-    edges = list(edges)
-    ring_size = len(edges)
-    peers = ctx.peers
-    for edge in edges:
-        veto = edge_veto(
-            peers[edge.requester_id], peers[edge.provider_id], edge.object_id, ring_size
-        )
-        if veto is not None:
-            raise TokenValidationFailed(veto[0], veto[1])
-
-
 def edge_veto(
     requester: "Peer", provider: "Peer", object_id: int, ring_size: int
 ) -> Optional[Tuple[str, int]]:
     """One edge's token check: ``(reason, peer_id)`` on veto, else None.
 
-    The exception-free core of :func:`validate_ring` — the exchange
-    manager's commit loop calls it directly (and memoizes the result per
-    pass) because at scale ~99% of ring attempts are vetoed, and raising
-    through a try/except per attempt dominates the scan's cost.  Check
-    order is observable through the reject-reason counters, so it must
-    never be reordered.
+    The *provider* must be online, sharing, hold the object (or enough
+    of it, under the partial-serving extension) and have an upload slot
+    not already committed to another exchange (non-exchange uploads are
+    preemptible, so they do not count against availability).  The
+    *requester* must still want the object — an open, not-yet-exchange-
+    served download with unassigned blocks — and be able to receive it.
+
+    The result is a value, not an exception: at scale ~99% of ring
+    attempts are vetoed, and the exchange manager memoizes it per pass.
+    Check order is observable through the reject-reason counters, so it
+    must never be reordered.
     """
     if not provider.online:
         return (REASON_OFFLINE, provider.peer_id)

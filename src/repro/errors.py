@@ -55,29 +55,11 @@ class LookupError_(ReproError):
 
 
 class ProtocolError(ReproError):
-    """A protocol invariant was violated (requests, rings, tokens)."""
+    """A protocol invariant was violated (requests, rings)."""
 
 
 class RingError(ProtocolError):
     """An exchange ring is malformed or was manipulated illegally."""
-
-
-class TokenValidationFailed(ProtocolError):
-    """A ring-initiation token pass failed validation.
-
-    Carries the reason so callers (and tests) can distinguish between
-    stale ownership, vanished interest, missing capacity and offline
-    members.
-    """
-
-    def __init__(self, reason: str, peer_id: int = -1) -> None:
-        self.reason = reason
-        self.peer_id = peer_id
-        if peer_id >= 0:
-            message = f"ring validation failed at peer {peer_id}: {reason}"
-        else:
-            message = f"ring validation failed: {reason}"
-        super().__init__(message)
 
 
 class MetricsError(ReproError):

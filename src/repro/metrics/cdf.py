@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.errors import MetricsError
 
@@ -66,10 +66,6 @@ class EmpiricalCDF:
         if pts[-1] != last:
             pts.append(last)
         return pts
-
-    def evaluate_at(self, xs: Sequence[float]) -> List[float]:
-        """F(x) for each x in ``xs`` (the benches tabulate fixed grids)."""
-        return [self(x) for x in xs]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EmpiricalCDF(n={self._n}, range=[{self.min:.3g}, {self.max:.3g}])"

@@ -238,9 +238,9 @@ def _counted(
 
 
 class ColumnarCollector:
-    """Numpy-backed metrics sink: the ``add_*`` scalar hot path, the
-    ``record_*`` dataclass compatibility path, counters, phase stamping,
-    the summary-input queries and the strategy layer's row feeds.
+    """Numpy-backed metrics sink: the ``add_*`` scalar rows, counters,
+    phase stamping, the summary-input queries and the strategy layer's
+    row feeds.
 
     ``warmup`` is the measurement-window boundary the folds censor at;
     ``perf_counters`` receives the chunk-freeze tallies (a private set
@@ -297,7 +297,7 @@ class ColumnarCollector:
         return code
 
     # ------------------------------------------------------------------
-    # recording — scalar hot path
+    # recording
     # ------------------------------------------------------------------
     def add_session(
         self,
@@ -417,41 +417,6 @@ class ColumnarCollector:
                 np.nan if mean_payoff_freeloading is None else mean_payoff_freeloading,
                 self._intern(phase),
             )
-        )
-
-    # ------------------------------------------------------------------
-    # recording — dataclass compatibility path
-    # ------------------------------------------------------------------
-    def record_session(self, record: SessionRecord) -> None:
-        """Append a prebuilt record (tests / hand-built streams)."""
-        self.add_session(
-            provider_id=record.provider_id,
-            requester_id=record.requester_id,
-            object_id=record.object_id,
-            traffic_class=record.traffic_class,
-            ring_size=record.ring_size,
-            ring_id=record.ring_id,
-            request_time=record.request_time,
-            start_time=record.start_time,
-            end_time=record.end_time,
-            kbit_transferred=record.kbit_transferred,
-            reason=record.reason,
-            requester_is_sharer=record.requester_is_sharer,
-            requester_class=record.requester_class,
-            phase=record.phase,
-        )
-
-    def record_download(self, record: DownloadRecord) -> None:
-        """Append a prebuilt record (tests / hand-built streams)."""
-        self.add_download(
-            peer_id=record.peer_id,
-            object_id=record.object_id,
-            request_time=record.request_time,
-            complete_time=record.complete_time,
-            size_kbit=record.size_kbit,
-            peer_is_sharer=record.peer_is_sharer,
-            class_name=record.class_name,
-            phase=record.phase,
         )
 
     def count(self, name: str, delta: int = 1) -> None:

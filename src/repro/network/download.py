@@ -84,11 +84,6 @@ class DownloadState:
         """Blocks currently assigned to a transfer but not yet delivered."""
         return self.total_blocks - self.delivered_blocks - self.unassigned_blocks
 
-    @property
-    def remaining_blocks(self) -> int:
-        """Blocks still missing (in flight or unassigned)."""
-        return self.total_blocks - self.delivered_blocks
-
     def take_block(self) -> bool:
         """Reserve one unassigned block for a transfer; False when none left."""
         if self.unassigned_blocks <= 0:

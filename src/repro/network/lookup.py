@@ -13,11 +13,11 @@ the caller's RNG stream so runs stay deterministic.
 
 Two determinism notes that downstream consumers rely on:
 
-* ``version`` counts index mutations globally; per-object counters
-  (:meth:`LookupService.object_version`) do the same per provider set.
-  Exchange-search gating keys off the per-object counters to prove "no
-  provider set *I can see* changed since my last empty search", so
-  every register/unregister must bump both.
+* Per-object counters (:meth:`LookupService.object_versions`) count
+  the mutations of each provider set.  Exchange-search gating keys off
+  them to prove "no provider set *I can see* changed since my last
+  empty search", so every register/unregister must bump its object's
+  counter.
 * The two coverage regimes consume *different RNG stream shapes* on
   purpose: full coverage (``coverage >= 1.0``) permutes the candidate
   list with ``rand.shuffle``, partial coverage draws a subset with
@@ -56,16 +56,12 @@ class LookupService:
         #: that sort dominated the lookup cost while the underlying set
         #: changed orders of magnitude less often than it was read.
         self._sorted: Dict[int, List[int]] = {}
-        #: Bumped on every register/unregister (see module docstring).
-        self.version = 0
         #: Per-object mutation counters (never deleted, so an object
         #: whose provider set empties and later refills keeps counting
-        #: up).  Exchange-search gating keys off these instead of the
-        #: global counter, so unrelated index churn — every download
-        #: completion registers something somewhere — does not reopen
-        #: every peer's gate.
+        #: up).  Exchange-search gating keys off these, so index churn
+        #: elsewhere — every download completion registers something
+        #: somewhere — does not reopen every peer's gate.
         self._versions: Dict[int, int] = {}
-        self.lookups_served = 0
 
     # ------------------------------------------------------------------
     # index maintenance (called by sharing peers on store/evict)
@@ -74,7 +70,6 @@ class LookupService:
         """Add ``peer_id`` as a provider of ``object_id`` (publish)."""
         self._providers.setdefault(object_id, set()).add(peer_id)
         self._sorted.pop(object_id, None)
-        self.version += 1
         self._versions[object_id] = self._versions.get(object_id, 0) + 1
 
     def unregister(self, peer_id: int, object_id: int) -> None:
@@ -88,42 +83,21 @@ class LookupService:
         if not providers:
             del self._providers[object_id]
         self._sorted.pop(object_id, None)
-        self.version += 1
         self._versions[object_id] = self._versions.get(object_id, 0) + 1
-
-    def unregister_all(self, peer_id: int, object_ids: List[int]) -> None:
-        """Withdraw one peer's registrations for all ``object_ids``."""
-        for object_id in object_ids:
-            self.unregister(peer_id, object_id)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def providers(self, object_id: int, exclude: int = -1) -> Set[int]:
-        """The *live* provider set (complete, coverage not applied).
-
-        Used by the exchange machinery, which the paper allows to reuse
-        "the original provider list".  Always returns a fresh copy so
-        callers can never mutate the index through the result, on any
-        path.
-        """
-        live = self._providers.get(object_id)
-        if not live:
-            return set()
-        if exclude in live:
-            return live - {exclude}
-        return set(live)
-
     def provider_view(self, object_id: int) -> Set[int]:
         """The live provider set itself — read-only by convention, no copy.
 
-        The exchange scan reads every pending object's provider set on
-        every ungated pass; copying them (:meth:`providers`) dominated
-        ``open_wants`` at scale.  Callers must only *read* the result
-        (set intersections, membership) and must not hold it across
-        events.  Unlike :meth:`providers` the view may contain the
-        calling peer itself; ring search already rejects any path
-        through the searcher, so the exchange path needs no exclusion.
+        Complete (coverage not applied): the exchange machinery, which
+        the paper allows to reuse "the original provider list", reads
+        every pending object's provider set on every ungated pass, so
+        the set is not copied.  Callers must only *read* the result (set
+        intersections, membership) and must not hold it across events.
+        The view may contain the calling peer itself; ring search
+        already rejects any path through the searcher.
         """
         view = self._providers.get(object_id)
         return view if view is not None else _EMPTY_PROVIDERS
@@ -144,17 +118,13 @@ class LookupService:
         """Number of live providers of ``object_id`` (0 if unlocatable)."""
         return len(self._providers.get(object_id, ()))
 
-    def object_version(self, object_id: int) -> int:
-        """Mutation count of one object's provider set (0 = never seen)."""
-        return self._versions.get(object_id, 0)
-
     def object_versions(self) -> Dict[int, int]:
-        """The live per-object counter map — read-only by convention.
+        """The live per-object mutation counters — read-only by convention.
 
-        Exposed for hot paths that fingerprint many objects per call
-        (:func:`~repro.core.exchange_manager.search_state_key` runs on
-        every scan) and bind ``object_versions().get`` once instead of
-        paying a method call per object.
+        ``object_versions().get(object_id, 0)`` is one object's count (0
+        = never registered).  Hot paths that fingerprint many objects
+        per call (:func:`~repro.core.exchange_manager.search_state_key`
+        runs on every scan) bind ``.get`` once.
         """
         return self._versions
 
@@ -166,7 +136,7 @@ class LookupService:
             if not live:
                 return []
             cached = sorted(live)
-            self._sorted[object_id] = cached  # simlint: disable=VER001 -- read-through cache rebuilt from the live set; register/unregister drop it and bump
+            self._sorted[object_id] = cached
         return cached
 
     def find_providers(
@@ -180,7 +150,6 @@ class LookupService:
         ``shuffle`` and the partial path ``sample`` — see the module
         docstring for why that asymmetry is load-bearing and frozen.
         """
-        self.lookups_served += 1
         base = self._sorted_providers(object_id)
         if not base:
             return []
@@ -194,10 +163,6 @@ class LookupService:
             return candidates
         count = max(1, -(-len(candidates) * self.coverage // 1))
         return rand.sample(candidates, int(min(len(candidates), count)))
-
-    def objects_indexed(self) -> int:
-        """How many distinct objects currently have a provider."""
-        return len(self._providers)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

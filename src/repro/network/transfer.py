@@ -58,7 +58,6 @@ class Transfer:
         "total_blocks_delivered",
         "entry",
         "_block_event",
-        "_block_in_flight",
         "_pinned",
         "last_reason",
     )
@@ -85,7 +84,6 @@ class Transfer:
         self.total_blocks_delivered = 0
         self.entry = None  # the IRQ entry this transfer satisfies (if any)
         self._block_event = None
-        self._block_in_flight = False
         self._pinned = False
         self.last_reason: Optional[TerminationReason] = None
 
@@ -157,7 +155,6 @@ class Transfer:
         if not self.download.take_block():
             self.terminate(TerminationReason.EXHAUSTED)
             return
-        self._block_in_flight = True
         block_seconds = self._ctx.config.block_seconds
         self._block_event = self._ctx.engine.schedule(
             block_seconds, self._on_block_delivered, name="block"
@@ -166,7 +163,6 @@ class Transfer:
     def _on_block_delivered(self) -> None:
         if not self.active:  # terminated while the event was queued
             return
-        self._block_in_flight = False
         self._block_event = None
         self.session_blocks += 1
         self.total_blocks_delivered += 1
@@ -201,10 +197,9 @@ class Transfer:
         self.state = TransferState.TERMINATED
         self.last_reason = reason
         if self._block_event is not None:
+            # The in-flight block goes back to the download's pool.
             self._block_event.cancel()
             self._block_event = None
-        if self._block_in_flight:
-            self._block_in_flight = False
             self.download.return_block()
         self.provider.upload_pool.release()
         self.requester.download_pool.release()

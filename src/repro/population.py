@@ -29,6 +29,8 @@ keeps every legacy config bit-identical across the refactor.
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -49,6 +51,17 @@ BEHAVIORS: Dict[str, PeerBehavior] = {
 #: Service-discipline names accepted by :attr:`PeerClassSpec.service_discipline`
 #: (see :mod:`repro.core.disciplines`).
 DISCIPLINES = ("fifo", "credit", "participation")
+
+
+def require_integer(what: str, value: object) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer.
+
+    ``bool`` is refused although it is an ``int``.  A float count passes
+    every range check, then fails deep inside a build or an event, or
+    acts as if rounded up (a bound compared with ``<`` or ``>=``).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,10 @@ class PeerClassSpec:
         """Spec-local checks (cross-class checks live in resolution)."""
         if not self.name:
             raise ConfigError("peer class name must be non-empty")
+        for name in _OPTIONAL_INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                require_integer(f"peer class {self.name!r} {name}", value)
         if self.count is not None and self.fraction is not None:
             raise ConfigError(
                 f"peer class {self.name!r} gives both count and fraction"
@@ -144,6 +161,14 @@ class PeerClassSpec:
                     "(a clique of non-serving peers has nothing to "
                     "reciprocate internally)"
                 )
+
+
+#: :class:`PeerClassSpec` fields annotated ``Optional[int]``.
+_OPTIONAL_INT_FIELDS = tuple(
+    name
+    for name, hint in typing.get_type_hints(PeerClassSpec).items()
+    if hint == Optional[int]
+)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.errors import ConfigError
-from repro.population import PeerClassSpec, resolve_spec
+from repro.population import PeerClassSpec, require_integer, resolve_spec
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.config import SimulationConfig
@@ -322,6 +322,10 @@ def _has_strategy_dynamics(config: "SimulationConfig") -> bool:
     return False
 
 
+#: Integer event fields (``category_id`` may also be None).
+_INT_FIELDS = ("count", "seed_providers", "category_id")
+
+
 def validate_scenario(config: "SimulationConfig") -> None:
     """Eagerly validate ``config.scenario``; raises :class:`ConfigError`."""
     events = config.scenario
@@ -348,6 +352,10 @@ def validate_scenario(config: "SimulationConfig") -> None:
             raise ConfigError(
                 f"scenario {event.kind} time must be >= 0, got {event.time}"
             )
+        for name in _INT_FIELDS:
+            value = getattr(event, name, None)
+            if value is not None:
+                require_integer(f"scenario {event.kind} {name}", value)
         if isinstance(event, Phase):
             if not event.name:
                 raise ConfigError("scenario phase name must be non-empty")

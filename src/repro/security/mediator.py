@@ -119,8 +119,7 @@ class Mediator:
 
         The internal release table is live mutable state; handing the
         set itself out would let a caller mint decryption rights by
-        mutating it (the same leak class as the pre-PR-1
-        ``LookupService.providers``).
+        mutating it.
         """
         return set(self.keys_released.get(peer_id, set()))
 

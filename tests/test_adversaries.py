@@ -108,6 +108,18 @@ class TestValidation:
                 scenario=(SybilSpawn(10.0, count=1, class_name="attacker"),),
             )
 
+    @pytest.mark.parametrize(
+        "attack,event",
+        [
+            ("whitewash", IdentityWhitewash(10.0, count=1.5)),
+            ("sybil", SybilSpawn(10.0, count=2.5, class_name="attacker")),
+        ],
+        ids=["whitewash", "sybil"],
+    )
+    def test_non_integer_count_rejected(self, attack, event):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            adversarial_small_config(attack, scenario=(event,))
+
     def test_sybil_spawn_class_must_declare_sybil(self):
         with pytest.raises(ConfigError, match="sybil"):
             adversarial_small_config(

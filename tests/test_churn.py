@@ -31,7 +31,7 @@ class TestOfflineTransitions:
         provider.disconnect()
         assert not provider.online
         assert requester.pending[0].active_sources == 0
-        assert ctx.lookup.providers(0, exclude=-1) == set()
+        assert ctx.lookup.provider_view(0) == set()
         offline_sessions = [
             s for s in ctx.metrics.sessions
             if s.reason is TerminationReason.PEER_OFFLINE
@@ -66,9 +66,9 @@ class TestOfflineTransitions:
         peer = build_peer(ctx, 0, mechanism="none")
         give(ctx, peer, 0)
         peer.disconnect()
-        assert ctx.lookup.providers(0, exclude=-1) == set()
+        assert ctx.lookup.provider_view(0) == set()
         peer.reconnect()
-        assert ctx.lookup.providers(0, exclude=-1) == {0}
+        assert ctx.lookup.provider_view(0) == {0}
 
     def test_offline_drains_queued_entries_from_other_requesters(self):
         """Regression: the churn download stall.

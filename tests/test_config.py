@@ -127,6 +127,44 @@ class TestValidation:
         with pytest.raises(ConfigError, match="finite"):
             SimulationConfig(**{field: value})
 
+    INT_FIELDS = sorted(
+        f.name
+        for f in dataclasses.fields(SimulationConfig)
+        if type(f.default) is int
+    )
+
+    @pytest.mark.parametrize("kind", ["non-integral", "integral-float"])
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_int_fields_reject_floats(self, field, kind):
+        # A float passes the range checks, then fails inside build() (a
+        # peer count, a catalog size) or acts as if rounded up (a bound).
+        default = getattr(SimulationConfig(), field)
+        value = default + 0.5 if kind == "non-integral" else float(default)
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_pending", "seed"])
+    def test_int_fields_reject_bools(self, field):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SimulationConfig(**{field: True})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "count",
+            "storage_min_objects",
+            "storage_max_objects",
+            "categories_per_peer_min",
+            "categories_per_peer_max",
+        ],
+    )
+    def test_class_int_fields_reject_floats(self, field):
+        from repro.population import PeerClassSpec
+
+        classes = (PeerClassSpec(name="rest"), PeerClassSpec(name="odd", **{field: 2.5}))
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SimulationConfig(population=classes)
+
     @pytest.mark.parametrize("field", ["upload_capacity_kbit", "download_capacity_kbit"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_class_capacity_rejected(self, field, value):

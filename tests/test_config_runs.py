@@ -5,7 +5,7 @@ raises :class:`ConfigError` at construction, or the simulation it
 describes runs to the end.  This property draws tiny worlds with a few
 scenario arrivals and capacity changes whose inputs may be unusable
 (capacities below one slot or non-finite, ranges that invert once
-inherited from the config) and checks that no such input gets past the
+inherited from the config, float wave sizes) and checks that no such input gets past the
 constructor to fail mid-run.
 """
 
@@ -47,6 +47,8 @@ SPEC_FIELDS = {
     "categories_per_peer_max": RANGE_ENDS,
 }
 TIMES = st.sampled_from([0.0, 100.0, 700.0, 1500.0])
+#: Arrival wave sizes: integers, and floats that pass a ``>= 1`` check.
+COUNTS = st.sampled_from([1, 2, 3, 1.5, 2.0])
 #: Arrival class names; capacity changes may also target "sharer".
 NAMES = ("x", "y")
 
@@ -61,7 +63,7 @@ def arrivals(draw):
         behavior=draw(st.sampled_from(["sharer", "freeloader"])),
         **{name: draw(SPEC_FIELDS[name]) for name in fields},
     )
-    return PeerArrival(draw(TIMES), count=draw(st.integers(1, 3)), spec=spec)
+    return PeerArrival(draw(TIMES), count=draw(COUNTS), spec=spec)
 
 
 @st.composite

@@ -52,15 +52,6 @@ class TestQueueBasics:
     def test_remove_missing_returns_none(self):
         assert IncomingRequestQueue(capacity=5).remove(9, 99) is None
 
-    def test_pop_entry_requires_same_object(self):
-        irq = IncomingRequestQueue(capacity=5)
-        first = entry()
-        irq.add(first)
-        irq.remove(2, 20)
-        stale = entry()
-        with pytest.raises(ProtocolError):
-            irq.pop_entry(stale)
-
     def test_fifo_iteration_order(self):
         irq = IncomingRequestQueue(capacity=5)
         irq.add(entry(2, 20, t=0.0))
@@ -87,7 +78,7 @@ class TestPeerIndex:
     def test_index_contains_requester_and_tree_peers(self):
         irq = IncomingRequestQueue(capacity=5)
         irq.add(entry(tree=self._tree()))
-        assert {2, 4, 5} <= irq.indexed_peers()
+        assert {2, 4, 5} <= irq.index_key_set()
 
     def test_paths_to_direct_requester(self):
         irq = IncomingRequestQueue(capacity=5)
@@ -122,7 +113,21 @@ class TestPeerIndex:
             irq.remove(i + 10, i)
         # After draining the queue, lazy compaction must have emptied
         # the index (dead occurrences dominate whenever live count is 0).
-        assert irq.indexed_peers() == set()
+        assert not irq.index_key_set()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="refresh_tree keeps an entry in the bucket of a peer that "
+        "left its tree and appends it again when the peer returns",
+    )
+    def test_peer_that_leaves_and_rejoins_a_tree_is_indexed_once(self):
+        irq = IncomingRequestQueue(capacity=5)
+        queued = entry(tree=RequestTreeNode(2, None, (RequestTreeNode(5, 50),)))
+        irq.add(queued)
+        irq.refresh_tree(queued, RequestTreeNode(2, None, (RequestTreeNode(4, 40),)))
+        irq.refresh_tree(queued, RequestTreeNode(2, None, (RequestTreeNode(5, 50),)))
+        assert irq.index_view()[5] == [queued]
+        assert [path for _e, path in irq.paths_to(5)] == [((2, 20), (5, 50))]
 
     def test_occurrences_cached(self):
         """``paths_for`` builds a peer's paths once per attached tree."""

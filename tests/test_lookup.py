@@ -15,15 +15,15 @@ class TestIndexMaintenance:
         lookup = LookupService()
         lookup.register(1, 100)
         lookup.register(2, 100)
-        assert lookup.providers(100) == {1, 2}
+        assert lookup.provider_view(100) == {1, 2}
         assert lookup.provider_count(100) == 2
 
     def test_unregister(self):
         lookup = LookupService()
         lookup.register(1, 100)
         lookup.unregister(1, 100)
-        assert lookup.providers(100) == set()
-        assert lookup.objects_indexed() == 0
+        assert lookup.provider_view(100) == set()
+        assert len(lookup.provider_index()) == 0
 
     def test_unregistering_the_last_provider_drops_the_key(self):
         # The request sampler tests locatability as key membership.
@@ -40,36 +40,8 @@ class TestIndexMaintenance:
         with pytest.raises(LookupError_):
             lookup.unregister(1, 100)
 
-    def test_unregister_all(self):
-        lookup = LookupService()
-        lookup.register(1, 100)
-        lookup.register(1, 101)
-        lookup.unregister_all(1, [100, 101])
-        assert lookup.objects_indexed() == 0
-
-    def test_providers_excludes_requested_peer(self):
-        lookup = LookupService()
-        lookup.register(1, 100)
-        lookup.register(2, 100)
-        assert lookup.providers(100, exclude=1) == {2}
-
     def test_providers_unknown_object_empty(self):
-        assert LookupService().providers(5) == set()
-
-    def test_providers_returns_copy_on_every_path(self):
-        # Regression: the no-exclusion path handed out the live set by
-        # reference, so a caller mutation corrupted the index.
-        lookup = LookupService()
-        lookup.register(1, 100)
-        lookup.register(2, 100)
-        for result in (
-            lookup.providers(100),            # no exclusion
-            lookup.providers(100, exclude=1),  # exclusion applied
-            lookup.providers(100, exclude=9),  # exclusion absent from set
-        ):
-            result.clear()
-        assert lookup.providers(100) == {1, 2}
-        assert lookup.provider_count(100) == 2
+        assert LookupService().provider_view(5) == set()
 
 
 class TestFindProviders:
@@ -118,10 +90,3 @@ class TestFindProviders:
             LookupService(coverage=0.0)
         with pytest.raises(LookupError_):
             LookupService(coverage=1.0001)
-
-    def test_lookup_counter(self):
-        lookup = LookupService()
-        lookup.register(1, 100)
-        lookup.find_providers(100, 2, random.Random(0))
-        lookup.find_providers(100, 2, random.Random(0))
-        assert lookup.lookups_served == 2

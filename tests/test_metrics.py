@@ -17,7 +17,7 @@ from repro.metrics.records import (
 from repro.metrics.summary import SimulationSummary, summarize
 
 
-def session(
+def session_fields(
     start=10.0,
     end=20.0,
     request=5.0,
@@ -27,7 +27,8 @@ def session(
     sharer=True,
     reason=TerminationReason.COMPLETED,
 ):
-    return SessionRecord(
+    """One session as ``ColumnarCollector.add_session`` keyword arguments."""
+    return dict(
         provider_id=1,
         requester_id=2,
         object_id=3,
@@ -43,8 +44,13 @@ def session(
     )
 
 
-def download(peer=1, request=0.0, complete=60.0, sharer=True):
-    return DownloadRecord(
+def session(**overrides):
+    return SessionRecord(**session_fields(**overrides))
+
+
+def download_fields(peer=1, request=0.0, complete=60.0, sharer=True):
+    """One download as ``ColumnarCollector.add_download`` keyword arguments."""
+    return dict(
         peer_id=peer,
         object_id=3,
         request_time=request,
@@ -52,6 +58,10 @@ def download(peer=1, request=0.0, complete=60.0, sharer=True):
         size_kbit=100.0,
         peer_is_sharer=sharer,
     )
+
+
+def download(**overrides):
+    return DownloadRecord(**download_fields(**overrides))
 
 
 class TestTrafficClass:
@@ -103,41 +113,41 @@ class TestRecords:
 class TestCollector:
     def test_counts_by_class_and_reason(self):
         collector = ColumnarCollector()
-        collector.record_session(session())
-        collector.record_session(session(traffic=TrafficClass.PAIRWISE, ring_size=2))
+        collector.add_session(**session_fields())
+        collector.add_session(**session_fields(traffic=TrafficClass.PAIRWISE, ring_size=2))
         assert collector.counters["session.non-exchange"] == 1
         assert collector.counters["session.pairwise"] == 1
         assert collector.reason_counts()[TerminationReason.COMPLETED] == 2
 
     def test_warmup_filters_by_end_time(self):
         collector = ColumnarCollector(warmup=10.0)
-        collector.record_session(session(start=1.0, end=5.0))
-        collector.record_session(session(start=1.0, end=50.0))
+        collector.add_session(**session_fields(start=1.0, end=5.0))
+        collector.add_session(**session_fields(start=1.0, end=50.0))
         assert collector.session_aggregates().total_sessions == 1
 
     def test_download_times_filtered_by_class(self):
         collector = ColumnarCollector()
-        collector.record_download(download(sharer=True, complete=60.0))
-        collector.record_download(download(sharer=False, complete=120.0))
+        collector.add_download(**download_fields(sharer=True, complete=60.0))
+        collector.add_download(**download_fields(sharer=False, complete=120.0))
         assert collector.download_times(sharer=True) == [60.0]
         assert collector.download_times(sharer=False) == [120.0]
         assert len(collector.download_times()) == 2
 
     def test_sessions_by_class(self):
         collector = ColumnarCollector()
-        collector.record_session(session())
-        collector.record_session(session(traffic=TrafficClass.PAIRWISE, ring_size=2))
+        collector.add_session(**session_fields())
+        collector.add_session(**session_fields(traffic=TrafficClass.PAIRWISE, ring_size=2))
         counts = collector.session_aggregates().session_counts
         assert counts == {"non-exchange": 1, "pairwise": 1}
 
     def test_record_views_need_keep_records(self):
         collector = ColumnarCollector()
-        collector.record_session(session())
+        collector.add_session(**session_fields())
         for view in ("sessions", "downloads", "strategy_epochs"):
             with pytest.raises(MetricsError, match="keep_records"):
                 getattr(collector, view)
         recording = ColumnarCollector(keep_records=True)
-        recording.record_session(session())
+        recording.add_session(**session_fields())
         assert recording.sessions == [session()]
 
 
@@ -195,12 +205,12 @@ class TestEmpiricalCDF:
 class TestSummarize:
     def test_headline_numbers(self):
         collector = ColumnarCollector()
-        collector.record_download(download(sharer=True, complete=60.0))
-        collector.record_download(download(sharer=True, complete=120.0))
-        collector.record_download(download(sharer=False, complete=360.0))
-        collector.record_session(session(sharer=True))
-        collector.record_session(
-            session(traffic=TrafficClass.PAIRWISE, ring_size=2, sharer=False)
+        collector.add_download(**download_fields(sharer=True, complete=60.0))
+        collector.add_download(**download_fields(sharer=True, complete=120.0))
+        collector.add_download(**download_fields(sharer=False, complete=360.0))
+        collector.add_session(**session_fields(sharer=True))
+        collector.add_session(
+            **session_fields(traffic=TrafficClass.PAIRWISE, ring_size=2, sharer=False)
         )
         summary = summarize(collector, num_sharers=2, num_freeloaders=2)
         assert summary.mean_download_time_sharers_min == pytest.approx(1.5)
@@ -242,8 +252,8 @@ class TestSummarize:
 
     def test_summary_dict_roundtrip(self):
         collector = ColumnarCollector()
-        collector.record_download(download(sharer=True, complete=60.0))
-        collector.record_session(session(sharer=True))
+        collector.add_download(**download_fields(sharer=True, complete=60.0))
+        collector.add_session(**session_fields(sharer=True))
         summary = summarize(collector, num_sharers=2, num_freeloaders=2)
         data = summary.to_dict()
         import json
@@ -257,14 +267,14 @@ class TestSummarize:
 
     def test_warmup_censors_early_records(self):
         collector = ColumnarCollector(warmup=100.0)
-        collector.record_download(download(complete=5.0))
-        collector.record_download(download(complete=500.0))
+        collector.add_download(**download_fields(complete=5.0))
+        collector.add_download(**download_fields(complete=500.0))
         summary = summarize(collector, num_sharers=1, num_freeloaders=1)
         assert summary.completed_downloads_sharers == 1
 
     def test_volume_per_class_normalized(self):
         collector = ColumnarCollector()
-        collector.record_session(session(kbit=8192.0, sharer=True))
+        collector.add_session(**session_fields(kbit=8192.0, sharer=True))
         summary = summarize(collector, num_sharers=2, num_freeloaders=5)
         assert summary.volume_per_sharer_mb == pytest.approx(0.5)
         assert summary.volume_per_freeloader_mb == 0.0

@@ -71,7 +71,7 @@ class TestStorageCheck:
         assert len(peer.store) == 2
         remaining = set(peer.store.object_ids())
         for object_id in range(4):
-            providers = ctx.lookup.providers(object_id, exclude=-1)
+            providers = ctx.lookup.provider_view(object_id)
             assert (0 in providers) == (object_id in remaining)
 
     def test_eviction_terminates_normal_upload(self):
@@ -222,7 +222,7 @@ class TestTreeRefresh:
         assert refreshed.tree is not None
         assert any(child.peer_id == 2 for child in refreshed.tree.children)
         # The provider's index now knows peer 2 is reachable through 1.
-        assert 2 in provider.irq.indexed_peers()
+        assert 2 in provider.irq.index_key_set()
 
     def test_equal_rebuild_is_still_pushed(self):
         # An IRQ change that leaves the requester's tree equal still

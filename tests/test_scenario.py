@@ -145,6 +145,33 @@ class TestScenarioValidation:
             scenario_config(CapacityChange(10.0, "sharer", **{field: value}))
 
     @pytest.mark.parametrize(
+        "event",
+        [
+            PeerArrival(10.0, count=1.5, class_name="sharer"),
+            PeerArrival(10.0, count=2.0, class_name="sharer"),
+            PeerDeparture(10.0, count=1.5),
+            PeerDeparture(10.0, count=True),
+            FlashCrowd(10.0, count=1.5),
+            FlashCrowd(10.0, seed_providers=1.5),
+            FlashCrowd(10.0, category_id=1.5),
+        ],
+        ids=[
+            "arrival-count",
+            "arrival-integral-float-count",
+            "departure-count",
+            "departure-bool-count",
+            "flash-count",
+            "flash-seed-providers",
+            "flash-category-id",
+        ],
+    )
+    def test_non_integer_counts_rejected(self, event):
+        # Each passed the range checks and raised TypeError (or indexed
+        # a category by a float) only when the event fired.
+        with pytest.raises(ConfigError, match="must be an integer"):
+            scenario_config(event)
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             {"upload_capacity_kbit": math.nan},
@@ -277,7 +304,7 @@ class TestDepartures:
         # objects lists them as a provider.
         for peer in departed:
             for object_id in peer.store.object_ids():
-                assert peer.peer_id not in sim.ctx.lookup.providers(object_id)
+                assert peer.peer_id not in sim.ctx.lookup.provider_view(object_id)
         assert result.summary.counters["scenario.peer_left"] == 5
 
     def test_departure_is_permanent_vs_reconnect(self):

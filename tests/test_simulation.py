@@ -34,7 +34,7 @@ class TestAssembly:
             if not peer.behavior.shares:
                 continue
             for object_id in peer.store.object_ids():
-                assert peer.peer_id in ctx.lookup.providers(object_id, exclude=-1)
+                assert peer.peer_id in ctx.lookup.provider_view(object_id)
 
     def test_freeloaders_not_in_lookup(self):
         sim = FileSharingSimulation(small_config())
@@ -43,7 +43,7 @@ class TestAssembly:
             if peer.behavior.shares:
                 continue
             for object_id in peer.store.object_ids():
-                assert peer.peer_id not in ctx.lookup.providers(object_id, exclude=-1)
+                assert peer.peer_id not in ctx.lookup.provider_view(object_id)
 
     def test_population_build_assigns_classes(self):
         from repro.population import PeerClassSpec

@@ -149,7 +149,7 @@ class TestSetSharing:
         assert ctx.lookup.provider_count(0) == 0
         assert peer.set_sharing(True)
         assert peer.behavior.shares
-        assert ctx.lookup.providers(0) == {0}
+        assert ctx.lookup.provider_view(0) == {0}
         assert not peer.set_sharing(True)  # idempotent
 
     def test_sharer_convert_withdraws_service(self):
@@ -190,7 +190,7 @@ class TestSetSharing:
         assert peer.online and not peer.behavior.shares
         assert ctx.lookup.provider_count(0) == 0
         peer.set_sharing(True)
-        assert ctx.lookup.providers(0) == {0}
+        assert ctx.lookup.provider_view(0) == {0}
 
 
 class TestDynamicsRun:

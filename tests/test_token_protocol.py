@@ -1,11 +1,15 @@
-"""Unit tests for the ring token validation against live peer state."""
+"""Unit tests for the ring token pass against live peer state."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.exchange_manager import _candidate_veto
 from repro.core.policies import parse_mechanism
-from repro.core.ring import RingEdge
+from repro.core.ring import RingEdge, edges_from_candidate
+from repro.core.ring_search import RingCandidate
 from repro.core.token_protocol import (
     REASON_ALREADY_EXCHANGING,
     REASON_NO_LONGER_WANTED,
@@ -15,11 +19,25 @@ from repro.core.token_protocol import (
     REASON_OBJECT_GONE,
     REASON_OFFLINE,
     REASON_RING_TOO_LONG,
-    validate_ring,
+    edge_veto,
 )
-from repro.errors import TokenValidationFailed
 
 from tests.helpers import build_peer, give, make_ctx
+
+
+def first_veto(ctx, edges):
+    """The token pass over ``edges``: the first edge's veto, else None."""
+    ring_size = len(edges)
+    for edge in edges:
+        veto = edge_veto(
+            ctx.peers[edge.requester_id],
+            ctx.peers[edge.provider_id],
+            edge.object_id,
+            ring_size,
+        )
+        if veto is not None:
+            return veto
+    return None
 
 
 @pytest.fixture
@@ -28,7 +46,7 @@ def network():
 
     Peers are built with the "none" policy so no ring forms on its own
     during setup, then upgraded to an exchange-capable policy — these
-    tests drive validate_ring() directly against hand-built edges.
+    tests run the token pass directly over hand-built edges.
     """
     ctx = make_ctx()
     a = build_peer(ctx, 1, mechanism="none")
@@ -49,14 +67,12 @@ def network():
 class TestValidateRing:
     def test_valid_ring_passes(self, network):
         ctx, _a, _b, edges = network
-        validate_ring(ctx, edges)  # must not raise
+        assert first_veto(ctx, edges) is None
 
     def test_offline_provider_vetoes(self, network):
         ctx, a, _b, edges = network
         a.online = False
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, edges)
-        assert info.value.reason == REASON_OFFLINE
+        assert first_veto(ctx, edges) == (REASON_OFFLINE, 1)
 
     def test_non_sharing_provider_vetoes(self, network):
         ctx, _a, _b, edges = network
@@ -66,19 +82,14 @@ class TestValidateRing:
             RingEdge(requester_id=2, provider_id=3, object_id=0),
             RingEdge(requester_id=3, provider_id=2, object_id=1),
         ]
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, bad)
-        assert info.value.reason == REASON_NOT_SHARING
+        assert first_veto(ctx, bad) == (REASON_NOT_SHARING, 3)
 
     def test_non_exchanging_member_vetoes(self, network):
         # Heterogeneous populations: a member whose class never adopted
         # the exchange mechanism does not answer the token.
         ctx, a, _b, edges = network
         a.policy = parse_mechanism("none")
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, edges)
-        assert info.value.reason == REASON_NOT_EXCHANGING
-        assert info.value.peer_id == 1
+        assert first_veto(ctx, edges) == (REASON_NOT_EXCHANGING, 1)
 
     def test_member_ring_size_cap_vetoes(self):
         # A pairwise-class peer refuses membership in a 3-way ring even
@@ -101,35 +112,26 @@ class TestValidateRing:
             RingEdge(requester_id=3, provider_id=2, object_id=1),
             RingEdge(requester_id=1, provider_id=3, object_id=2),
         ]
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, edges)
-        assert info.value.reason == REASON_RING_TOO_LONG
-        assert info.value.peer_id == 3
+        assert first_veto(ctx, edges) == (REASON_RING_TOO_LONG, 3)
         # With C upgraded to a 3-way-capable policy the same ring passes
         # (pairwise acceptance is covered by test_valid_ring_passes).
         c.policy = parse_mechanism("2-5-way")
-        validate_ring(ctx, edges)  # must not raise
+        assert first_veto(ctx, edges) is None
 
     def test_evicted_object_vetoes(self, network):
         ctx, a, _b, edges = network
         a.store.remove(0)
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, edges)
-        assert info.value.reason == REASON_OBJECT_GONE
+        assert first_veto(ctx, edges) == (REASON_OBJECT_GONE, 1)
 
     def test_satisfied_requester_vetoes(self, network):
         ctx, _a, b, edges = network
         b.pending.clear()  # B no longer wants anything
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, edges)
-        assert info.value.reason == REASON_NO_LONGER_WANTED
+        assert first_veto(ctx, edges) == (REASON_NO_LONGER_WANTED, 2)
 
     def test_exchange_saturated_provider_vetoes(self, network):
         ctx, a, _b, edges = network
         a._exchange_uploads = a.upload_pool.total  # all slots exchange-committed
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, edges)
-        assert info.value.reason == REASON_NO_UPLOAD_SLOT
+        assert first_veto(ctx, edges) == (REASON_NO_UPLOAD_SLOT, 1)
 
     def test_full_normal_slots_do_not_veto(self, network):
         # Non-exchange uploads are preemptible, so a provider whose slots
@@ -137,7 +139,7 @@ class TestValidateRing:
         ctx, a, _b, edges = network
         a.upload_pool.in_use = a.upload_pool.total
         assert a.exchange_upload_count == 0
-        validate_ring(ctx, edges)  # must not raise
+        assert first_veto(ctx, edges) is None
 
     def test_want_already_in_exchange_vetoes(self, network):
         ctx, _a, b, edges = network
@@ -154,14 +156,73 @@ class TestValidateRing:
         # Through attach_transfer so the exchange-source counter backing
         # has_exchange_transfer stays in sync, as any real transfer does.
         b.pending[0].attach_transfer(_FakeExchangeTransfer())
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, edges)
-        assert info.value.reason == REASON_ALREADY_EXCHANGING
+        assert first_veto(ctx, edges) == (REASON_ALREADY_EXCHANGING, 2)
 
     def test_failure_reports_offending_peer(self, network):
-        ctx, a, _b, edges = network
-        a.online = False
-        with pytest.raises(TokenValidationFailed) as info:
-            validate_ring(ctx, edges)
-        assert info.value.peer_id == 1
-        assert "peer 1" in str(info.value)
+        # The first edge's provider (A) passes; its requester (B) is
+        # the member that vetoes, so the veto names B, not A.
+        ctx, _a, b, edges = network
+        b.online = False
+        assert first_veto(ctx, edges) == (REASON_OFFLINE, 2)
+
+
+#: Peers of the memo property's world: 0-2 take only pairwise rings,
+#: 3-5 take rings of 2 to 5; peer 5 is offline.  Peer p holds object p
+#: and wants objects 0-5 it does not hold; object 6 exists but nobody
+#: holds or wants it.
+PAIRWISE_PEERS = (0, 1, 2)
+MULTIWAY_PEERS = (3, 4, 5)
+WORLD_OBJECTS = 7
+
+
+def veto_world():
+    ctx = make_ctx()
+    peers = [build_peer(ctx, p, mechanism="none") for p in range(6)]
+    for peer in peers:
+        give(ctx, peer, peer.peer_id)
+    for peer in peers:
+        for object_id in range(6):
+            if object_id != peer.peer_id:
+                peer.start_download(ctx.catalog.object(object_id))
+    for peer in peers:
+        peer.policy = parse_mechanism(
+            "pairwise" if peer.peer_id in PAIRWISE_PEERS else "2-5-way"
+        )
+    peers[5].online = False
+    return ctx
+
+
+@st.composite
+def ring_candidates(draw, searcher):
+    """A path of 1-4 distinct non-searcher peers and a closing object.
+
+    Each step asks for its provider's own object half the time (an edge
+    that can pass) and for any object otherwise.
+    """
+    others = [p for p in PAIRWISE_PEERS + MULTIWAY_PEERS if p != searcher]
+    members = draw(st.lists(st.sampled_from(others), min_size=1, max_size=4, unique=True))
+    objects = st.integers(0, WORLD_OBJECTS - 1)
+    path = []
+    provider = searcher
+    for peer in members:
+        path.append((peer, provider if draw(st.booleans()) else draw(objects)))
+        provider = peer
+    want = provider if draw(st.booleans()) else draw(objects)
+    return RingCandidate(want, tuple(path), None)
+
+
+class TestCandidateVetoIsTheTokenPass:
+    """The exchange manager's memoized veto walk returns exactly what an
+    in-order :func:`edge_veto` walk over the candidate's ring edges
+    returns, with one memo shared across a sequence of candidates (as
+    within one search pass, where no state changes between them)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), searcher=st.sampled_from(PAIRWISE_PEERS + MULTIWAY_PEERS))
+    def test_memoized_walk_matches_in_order_edge_veto(self, data, searcher):
+        ctx = veto_world()
+        memo = {}
+        candidates = data.draw(st.lists(ring_candidates(searcher), min_size=1, max_size=8))
+        for candidate in candidates:
+            expected = first_veto(ctx, edges_from_candidate(searcher, candidate))
+            assert _candidate_veto(ctx.peers, searcher, candidate, memo) == expected

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Metrics memory guard: RSS must stay flat over the run.
+"""Metrics memory guard: RSS must stay flat over the run, with no cycles.
 
 The columnar collector folds each frozen 4096-row chunk into running
 aggregates and releases it, so the process footprint after the world is
@@ -18,6 +18,12 @@ record enough rows to move RSS.)  Peak RSS
 (``ru_maxrss``) is used rather than instantaneous RSS because it is
 monotone — immune to GC timing and allocator release behaviour between
 the two samples.
+
+The event loop runs under :func:`repro.simulation.collector_paused`, as
+in ``FileSharingSimulation.run``, and before the pause ends the script
+also fails if ``gc.collect()`` finds any unreachable object: the
+simulator must create no reference cycles, and at the ``huge`` preset
+the run covers the widest set of paths CI exercises.
 
 Usage (CI runs the huge preset)::
 
@@ -65,7 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"max-growth must be >= 1, got {args.max_growth}")
 
     from repro.experiments.presets import preset
-    from repro.simulation import FileSharingSimulation
+    from repro.simulation import FileSharingSimulation, collector_paused
 
     config = preset(args.preset, exchange_mechanism="2-5-way", seed=args.seed)
     sim = FileSharingSimulation(config)
@@ -76,18 +82,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"peak RSS {built_rss:.0f}MB"
     )
 
-    # Mirror FileSharingSimulation.run(): freeze the built world out of
-    # the cyclic collector for the duration of the event loop.
+    # FileSharingSimulation.run()'s collector policy.  With the
+    # collector paused, a cycle created per event would grow for the
+    # whole run, so the run must leave nothing for gc.collect() to free.
     checkpoint_time = args.checkpoint * config.duration
-    gc.collect()
-    gc.freeze()
-    try:
+    with collector_paused():
         sim.ctx.engine.run(until=checkpoint_time)
         rss_checkpoint = peak_rss_mb()
         sim.ctx.engine.run(until=config.duration)
         rss_final = peak_rss_mb()
-    finally:
-        gc.unfreeze()
+        unreachable = gc.collect()
 
     fired = sim.ctx.engine.events_fired
     growth = rss_final / rss_checkpoint
@@ -99,6 +103,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if fired == 0:
         print("error: the run fired no events — nothing was measured", file=sys.stderr)
         return 2
+    if unreachable:
+        print(
+            f"FAIL: the run left {unreachable} unreachable objects in "
+            "reference cycles — the simulator must create none while the "
+            "collector is paused",
+            file=sys.stderr,
+        )
+        return 1
     if growth > args.max_growth:
         print(
             f"FAIL: peak RSS grew {growth:.3f}x between the "
@@ -107,7 +119,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 1
-    print("peak RSS growth within bounds — metrics memory is flat")
+    print(
+        "peak RSS growth within bounds — metrics memory is flat; "
+        "no reference cycles left by the run"
+    )
     return 0
 
 

@@ -73,8 +73,6 @@ class PeerStateTable:
         self.max_ring = np.zeros(capacity, dtype=np.int32)
         self.class_code = np.zeros(capacity, dtype=np.int32)
         self.registered = np.zeros(capacity, dtype=bool)
-        #: Bumped on every column write; readers key caches off it.
-        self.version = 0
         # Interned class labels; code 0 is the empty label.
         self._class_labels: List[str] = [""]
         self._class_codes: Dict[str, int] = {"": 0}
@@ -137,32 +135,27 @@ class PeerStateTable:
             self._class_labels.append(class_name)
         self.class_code[peer_id] = code
         self.registered[peer_id] = True
-        self.version += 1
 
     def set_online(self, peer_id: int, online: bool) -> None:
         """Mirror a connectivity flip (disconnect/reconnect)."""
         self._ensure(peer_id)
         self.online[peer_id] = online
-        self.version += 1
 
     def set_shares(self, peer_id: int, shares: bool) -> None:
         """Mirror a sharing-behaviour flip (strategy layer, shocks)."""
         self._ensure(peer_id)
         self.shares[peer_id] = shares
-        self.version += 1
 
     def set_policy(self, peer_id: int, enables_exchanges: bool, max_ring: int) -> None:
         """Mirror a mid-run mechanism switch (adoption ramps)."""
         self._ensure(peer_id)
         self.enables_exchanges[peer_id] = enables_exchanges
         self.max_ring[peer_id] = max_ring
-        self.version += 1
 
     def set_departed(self, peer_id: int) -> None:
         """Mirror permanent retirement (scenario departures)."""
         self._ensure(peer_id)
         self.departed[peer_id] = True
-        self.version += 1
 
     # ------------------------------------------------------------------
     # vectorized scans (order-identical to ascending-id registry loops)
@@ -232,7 +225,7 @@ class PeerStateTable:
         cache = self._provider_masks
         if object_id not in cache and len(cache) >= PROVIDER_MASK_CACHE_MAX:
             cache.pop(next(iter(cache)))
-        cache[object_id] = (object_version, capacity, mask)  # simlint: disable=VER001 -- mask cache keyed by (object_version, capacity); column writes bump version independently
+        cache[object_id] = (object_version, capacity, mask)
         return mask
 
     def sorted_intersection(
@@ -278,4 +271,4 @@ class PeerStateTable:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PeerStateTable(size={self.size}, version={self.version})"
+        return f"PeerStateTable(size={self.size})"

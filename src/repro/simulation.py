@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.config import SimulationConfig
 from repro.content.catalog import Catalog
@@ -61,6 +62,41 @@ from repro.strategy import StrategyDirector
 #: bootstraps at a uniform offset within the window, drawn from the
 #: ``"bootstrap"`` stream, at build time and on a scenario arrival.
 BOOTSTRAP_WINDOW = 60.0
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with Python's cyclic garbage collector paused.
+
+    The simulator creates no reference cycles while it builds or runs
+    (``tests/test_gc_pause.py`` holds that contract for every
+    configuration family), so a collection inside :meth:`~
+    FileSharingSimulation.build` or :meth:`~FileSharingSimulation.run`
+    frees nothing: it only traces the trees, queues and index dicts the
+    run allocates.  Collector timing is invisible to the model (no RNG,
+    no scheduling, nothing here defines ``__del__`` or uses ``weakref``),
+    so pausing it cannot move a trajectory.
+
+    On exit, also on an exception, the enabled state found on entry is
+    restored.  If the caller had frozen nothing (``gc.freeze``), every
+    object the block left alive is first promoted to the oldest
+    generation by a ``gc.freeze()`` / ``gc.unfreeze()`` pair (two O(1)
+    list merges); without that they would all sit in generation 0, and
+    the first young collection after the block would trace all of them.
+    A caller's own freeze is never thawed: the promotion is skipped
+    instead, and the block's objects stay young.
+    """
+    was_enabled = gc.isenabled()
+    promote = gc.get_freeze_count() == 0
+    gc.disable()
+    try:
+        yield
+    finally:
+        if promote:
+            gc.freeze()
+            gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass
@@ -249,10 +285,25 @@ class FileSharingSimulation:
 
     # ------------------------------------------------------------------
     def build(self) -> SimContext:
-        """Construct the whole system; idempotent guard against reuse."""
+        """Construct the whole system; idempotent guard against reuse.
+
+        A finished world is cyclic garbage (``Peer.ctx`` ->
+        ``ctx.peers`` -> ``Peer``), so one full collection first frees
+        whatever world an earlier simulation in this process left
+        behind.  The world is then built with the collector paused
+        (:func:`collector_paused`).
+        """
         if self._built:
             raise SimulationError("simulation already built")
         self._built = True
+        gc.collect()
+        with collector_paused():
+            self._assemble()
+        return self.ctx
+
+    def _assemble(self) -> None:
+        """Create the catalog, the peers and their processes, churn and
+        the directors: the body of :meth:`build`."""
         config = self.config
         ctx = self.ctx
         rng = ctx.rng
@@ -313,7 +364,6 @@ class FileSharingSimulation:
             director = self._ensure_strategy_director()
             for peer_id in range(config.num_peers):
                 director.enroll(ctx.peers[peer_id], class_of[peer_id].strategy)
-        return ctx
 
     # ------------------------------------------------------------------
     # world-mutation primitives (build-time loop and scenario runtime)
@@ -473,42 +523,37 @@ class FileSharingSimulation:
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Build (if needed), run to ``config.duration``, summarize."""
+        """Build (if needed), run to ``config.duration``, summarize.
+
+        The event loop and the summary run with the collector paused
+        (:func:`collector_paused`).
+        """
         if self._ran:
             raise SimulationError("simulation already ran; build a new one")
         if not self._built:
             self.build()
         self._ran = True
-        # The built world (peers, stores, catalog — millions of objects
-        # at scale) is long-lived: freeze it out of the cyclic collector
-        # so every mid-run full collection stops re-tracing it.  GC
-        # timing is invisible to the simulation (no RNG, no scheduling),
-        # so this cannot move the trajectory.
-        gc.collect()
-        gc.freeze()
-        try:
+        with collector_paused():
             self.ctx.engine.run(until=self.config.duration)
-        finally:
-            gc.unfreeze()
-        for process in self._processes:
-            process.stop()
-        # Class sizes come from the live accounting, not the legacy
-        # freeloader_fraction properties: scenario arrivals/departures
-        # move them mid-run, and under an explicit population the
-        # legacy properties say nothing about the actual split.  With
-        # an empty scenario these are exactly the build-time values.
-        adversary_classes = sorted(
-            name
-            for name, cls in self._classes_by_name.items()
-            if cls.adversary is not None
-        )
-        summary = summarize(
-            self.ctx.metrics,
-            num_sharers=self._num_sharers,
-            num_freeloaders=self._num_freeloaders,
-            class_sizes=self._class_sizes,
-            adversary_classes=adversary_classes or None,
-        )
+            for process in self._processes:
+                process.stop()
+            # Class sizes come from the live accounting, not the legacy
+            # freeloader_fraction properties: scenario arrivals/departures
+            # move them mid-run, and under an explicit population the
+            # legacy properties say nothing about the actual split.  With
+            # an empty scenario these are exactly the build-time values.
+            adversary_classes = sorted(
+                name
+                for name, cls in self._classes_by_name.items()
+                if cls.adversary is not None
+            )
+            summary = summarize(
+                self.ctx.metrics,
+                num_sharers=self._num_sharers,
+                num_freeloaders=self._num_freeloaders,
+                class_sizes=self._class_sizes,
+                adversary_classes=adversary_classes or None,
+            )
         return SimulationResult(
             config=self.config,
             summary=summary,

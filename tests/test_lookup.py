@@ -5,9 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LookupError_
 from repro.network.lookup import LookupService
+
+PEERS = range(3)
+OBJECTS = range(3)
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["register", "unregister"]),
+        st.sampled_from(PEERS),
+        st.sampled_from(OBJECTS),
+    ),
+    max_size=40,
+)
 
 
 class TestIndexMaintenance:
@@ -42,6 +55,27 @@ class TestIndexMaintenance:
 
     def test_providers_unknown_object_empty(self):
         assert LookupService().provider_view(5) == set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=OPS)
+    def test_every_provider_set_change_moves_its_version(self, ops):
+        # The idle-search gate and the provider-mask cache key on these
+        # counters: a change they miss would serve a stale answer.
+        lookup = LookupService()
+        for op, peer, obj in ops:
+            views = {o: set(lookup.provider_view(o)) for o in OBJECTS}
+            versions = {o: lookup.object_versions().get(o, 0) for o in OBJECTS}
+            if op == "unregister" and peer not in views[obj]:
+                with pytest.raises(LookupError_):
+                    lookup.unregister(peer, obj)
+            else:
+                getattr(lookup, op)(peer, obj)
+            for o in OBJECTS:
+                if lookup.provider_view(o) != views[o]:
+                    assert lookup.object_versions()[o] > versions[o]
+            assert set(lookup.provider_index()) == {
+                o for o in OBJECTS if lookup.provider_view(o)
+            }
 
 
 class TestFindProviders:

@@ -1,8 +1,10 @@
 """Ablation A4 — event-engine throughput microbenchmark.
 
 The block-event rate bounds how big a network the simulator can carry;
-this pins the engine's raw events/second so regressions surface.  Both
-cells publish BENCH json so the trajectory is tracked PR-over-PR.
+this pins the engine's raw events/second so regressions surface.  The
+cells cover one-shot ticks, cancellation, and the periodic path that
+carries every peer's scan and storage check.  Each cell publishes BENCH
+json so the trajectory is tracked PR-over-PR.
 """
 
 from __future__ import annotations
@@ -10,8 +12,13 @@ from __future__ import annotations
 import time
 
 from repro.sim.engine import Engine
+from repro.sim.processes import PeriodicProcess
+from repro.simulation import collector_paused
 
 from conftest import publish_bench
+
+#: Periodic processes in the periodic cell, one per simulated peer scan.
+PERIODIC_PROCESSES = 1_000
 
 
 def _churn(num_events: int) -> Engine:
@@ -64,3 +71,54 @@ def test_engine_cancellation_cost(benchmark):
         counters=engine.counters.snapshot(),
     )
     assert fired == 2_500
+
+
+def _periodic_wave() -> Engine:
+    """1,000 one-second processes at staggered phases for 130 s, half of
+    them paused for 10 s midway and resumed at fresh phases: ~125k fires
+    of no-op callbacks, so the engine's periodic path is all that runs."""
+    engine = Engine()
+    processes = [
+        PeriodicProcess(
+            engine,
+            1.0,
+            _noop,
+            name=f"scan.p{index}",
+            start_delay=index / PERIODIC_PROCESSES,
+        )
+        for index in range(PERIODIC_PROCESSES)
+    ]
+    engine.run(until=60.0)
+    paused = processes[::2]
+    for process in paused:
+        process.pause()
+    engine.run(until=70.0)
+    for index, process in enumerate(paused):
+        process.resume(start_delay=index / len(paused))
+    engine.run(until=130.0)
+    assert engine.events_fired == sum(process.fired for process in processes)
+    return engine
+
+
+def _noop() -> None:
+    """The periodic cell's callback: the cost left is the engine's."""
+
+
+def test_engine_periodic_throughput(benchmark):
+    def timed():
+        with collector_paused():
+            started = time.perf_counter()
+            engine = _periodic_wave()
+            return engine, time.perf_counter() - started
+
+    engine, wall = benchmark(timed)
+    fired = engine.events_fired
+    publish_bench(
+        "micro_engine_periodic",
+        wall_seconds=wall,
+        events_fired=fired,
+        counters=engine.counters.snapshot(),
+        processes=PERIODIC_PROCESSES,
+        cancelled_skipped=engine.cancelled_skipped,
+    )
+    assert 120_000 < fired < 130_000

@@ -14,7 +14,8 @@ DET002    no unordered (set / dict-view) iteration feeding RNG draws or
 DET003    no wall-clock reads outside explicitly annotated measurement
           sites
 SCH001    events enter the engine heap only via the seq-tie-break API,
-          never raw ``heapq.heappush``
+          never a raw ``heapq`` insert (``heappush``, ``heapreplace``,
+          ``heappushpop``)
 FPR001    every spec dataclass reachable from ``SimulationConfig`` is
           fully covered by the cache fingerprint
 ========  =============================================================
@@ -503,49 +504,57 @@ class WallClockRule(Rule):
         return findings
 
 
+#: The ``heapq`` functions that insert an item into a heap.
+_HEAP_INSERTS = frozenset({"heappush", "heapreplace", "heappushpop"})
+
+
 @register_rule
 class RawHeappushRule(Rule):
     """SCH001: the engine heap is fed only via the seq-tie-break API."""
 
     name = "SCH001"
-    summary = "no raw heapq.heappush — schedule via Engine.schedule/schedule_at"
+    summary = (
+        "no raw heapq.heappush/heapreplace/heappushpop — schedule via "
+        "Engine.schedule/schedule_at/schedule_every"
+    )
     rationale = (
         "Engine ordering is the (time, seq) total order: equal-time events "
-        "fire in scheduling order because schedule_at stamps a monotonically "
-        "increasing sequence number.  A raw heappush bypasses the stamp and "
-        "makes equal-time ordering fall back to whatever the pushed payload "
-        "happens to compare as — a silent replay hazard.  heapify/heappop "
-        "over locally built lists (e.g. service disciplines) are fine; only "
-        "pushes are gated."
+        "fire in scheduling order because schedule_at (and the run loop's "
+        "periodic re-arm) stamps a monotonically increasing sequence "
+        "number.  A raw insert — heappush, or heapreplace/heappushpop, which "
+        "push as well as pop — bypasses the stamp and makes equal-time "
+        "ordering fall back to whatever the pushed payload happens to "
+        "compare as — a silent replay hazard.  heapify/heappop over "
+        "locally built lists (e.g. service disciplines) are fine; only "
+        "inserts are gated."
     )
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
-        """Flag raw ``heapq.heappush`` outside the engine tie-break API."""
+        """Flag raw ``heapq`` inserts outside the engine tie-break API."""
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
-                if name is not None and (
-                    name == "heapq.heappush" or name.rsplit(".", 1)[-1] == "heappush"
-                ):
+                if name is not None and name.rsplit(".", 1)[-1] in _HEAP_INSERTS:
                     findings.append(
                         node_finding(
                             self,
                             module,
                             node,
-                            "raw heappush bypasses the engine's (time, seq) "
-                            "tie-break — use Engine.schedule/schedule_at",
+                            f"raw {name.rsplit('.', 1)[-1]} bypasses the engine's "
+                            "(time, seq) tie-break — use Engine.schedule/schedule_at",
                         )
                     )
             elif isinstance(node, ast.ImportFrom) and node.module == "heapq":
-                if any(a.name == "heappush" for a in node.names):
+                hits = sorted(a.name for a in node.names if a.name in _HEAP_INSERTS)
+                if hits:
                     findings.append(
                         node_finding(
                             self,
                             module,
                             node,
-                            "from-import of heappush — push through the engine's "
-                            "seq-tie-break API instead",
+                            f"from-import of {', '.join(hits)} — push through "
+                            "the engine's seq-tie-break API instead",
                         )
                     )
         return findings

@@ -16,6 +16,16 @@ neither method's clamp can fire because both tables end at exactly 1.0
 and ``random() < 1.0``.  So the draw is the same function of the same
 two ``random()`` values as that call chain, with no Python call per
 candidate.
+
+Before the first draw, :meth:`RequestGenerator.next_request` checks
+whether the rows hold any requestable object at all.  The rows are a
+superset of what a draw can reach, and nothing they are checked against
+changes during the call, so if none is requestable every draw misses:
+the generator then advances its stream by exactly the
+``2 * MAX_MISS_ATTEMPTS`` ``random()`` calls those draws would have
+made — one ``getrandbits(128 * MAX_MISS_ATTEMPTS)``, since ``random()``
+consumes two 32-bit Mersenne-Twister words and ``getrandbits(32 * k)``
+consumes ``k`` — and returns None without drawing.
 """
 
 from __future__ import annotations
@@ -65,6 +75,29 @@ def candidate_rows(
     return rows
 
 
+def _any_requestable(
+    rows: List[Row],
+    stored: Container[int],
+    pending: Container[int],
+    locatable: Container[int],
+) -> bool:
+    """Whether some object of ``rows`` is locatable and neither stored nor pending.
+
+    Locatability is tested first: most objects of a profile's
+    categories are held by no sharer, so one lookup settles them.
+    """
+    for objects, _ranks in rows:
+        for candidate in objects:
+            object_id = candidate.object_id
+            if (
+                object_id in locatable
+                and object_id not in stored
+                and object_id not in pending
+            ):
+                return True
+    return False
+
+
 class RequestGenerator:
     """Draws request candidates for one peer.
 
@@ -95,9 +128,6 @@ class RequestGenerator:
         "_pending",
         "_locatable",
         "_cache",
-        "candidates_drawn",
-        "hits_skipped",
-        "unlocatable_skipped",
     )
 
     def __init__(
@@ -127,9 +157,6 @@ class RequestGenerator:
         self._cache = (
             popularity_cache if popularity_cache is not None else PopularityCache()
         )
-        self.candidates_drawn = 0
-        self.hits_skipped = 0
-        self.unlocatable_skipped = 0
 
     def set_profile(self, profile: InterestProfile) -> None:
         """Swap the interest profile mid-run (scenario demand shifts)."""
@@ -140,33 +167,33 @@ class RequestGenerator:
 
         Each candidate costs exactly two ``random()`` calls on this
         peer's stream, category first, and at most
-        :data:`MAX_MISS_ATTEMPTS` candidates are drawn.  Returning ``None``
-        (rather than raising) keeps a fully-saturated peer alive: it
-        simply has no feasible request this instant.
+        :data:`MAX_MISS_ATTEMPTS` candidates are drawn.  When no object
+        of the profile's rows is requestable, no candidate is drawn and
+        the stream advances as if all of them had been (see the module
+        docstring).  Returning ``None`` (rather than raising) keeps a
+        fully-saturated peer alive: it simply has no feasible request
+        this instant.
         """
         profile = self._profile
         rows = candidate_rows(
             self._catalog, profile, self._cache, self._object_factor
         )
-        table = profile.cumulative
-        rand = self._rand.random
         stored = self._stored
         pending = self._pending
         locatable = self._locatable
-        hits = unlocatable = 0
-        found: Optional[ContentObject] = None
+        if not _any_requestable(rows, stored, pending, locatable):
+            self._rand.getrandbits(128 * MAX_MISS_ATTEMPTS)
+            return None
+        table = profile.cumulative
+        rand = self._rand.random
         for _ in range(MAX_MISS_ATTEMPTS):
             objects, ranks = rows[bisect_right(table, rand())]
             candidate = objects[bisect_left(ranks, rand())]
             object_id = candidate.object_id
-            if object_id in stored or object_id in pending:
-                hits += 1
-            elif object_id not in locatable:
-                unlocatable += 1
-            else:
-                found = candidate
-                break
-        self.candidates_drawn += hits + unlocatable + (found is not None)
-        self.hits_skipped += hits
-        self.unlocatable_skipped += unlocatable
-        return found
+            if (
+                object_id not in stored
+                and object_id not in pending
+                and object_id in locatable
+            ):
+                return candidate
+        return None

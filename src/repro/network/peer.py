@@ -652,6 +652,21 @@ class Peer:
         config = ctx.config
         if self.workload is not None and len(self.pending) < config.max_pending:
             self.fill_pending()
+        # Most scans meet no starved download, so first walk the map in
+        # place doing only what the loop below does before its first
+        # starved download: skip, or clear an engaged download's lookup
+        # failures.  Only the starved branch can mutate ``pending``, so
+        # at the first starved download the loop runs over a copy from
+        # the start, where repeating those clears is a no-op.
+        for download in self.pending.values():
+            if download.completed or download.unassigned_blocks <= 0:
+                continue
+            if download.transfers or download.registered_at:
+                download.lookup_failures = 0
+                continue
+            break
+        else:
+            return
         for download in list(self.pending.values()):
             if download.completed or download.unassigned_blocks <= 0:
                 continue

@@ -3,7 +3,8 @@
 The engine is deliberately minimal: a clock, a pending-event heap and a
 run loop.  Everything domain-specific (peers, transfers, rings) lives
 above it and interacts with the engine only through
-:meth:`Engine.schedule` / :meth:`Engine.schedule_at`.
+:meth:`Engine.schedule` / :meth:`Engine.schedule_at` and, for periodic
+processes, :meth:`Engine.schedule_every`.
 
 Determinism guarantees:
 
@@ -12,7 +13,13 @@ Determinism guarantees:
   at schedule time — since the pending store *is* a binary heap of
   ``(time, seq, event)`` tuples.  Non-finite times, which would break
   heap order silently (NaN compares False against everything), are
-  rejected at the one push site;
+  rejected by :meth:`Engine.schedule_at`; the run loop's re-arm adds a
+  checked finite, positive interval to a finite time;
+* a periodic event is **re-armed in place**: when the run loop pops
+  one, it puts the same event back at ``time + interval`` with a fresh
+  ``seq`` *before* it runs the callback — the point where a callback
+  rescheduling itself would draw that ``seq`` — so the pop order is the
+  one a fresh event per firing gives, without the allocation;
 * the engine itself uses no randomness,
 
 so a simulation driven by a seeded :class:`~repro.sim.rng.RandomSource`
@@ -124,9 +131,36 @@ class Engine:
                 f"cannot schedule {name or callback!r} at non-finite t={time}"
             )
         seq = self._seq
-        event = Event(time, seq, callback, name)
+        event = Event(time, callback, name)
         heapq.heappush(self._heap, (time, seq, event))  # simlint: disable=SCH001 -- this IS the seq-tie-break API every other push must go through
         self._seq = seq + 1
+        return event
+
+    def schedule_every(
+        self,
+        delay: float,
+        interval: float,
+        callback: Callable[[], None],
+        name: Optional[str] = None,
+    ) -> Event:
+        """Schedule ``callback`` ``delay`` seconds from now, then every ``interval``.
+
+        The event is armed through :meth:`schedule` and then marked
+        periodic, so the run loop re-arms it in place at
+        ``time + interval`` before each callback: a callback that raises
+        leaves the next firing queued, and cancelling the event (also
+        from inside its callback) ends the series.  ``interval`` must be
+        finite and positive — NaN or zero would refire at one instant
+        forever — or :class:`SchedulingError` is raised before anything
+        is scheduled.
+        """
+        if not 0.0 < interval < math.inf:  # also False for NaN
+            raise SchedulingError(
+                f"periodic interval of {name or callback!r} must be finite "
+                f"and positive, got {interval}"
+            )
+        event = self.schedule(delay, callback, name)
+        event.interval = interval
         return event
 
     # ------------------------------------------------------------------
@@ -144,16 +178,17 @@ class Engine:
         return None
 
     def step(self) -> Optional[Event]:
-        """Fire the next non-cancelled event; return it, or None if empty."""
+        """Fire the next non-cancelled event; return it, or None if empty.
+
+        One turn of :meth:`run`'s loop, so the event is counted and, if
+        periodic, re-armed exactly as a run would; like :meth:`run`, it
+        must not be called from inside a callback.
+        """
         entry = self._head()
         if entry is None:
             return None
-        heapq.heappop(self._heap)
-        event = entry[2]
-        self._now = entry[0]
-        self._fired += 1
-        event.fire()
-        return event
+        self.run(max_events=1)
+        return entry[2]
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run the event loop.
@@ -190,6 +225,7 @@ class Engine:
         heap = self._heap
         head = self._head
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         try:
             while heap:
                 if max_events is not None and fired >= max_events:
@@ -200,16 +236,25 @@ class Engine:
                 time, _seq, event = entry
                 if until is not None and time > until:
                     break
-                heappop(heap)
+                interval = event.interval
+                if interval is None:
+                    heappop(heap)
+                else:
+                    # Re-arm before the callback, where a callback
+                    # rescheduling itself would draw its seq.
+                    seq = self._seq
+                    self._seq = seq + 1
+                    event.time = next_time = time + interval
+                    heapreplace(heap, (next_time, seq, event))  # simlint: disable=SCH001 -- the periodic re-arm: stamps the next seq exactly as schedule_at would
                 self._now = time
                 self._fired += 1
                 fired += 1
-                kind = event.name.partition(".")[0]
+                kind = event.kind
                 event_counts[kind] = event_counts.get(kind, 0) + 1
-                event.callback()  # inlined Event.fire(): once per event
+                event.callback()
         finally:
             self._running = False
-        event_counts["engine.fired"] = event_counts.get("engine.fired", 0) + fired
+            event_counts["engine.fired"] = event_counts.get("engine.fired", 0) + fired
         if until is not None and self._now < until:
             next_time = self.peek_time()
             if next_time is None or next_time > until:

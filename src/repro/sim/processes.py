@@ -2,17 +2,17 @@
 
 Peers run several recurring activities — IRQ scans for feasible
 exchanges, storage-limit checks — which the paper describes as happening
-"in regular intervals".  :class:`PeriodicProcess` packages the
-schedule/fire/reschedule loop with clean cancellation semantics: pausing
-or stopping cancels the one pending firing.
+"in regular intervals".  :class:`PeriodicProcess` arms one periodic
+event (:meth:`~repro.sim.engine.Engine.schedule_every`), which the
+engine re-arms in place before every firing, and adds clean
+cancellation semantics: pausing or stopping cancels that event, and
+resuming arms a new one.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
-from repro.errors import SimulationError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 
@@ -28,8 +28,8 @@ class PeriodicProcess:
     artificially.
 
     ``interval`` must be finite and positive (NaN would refire at one
-    instant forever); ``start_delay`` must be finite and not negative,
-    or the engine raises :class:`~repro.errors.SchedulingError`.
+    instant forever) and ``start_delay`` finite and not negative, or
+    the engine raises :class:`~repro.errors.SchedulingError`.
     """
 
     __slots__ = (
@@ -51,8 +51,6 @@ class PeriodicProcess:
         name: str = "periodic",
         start_delay: Optional[float] = None,
     ) -> None:
-        if not 0.0 < interval < math.inf:  # also False for NaN
-            raise SimulationError(f"periodic interval must be finite and positive, got {interval}")
         self._engine = engine
         self._interval = interval
         self._callback = callback
@@ -61,7 +59,9 @@ class PeriodicProcess:
         self._paused = False
         self._fired = 0
         first = interval if start_delay is None else start_delay
-        self._event: Optional[Event] = engine.schedule(first, self._fire, name=name)
+        self._event: Optional[Event] = engine.schedule_every(
+            first, interval, self._fire, name
+        )
 
     @property
     def fired(self) -> int:
@@ -119,15 +119,16 @@ class PeriodicProcess:
         if self._stopped or not self._paused:
             return
         delay = self._interval if start_delay is None else start_delay
-        self._event = self._engine.schedule(delay, self._fire, name=self._name)
+        self._event = self._engine.schedule_every(
+            delay, self._interval, self._fire, self._name
+        )
         self._paused = False
 
     def _fire(self) -> None:
         if self._stopped or self._paused:
             return
         self._fired += 1
-        # Reschedule before invoking the callback so a callback that
-        # raises still leaves the process alive for the next tick, and a
-        # callback that calls stop() cancels the already-queued event.
-        self._event = self._engine.schedule(self._interval, self._fire, name=self._name)
+        # The engine re-armed the event before this call, so a callback
+        # that raises still leaves the process alive for the next tick,
+        # and a callback that calls stop() cancels the queued firing.
         self._callback()

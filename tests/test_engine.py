@@ -157,6 +157,113 @@ class TestExecution:
             engine.run(until=5.0)
 
 
+def _kinds(counts):
+    """The per-kind fire counts: every key without a dot."""
+    return {name: count for name, count in counts.items() if "." not in name}
+
+
+class TestFireCounts:
+    """``step()`` and ``run()`` count each fire once, also when it raises."""
+
+    def test_mixed_step_and_run_count_every_fire(self):
+        engine = Engine()
+        for delay in range(1, 6):
+            engine.schedule(float(delay), lambda: None, name="tick")
+        engine.step()
+        engine.step()
+        assert engine.run(until=10.0) == 3
+        counts = engine.counters.counts
+        assert _kinds(counts) == {"tick": 5}
+        assert sum(_kinds(counts).values()) == counts["engine.fired"] == engine.events_fired
+
+    def test_raising_callback_is_counted(self):
+        engine = Engine()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        engine.schedule(1.0, lambda: None, name="ok")
+        engine.schedule(2.0, boom, name="boom")
+        engine.schedule(3.0, lambda: None, name="ok")
+        with pytest.raises(RuntimeError):
+            engine.run(until=5.0)
+        counts = engine.counters.counts
+        assert _kinds(counts) == {"ok": 1, "boom": 1}
+        assert sum(_kinds(counts).values()) == counts["engine.fired"] == engine.events_fired
+        with pytest.raises(RuntimeError):
+            engine.schedule(4.0, boom, name="boom")
+            engine.step()
+            engine.step()
+        assert _kinds(counts) == {"ok": 2, "boom": 2}
+        assert sum(_kinds(counts).values()) == counts["engine.fired"] == engine.events_fired
+
+    def test_step_rearms_a_periodic_event(self):
+        engine = Engine()
+        times = []
+        event = engine.schedule_every(1.0, 2.0, lambda: times.append(engine.now), name="p.x")
+        for _ in range(3):
+            assert engine.step() is event
+        assert times == [1.0, 3.0, 5.0]
+        assert event.time == 7.0 and engine.events_pending == 1
+        assert engine.counters.counts == {"p": 3, "engine.fired": 3}
+
+    def test_step_inside_a_callback_is_rejected(self):
+        engine = Engine()
+        engine.schedule(1.0, engine.step)
+        engine.schedule(2.0, lambda: None)
+        with pytest.raises(SimulationError):
+            engine.run(until=5.0)
+
+
+class TestScheduleEvery:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_interval_must_be_finite_and_positive(self, bad):
+        engine = Engine()
+        with pytest.raises(SchedulingError):
+            engine.schedule_every(1.0, bad, lambda: None)
+        assert engine.events_pending == 0
+
+    def test_one_event_fires_at_every_interval(self):
+        engine = Engine()
+        times = []
+        event = engine.schedule_every(0.5, 1.5, lambda: times.append(engine.now), name="p")
+        engine.run(until=5.0)
+        assert times == [0.5, 2.0, 3.5, 5.0]
+        assert event.interval == 1.5 and event.time == 6.5
+        assert engine.events_pending == 1
+
+    def test_rearm_draws_seq_before_the_callback(self):
+        # A one-shot scheduled by the callback for the re-armed instant
+        # fires after the periodic event, as it did when the process
+        # scheduled a fresh event before running its callback.
+        engine = Engine()
+        order = []
+
+        def tick():
+            order.append("tick")
+            if len(order) == 1:
+                engine.schedule(1.0, lambda: order.append("once"))
+
+        engine.schedule_every(1.0, 1.0, tick)
+        engine.run(until=2.0)
+        assert order == ["tick", "tick", "once"]
+
+    def test_cancel_ends_the_series(self):
+        engine = Engine()
+        fired = []
+        holder = {}
+
+        def tick():
+            fired.append(engine.now)
+            if len(fired) == 2:
+                holder["event"].cancel()
+
+        holder["event"] = engine.schedule_every(1.0, 1.0, tick)
+        engine.run(until=10.0)
+        assert fired == [1.0, 2.0]
+        assert engine.cancelled_skipped == 1 and engine.events_pending == 0
+
+
 class TestUntilMaxEventsInterplay:
     """Regression: run(until=..., max_events=...) must not fast-forward
     the clock past events still in the heap (the clock would then move

@@ -129,13 +129,11 @@ class TestRequestGenerator:
             obj = generator.next_request()
             assert obj is not None
             assert obj.object_id >= 8
-        assert generator.hits_skipped > 0
 
     def test_skips_unlocatable_objects(self):
         generator = self._generator(locatable={5})
         obj = generator.next_request()
         assert obj is not None and obj.object_id == 5
-        assert generator.unlocatable_skipped > 0
 
     def test_returns_none_when_everything_known(self):
         generator = self._generator(known=frozenset(range(12)))
@@ -160,6 +158,81 @@ class TestRequestGenerator:
         obj = generator.next_request()
         if obj is not None:
             assert obj.object_id not in known
+
+
+class _CountingRandom(random.Random):
+    """A Mersenne-Twister stream that counts its ``random()`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.random_calls = 0
+
+    def random(self):
+        self.random_calls += 1
+        return super().random()
+
+
+def _state_after_random_calls(seed, calls):
+    rand = random.Random(seed)
+    for _ in range(calls):
+        rand.random()
+    return rand.getstate()
+
+
+class TestExhaustedProfile:
+    """A call with nothing requestable skips its draws, not their stream."""
+
+    @pytest.mark.parametrize("k", [1, 2, 199, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 12345678901234567890])
+    def test_getrandbits_consumes_what_random_calls_consume(self, seed, k):
+        rand = random.Random(seed)
+        rand.getrandbits(128 * k)
+        assert rand.getstate() == _state_after_random_calls(seed, 2 * k)
+
+    @pytest.mark.parametrize(
+        "known, pending, locatable",
+        [
+            (frozenset(range(12)), {}, frozenset(range(12))),  # all stored
+            (frozenset(), {}, frozenset()),  # nothing locatable
+            (frozenset(range(6)), dict.fromkeys(range(6, 9)), frozenset(range(9))),
+        ],
+        ids=["stored", "unlocatable", "mixed"],
+    )
+    def test_exhausted_call_draws_nothing_and_advances_the_stream(
+        self, known, pending, locatable
+    ):
+        catalog = tiny_catalog(num_categories=3, objects_per_category=4)
+        rand = _CountingRandom(7)
+        generator = RequestGenerator(
+            catalog,
+            InterestProfile([0, 1, 2], [1.0, 1.0, 1.0]),
+            rand,
+            0.2,
+            stored=known,
+            pending=pending,
+            locatable=locatable,
+        )
+        assert generator.next_request() is None
+        assert rand.random_calls == 0
+        assert rand.getstate() == _state_after_random_calls(7, 2 * MAX_MISS_ATTEMPTS)
+
+    def test_zero_weight_category_counts_as_requestable(self):
+        # The rows include categories no draw can reach, so a requestable
+        # object there keeps the draws (which then all miss).
+        catalog = tiny_catalog(num_categories=2, objects_per_category=4)
+        rand = _CountingRandom(7)
+        generator = RequestGenerator(
+            catalog,
+            InterestProfile([0, 1], [1.0, 0.0]),
+            rand,
+            0.2,
+            stored=frozenset(range(4)),
+            pending={},
+            locatable=frozenset(range(8)),
+        )
+        assert generator.next_request() is None
+        assert rand.random_calls == 2 * MAX_MISS_ATTEMPTS
+        assert rand.getstate() == _state_after_random_calls(7, 2 * MAX_MISS_ATTEMPTS)
 
 
 # ----------------------------------------------------------------------
@@ -206,22 +279,16 @@ class _ChainGenerator:
         self.pending = pending
         self.lookup = lookup
         self.cache = PopularityCache()
-        self.candidates_drawn = 0
-        self.hits_skipped = 0
-        self.unlocatable_skipped = 0
 
     def next_request(self):
         for _ in range(MAX_MISS_ATTEMPTS):
             category = self.catalog.category(self.profile.choose_category(self.rand))
             distribution = self.cache.get(category.size, self.factor)
-            self.candidates_drawn += 1
             candidate = category.objects[distribution.sample_index(self.rand)]
             object_id = candidate.object_id
             if object_id in self.store or object_id in self.pending:
-                self.hits_skipped += 1
                 continue
             if self.lookup.provider_count(object_id) == 0:
-                self.unlocatable_skipped += 1
                 continue
             return candidate
         return None
@@ -246,14 +313,6 @@ def _everything_located(catalog):
     for object_id in range(catalog.num_objects):
         lookup.register(0, object_id)
     return lookup
-
-
-def _counters(generator):
-    return (
-        generator.candidates_drawn,
-        generator.hits_skipped,
-        generator.unlocatable_skipped,
-    )
 
 
 class _ScriptedRandom:
@@ -337,7 +396,6 @@ class TestSamplerMatchesCallChain:
                 got = ours.next_request()
                 want = reference.next_request()
                 assert got is want
-                assert _counters(ours) == _counters(reference)
                 assert ours_rand.getstate() == reference_rand.getstate()
 
     @settings(max_examples=200, deadline=None)

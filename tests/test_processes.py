@@ -170,6 +170,28 @@ _STEP = st.one_of(
 )
 
 
+#: A periodic process: interval and start delay in quarters, and an
+#: action it performs on every ``every``-th firing (or none).
+_ACTION = st.one_of(
+    st.tuples(st.sampled_from(["pause", "stop"]), st.integers(0, 3)),
+    st.tuples(st.just("resume"), st.integers(0, 3), st.none() | _QUARTERS),
+    st.tuples(st.just("once"), _QUARTERS),
+    st.tuples(st.just("raise")),
+)
+_MODEL_PROCESS = st.tuples(
+    st.integers(1, 6), st.none() | st.integers(0, 6), st.none() | _ACTION, st.integers(1, 3)
+)
+_MODEL_STEP = st.one_of(
+    st.tuples(st.sampled_from(["pause", "stop"]), st.integers(0, 3)),
+    st.tuples(st.just("resume"), st.integers(0, 3), st.none() | _QUARTERS),
+    # One-shot events at colliding times, each with an optional action.
+    st.tuples(st.just("at"), _QUARTERS, st.integers(1, 3), st.none() | _ACTION),
+    st.tuples(st.just("run"), st.integers(0, 16), st.none() | st.integers(0, 6)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("peek")),
+)
+
+
 class TestReferenceModel:
     """Periodic processes against a list-based reference model.
 
@@ -243,3 +265,231 @@ class TestReferenceModel:
             # popped as a tombstone.
             stored = engine.events_pending + engine.cancelled_skipped
             assert seq == engine.events_fired + stored
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        specs=st.lists(_MODEL_PROCESS, min_size=1, max_size=4),
+        program=st.lists(_MODEL_STEP, max_size=30),
+    )
+    def test_in_place_rearm_matches_a_fresh_event_per_firing(self, specs, program):
+        """The engine's in-place re-arm against the fresh event per firing
+        it replaces (:class:`_ListEngine`, :class:`_ListProcess`), through
+        one-shot events, actions inside callbacks, raising callbacks,
+        ``run(until, max_events)``, ``step()`` and ``peek_time()``."""
+        ours = _Side(Engine(), PeriodicProcess, specs, check_events=True)
+        model = _Side(_ListEngine(), _ListProcess, specs, check_events=False)
+        for op, *args in program:
+            outcomes = [side.apply(op, args) for side in (ours, model)]
+            assert outcomes[0] == outcomes[1]
+            assert ours.log == model.log
+            assert ours.observe() == model.observe()
+
+
+class _Boom(Exception):
+    """Raised by a callback whose action is ``raise``."""
+
+
+class _Side:
+    """One engine and its processes, driven by a test program.
+
+    Both sides log every callback as ``("p", index)`` or ``("o", ident)``
+    and run the same actions, so equal logs mean equal fire order.  With
+    ``check_events`` every periodic firing also checks that the process
+    still holds the event it was armed with — re-armed in place to
+    ``now + interval`` — unless that event was cancelled (by a pause or
+    stop) since the previous firing.
+    """
+
+    def __init__(self, engine, process_type, specs, check_events):
+        self.engine = engine
+        self.log = []
+        self.processes = []
+        self._once = 0
+        self._check_events = check_events
+        self._armed = []
+        for index, (interval, start, action, every) in enumerate(specs):
+            self.processes.append(
+                process_type(
+                    engine,
+                    interval / 4,
+                    lambda index=index, action=action, every=every: self._tick(
+                        index, action, every
+                    ),
+                    name=f"p{index}",
+                    start_delay=None if start is None else start / 4,
+                )
+            )
+            self._armed.append(None)
+
+    def _tick(self, index, action, every):
+        process = self.processes[index]
+        self.log.append(("p", index))
+        if self._check_events:
+            event = process._event
+            previous = self._armed[index]
+            if previous is not None and not previous.cancelled:
+                assert event is previous
+            assert event.time == self.engine.now + process.interval
+            self._armed[index] = event
+        if action is not None and process.fired % every == 0:
+            self._act(action)
+
+    def _once_at(self, quarters, action):
+        ident = self._once
+        self._once += 1
+
+        def callback():
+            self.log.append(("o", ident))
+            if action is not None:
+                self._act(action)
+
+        self.engine.schedule(quarters / 4, callback, name="once")
+
+    def _act(self, action):
+        op, *args = action
+        if op == "raise":
+            raise _Boom()
+        if op == "once":
+            self._once_at(args[0], None)
+            return
+        process = self.processes[args[0] % len(self.processes)]
+        if op == "pause":
+            process.pause()
+        elif op == "stop":
+            process.stop()
+        else:
+            process.resume(start_delay=None if args[1] is None else args[1] / 4)
+
+    def apply(self, op, args):
+        """Run one program step; returns what it returned, or ``"boom"``."""
+        try:
+            if op == "run":
+                until = self.engine.now + args[0] / 4
+                return self.engine.run(until=until, max_events=args[1])
+            if op == "step":
+                return self.engine.step() is not None
+            if op == "peek":
+                return self.engine.peek_time()
+            if op == "at":
+                quarters, copies, action = args
+                for _ in range(copies):
+                    self._once_at(quarters, action)
+                return None
+            self._act((op, *args))
+            return None
+        except _Boom:
+            return "boom"
+
+    def observe(self):
+        engine = self.engine
+        return (
+            engine.now,
+            engine.events_fired,
+            engine.cancelled_skipped,
+            engine.events_pending,
+            [(p.fired, p.paused, p.stopped) for p in self.processes],
+        )
+
+
+class _ListEngine:
+    """The engine's contract on a plain list of ``[time, seq, callback,
+    cancelled]`` entries: fire the smallest live ``(time, seq)``, drop a
+    cancelled entry when it is the smallest one at a head check."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_fired = 0
+        self.cancelled_skipped = 0
+        self._seq = 0
+        self._entries = []
+
+    @property
+    def events_pending(self):
+        return len(self._entries)
+
+    def schedule(self, delay, callback, name=None):
+        entry = [self.now + delay, self._seq, callback, False]
+        self._seq += 1
+        self._entries.append(entry)
+        return entry
+
+    def _head(self):
+        while self._entries:
+            entry = min(self._entries, key=lambda e: (e[0], e[1]))
+            if not entry[3]:
+                return entry
+            self._entries.remove(entry)
+            self.cancelled_skipped += 1
+        return None
+
+    def peek_time(self):
+        entry = self._head()
+        return None if entry is None else entry[0]
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while max_events is None or fired < max_events:
+            entry = self._head()
+            if entry is None or (until is not None and entry[0] > until):
+                break
+            self._entries.remove(entry)
+            self.now = entry[0]
+            self.events_fired += 1
+            fired += 1
+            entry[2]()
+        if until is not None and self.now < until:
+            next_time = self.peek_time()
+            if next_time is None or next_time > until:
+                self.now = until
+        return fired
+
+    def step(self):
+        entry = self._head()
+        if entry is not None:
+            self.run(max_events=1)
+        return entry
+
+
+class _ListProcess:
+    """A periodic process that schedules a fresh entry for its next
+    firing just before it runs its callback."""
+
+    def __init__(self, engine, interval, callback, name, start_delay=None):
+        self._engine = engine
+        self.interval = interval
+        self._callback = callback
+        self.fired = 0
+        self.paused = False
+        self.stopped = False
+        first = interval if start_delay is None else start_delay
+        self._entry = engine.schedule(first, self._fire)
+
+    def _fire(self):
+        if self.stopped or self.paused:
+            return
+        self.fired += 1
+        self._entry = self._engine.schedule(self.interval, self._fire)
+        self._callback()
+
+    def _cancel(self):
+        if self._entry is not None:
+            self._entry[3] = True
+            self._entry = None
+
+    def pause(self):
+        if self.stopped or self.paused:
+            return
+        self.paused = True
+        self._cancel()
+
+    def resume(self, start_delay=None):
+        if self.stopped or not self.paused:
+            return
+        delay = self.interval if start_delay is None else start_delay
+        self._entry = self._engine.schedule(delay, self._fire)
+        self.paused = False
+
+    def stop(self):
+        self.stopped = True
+        self.paused = False
+        self._cancel()

@@ -592,17 +592,23 @@ class TestMaxMissAttempts:
         from repro.content.interests import InterestProfile
 
         profile = InterestProfile([0], [1.0])
+        rand = random.Random(1)
         generator = RequestGenerator(
             catalog,
             profile,
-            random.Random(1),
+            rand,
             object_factor=0.2,
             stored=range(4),  # everything is a cache hit
             pending={},
             locatable=range(4),
         )
         assert generator.next_request() is None
-        assert generator.candidates_drawn == MAX_MISS_ATTEMPTS
+        # The stream moved exactly as far as MAX_MISS_ATTEMPTS
+        # candidates of two random() calls each would move it.
+        expected = random.Random(1)
+        for _ in range(2 * MAX_MISS_ATTEMPTS):
+            expected.random()
+        assert rand.getstate() == expected.getstate()
 
 
 class TestScenarioEventSerialization:

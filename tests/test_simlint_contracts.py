@@ -562,6 +562,30 @@ SEEDED_PLANTS = {
             heapq.heappush(heap, item)
         """,
     ),
+    # heapreplace and heappushpop insert as well as pop.
+    "sch001_heapreplace": (
+        "sim/engine.py",
+        "SCH001",
+        """
+        def _seeded_replace(heap, item):
+            return heapq.heapreplace(heap, item)
+        """,
+    ),
+    "sch001_heappushpop": (
+        "sim/engine.py",
+        "SCH001",
+        """
+        def _seeded_pushpop(heap, item):
+            return heapq.heappushpop(heap, item)
+        """,
+    ),
+    "sch001_from_import": (
+        "sim/processes.py",
+        "SCH001",
+        """
+        from heapq import heappushpop, heapreplace
+        """,
+    ),
     "hot001": (
         "core/exchange_manager.py",
         "HOT001",
@@ -675,6 +699,15 @@ class TestSeededViolations:
 
     def test_seeded_sch001(self, fired):
         assert fired.get("sch001")
+
+    def test_seeded_sch001_heapreplace(self, fired):
+        assert fired.get("sch001_heapreplace")
+
+    def test_seeded_sch001_heappushpop(self, fired):
+        assert fired.get("sch001_heappushpop")
+
+    def test_seeded_sch001_from_import(self, fired):
+        assert fired.get("sch001_from_import")
 
     def test_seeded_hot001(self, fired):
         assert fired.get("hot001")

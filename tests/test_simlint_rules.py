@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis import RULE_REGISTRY, run_lint
 
 
@@ -264,6 +266,20 @@ class TestSCH001RawHeappush:
 
     def test_from_import_is_flagged(self, tmp_path):
         findings = lint(tmp_path, "from heapq import heappush\n", ["SCH001"])
+        assert [f.rule for f in findings] == ["SCH001"]
+
+    @pytest.mark.parametrize("insert", ["heapreplace", "heappushpop"])
+    def test_inserts_that_also_pop_are_flagged(self, tmp_path, insert):
+        findings = lint(
+            tmp_path,
+            f"""\
+            import heapq
+            heapq.{insert}(heap, (0.0, item))
+            """,
+            ["SCH001"],
+        )
+        assert [f.rule for f in findings] == ["SCH001"]
+        findings = lint(tmp_path, f"from heapq import heapify, {insert}\n", ["SCH001"])
         assert [f.rule for f in findings] == ["SCH001"]
 
     def test_heapify_and_heappop_stay_legal(self, tmp_path):

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Metrics memory guard: RSS must stay flat over the run, with no cycles.
 
-The columnar collector folds each frozen 4096-row chunk into running
-aggregates and releases it, so the process footprint after the world is
-built should be governed by the *population*, not by how long the run
-lasts.  This script proves that
+The metrics collector folds each record into running aggregates as it
+lands and keeps no record (only the two per-session values and the
+per-download row the summary reads), so the process footprint after the
+world is built should be governed by the *population*, not by how long
+the run lasts.  This script proves that
 property on a live run: it builds one simulation, runs the engine to a
 checkpoint fraction of the configured duration, samples peak RSS, runs
 to the end, samples again, and fails if the second sample grew beyond

@@ -10,10 +10,9 @@ HOT001    no record-dataclass / dict-per-event allocation inside
           hot-set functions of the five hot-path modules
           (``transfer`` / ``peer`` / ``strategy`` /
           ``exchange_manager`` / ``irq``)
-NUM001    byte-identity reductions in ``metrics/aggregates.py`` and
-          ``metrics/columnar.py``: no ``np.sum`` / ``math.fsum`` /
-          method reductions; builtin ``sum`` must carry an explicit
-          start (left-fold ``sum(values, 0.0)``)
+NUM001    byte-identity reductions in ``metrics/columnar.py``: no
+          ``np.sum`` / ``math.fsum`` / method reductions and no builtin
+          ``sum()``; float sums are ``+=`` left folds in record order
 MIR001    every store to a ``PeerStateTable``-mirrored ``Peer``
           attribute (online / behavior / policy / departed) pairs
           with a table write-through in the same function
@@ -56,7 +55,7 @@ HOT_PATH_BASENAMES = frozenset(
 )
 
 #: File basenames under the NUM001 byte-identity contract.
-NUMERIC_BASENAMES = frozenset({"aggregates.py", "columnar.py"})
+NUMERIC_BASENAMES = frozenset({"columnar.py"})
 
 #: Reduction attribute names banned on a numpy-module receiver.
 NUMPY_REDUCTIONS = frozenset(
@@ -188,25 +187,26 @@ class NumericReductionRule(Rule):
 
     name = "NUM001"
     summary = (
-        "metrics reductions must be sequential left-folds sum(values, 0.0) "
-        "— np.sum/math.fsum/method reductions are banned"
+        "metrics float sums must be += left folds in record order — "
+        "np.sum/math.fsum/.sum() and builtin sum() are banned"
     )
     rationale = (
-        "The metrics contract is that the chunk fold equals the record-order "
-        "left-fold behind the golden tables, and float addition is not "
-        "associative: np.sum's pairwise reduction and math.fsum's exact "
-        "summation both round differently from that left-fold, and a "
-        "pairwise sum would also round differently for every chunk size.  "
-        "In metrics/aggregates.py and metrics/columnar.py "
-        "the rule bans numpy/math reduction calls and ndarray .sum() "
-        "methods, and requires builtin sum() to pass an explicit start "
-        "(sum(values, 0.0)) so the fold order is spelled out.  Integer "
-        "tallies where rounding cannot occur may be suppressed inline with "
+        "The metrics contract is that every summary input equals the "
+        "record-order loop behind the golden tables, and float addition is "
+        "not associative: np.sum's pairwise reduction and math.fsum's exact "
+        "summation both round differently from that left fold, and so does "
+        "builtin sum() over floats from CPython 3.12, which adds Neumaier "
+        "compensation (sum([1.0, 1.0], 1e16) is 1e16 on 3.11 and "
+        "1.0000000000000002e16 on 3.12) -- sum(values, 0.0) is not the "
+        "left fold either.  In metrics/columnar.py the rule bans "
+        "numpy/math reduction calls, ndarray .sum() methods and every "
+        "builtin sum() call; accumulate with += in record order.  Integer "
+        "tallies, where no rounding occurs, may be suppressed inline with "
         "that argument."
     )
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
-        """Flag reordered reductions in the metrics modules."""
+        """Flag reordered reductions in the metrics fold module."""
         if _basename(module) not in NUMERIC_BASENAMES:
             return
         for node in ast.walk(module.tree):
@@ -220,20 +220,19 @@ class NumericReductionRule(Rule):
                         self,
                         module,
                         node,
-                        f"{callee}() reorders the reduction; use the "
-                        "sequential left-fold sum(values, 0.0) over a "
-                        "record-order extraction",
+                        f"{callee}() reorders the reduction; accumulate with "
+                        "+= in record order",
                     )
                     continue
-                if callee in ("math.fsum", "fsum"):
-                    yield node_finding(
-                        self,
-                        module,
-                        node,
-                        "math.fsum() rounds differently from the record-"
-                        "order left-fold; use sum(values, 0.0)",
-                    )
-                    continue
+            if callee in ("math.fsum", "fsum"):
+                yield node_finding(
+                    self,
+                    module,
+                    node,
+                    "math.fsum() rounds differently from the record-"
+                    "order left fold; accumulate with += in record order",
+                )
+                continue
             if isinstance(node.func, ast.Attribute) and node.func.attr == "sum":
                 receiver_name = dotted_name(node.func.value)
                 if receiver_name not in ("np", "numpy", "math", "builtins"):
@@ -242,21 +241,17 @@ class NumericReductionRule(Rule):
                         module,
                         node,
                         ".sum() method reductions are pairwise on ndarrays; "
-                        "use the sequential left-fold sum(values, 0.0)",
+                        "accumulate with += in record order",
                     )
-                continue
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id == "sum"
-                and len(node.args) < 2
-                and not node.keywords
-            ):
+                    continue
+            if callee in ("sum", "builtins.sum"):
                 yield node_finding(
                     self,
                     module,
                     node,
-                    "builtin sum() without an explicit start hides the fold "
-                    "order; write sum(values, 0.0) (or 0 for int tallies)",
+                    "builtin sum() compensates float sums from CPython 3.12, "
+                    "so it is not the left fold; accumulate with += in "
+                    "record order (suppress inline for an integer tally)",
                 )
 
 

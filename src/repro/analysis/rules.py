@@ -284,9 +284,20 @@ class BuiltinHashRule(Rule):
 
 
 #: Method names treated as "consumes iteration order" by DET002: RNG
-#: draws plus the engine scheduling API.
+#: draws, the engine scheduling API and the heap inserts.
 _ORDER_SENSITIVE_CALLS = frozenset(
-    {"sample", "choice", "shuffled", "shuffle", "schedule", "schedule_at", "heappush"}
+    {
+        "sample",
+        "choice",
+        "shuffled",
+        "shuffle",
+        "schedule",
+        "schedule_at",
+        "schedule_every",
+        "heappush",
+        "heapreplace",
+        "heappushpop",
+    }
 )
 _DICT_VIEW_METHODS = frozenset({"keys", "values", "items"})
 

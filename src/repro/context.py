@@ -44,9 +44,7 @@ class SimContext:
         #: The metrics sink; pass a collector built with
         #: ``keep_records=True`` to read record views after the run.
         self.metrics = (
-            metrics
-            if metrics is not None
-            else ColumnarCollector(warmup=config.warmup, perf_counters=self.counters)
+            metrics if metrics is not None else ColumnarCollector(warmup=config.warmup)
         )
         self.peers: Dict[int, "Peer"] = {}
         #: Columnar mirror of scan-relevant peer state (see

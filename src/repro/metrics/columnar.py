@@ -1,45 +1,45 @@
-"""Columnar metrics collector: numpy struct-of-arrays rows, folded on freeze.
+"""Metrics collector: every record is folded into the summary inputs as it lands.
 
-Records land as scalars appended to a staging row list.  Every
-``_CHUNK`` rows the staging tail is frozen into one numpy array per
-column and handed to the running folds in :mod:`repro.metrics.aggregates`,
-which keep exactly what :func:`~repro.metrics.summary.summarize` reads;
-the chunk is then released, so metrics memory is flat in run length.
-The summary-input queries (:meth:`ColumnarCollector.download_times` and
-friends, :meth:`ColumnarCollector.session_aggregates`) freeze the
-staging tail and read the folds, censoring at the warmup the collector
-was built with.
+:class:`ColumnarCollector` keeps exactly what
+:func:`~repro.metrics.summary.summarize` reads, built record by record:
 
-Two consumers hold frozen chunks longer:
+* each post-warmup session is folded into a running
+  :class:`SessionAggregates` (counts, per-class volume and waiting-time
+  lists, ``+=`` volume sums);
+* each post-warmup download leaves one ``(download_time, sharer, class
+  label, phase)`` row;
+* strategy epochs are kept as :class:`~repro.metrics.records.StrategyEpochRecord`
+  objects, one per revision epoch.
 
-* a row reader — the strategy layer's epoch ingestion through
-  :meth:`ColumnarCollector.session_rows_since` /
-  :meth:`ColumnarCollector.download_rows_since` — keeps each chunk only
-  until its cursor has passed it (:meth:`ColumnarCollector.follow_rows`);
-* ``keep_records=True`` keeps every chunk, so the record views
-  (:attr:`~ColumnarCollector.sessions`, :attr:`~ColumnarCollector.downloads`,
-  :attr:`~ColumnarCollector.strategy_epochs`) can materialize
-  dataclasses for tests and tools.  Nothing on the hot path allocates
-  them.
+Bit-identity contract: every float of a summary input comes from the
+same IEEE operations in the same order as the record-order loop that
+specifies it (``Oracle`` in ``tests/test_collector_equivalence.py``):
+``kbit / 8.0``, ``(start - request) / 60.0``, ``complete - request``
+and ``+=`` left folds, with dict keys in first-occurrence order.  No
+builtin ``sum()`` builds them: from CPython 3.12 it compensates float
+sums, which is not the left fold (lint rule NUM001).
 
-Sentinels: ``ring_id=None`` is stored as ``-1`` (real ring ids start at
-1), and ``None`` epoch payoffs are stored as NaN; both are restored on
-view materialization.
+Two consumers keep more:
+
+* a row reader, the strategy layer's epoch ingestion, calls
+  :meth:`ColumnarCollector.follow_rows`; from then on every record also
+  lands as a 4-tuple in a plain list, which
+  :meth:`~ColumnarCollector.session_rows_since` /
+  :meth:`~ColumnarCollector.download_rows_since` hand over and release;
+* ``keep_records=True`` keeps the record dataclasses themselves for the
+  record views (:attr:`~ColumnarCollector.sessions`,
+  :attr:`~ColumnarCollector.downloads`,
+  :attr:`~ColumnarCollector.strategy_epochs`).  Nothing else builds them.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MetricsError
-from repro.metrics.aggregates import (
-    RunningDownloadTimes,
-    RunningSessionAggregates,
-    SessionAggregates,
-)
 from repro.metrics.records import (
     DownloadRecord,
     SessionRecord,
@@ -47,254 +47,108 @@ from repro.metrics.records import (
     TerminationReason,
     TrafficClass,
 )
-from repro.sim.counters import PerfCounters
 
-#: Rows staged as Python tuples before being frozen into numpy chunks.
-_CHUNK = 4096
-
-_TRAFFIC_CLASSES: Tuple[TrafficClass, ...] = tuple(TrafficClass)
-_TRAFFIC_CODE: Dict[TrafficClass, int] = {tc: i for i, tc in enumerate(_TRAFFIC_CLASSES)}
-_NON_EXCHANGE_CODE = _TRAFFIC_CODE[TrafficClass.NON_EXCHANGE]
-_REASONS: Tuple[TerminationReason, ...] = tuple(TerminationReason)
-_REASON_CODE: Dict[TerminationReason, int] = {r: i for i, r in enumerate(_REASONS)}
-
-_Schema = Tuple[Tuple[str, type], ...]
-
-_SESSION_SCHEMA: _Schema = (
-    ("provider_id", np.int64),
-    ("requester_id", np.int64),
-    ("object_id", np.int64),
-    ("traffic_class", np.int8),
-    ("ring_size", np.int32),
-    ("ring_id", np.int64),
-    ("request_time", np.float64),
-    ("start_time", np.float64),
-    ("end_time", np.float64),
-    ("kbit", np.float64),
-    ("reason", np.int8),
-    ("sharer", np.bool_),
-    ("req_class", np.int32),
-    ("phase", np.int32),
-    ("eff_class", np.int32),
-)
-
-_DOWNLOAD_SCHEMA: _Schema = (
-    ("peer_id", np.int64),
-    ("object_id", np.int64),
-    ("request_time", np.float64),
-    ("complete_time", np.float64),
-    ("size_kbit", np.float64),
-    ("sharer", np.bool_),
-    ("class_name", np.int32),
-    ("phase", np.int32),
-    ("eff_class", np.int32),
-)
-
-_EPOCH_SCHEMA: _Schema = (
-    ("time", np.float64),
-    ("epoch", np.int64),
-    ("enrolled", np.int64),
-    ("sharing", np.int64),
-    ("revised", np.int64),
-    ("to_sharing", np.int64),
-    ("to_freeloading", np.int64),
-    ("payoff_sharing", np.float64),
-    ("payoff_freeloading", np.float64),
-    ("phase", np.int32),
-)
+#: ``(requester_id, request_time, end_time, is_exchange)``: one session
+#: in a reader's feed.
+SessionRow = Tuple[int, float, float, bool]
+#: ``(peer_id, request_time, complete_time, download_time)``: one
+#: download in a reader's feed.
+DownloadRow = Tuple[int, float, float, float]
 
 
-class _ColumnTable:
-    """Chunked struct-of-arrays rows with a tuple-per-row staging tail.
+@dataclass
+class SessionAggregates:
+    """Per-class/per-phase reductions over post-warmup sessions.
 
-    The hot path is :meth:`append`: one list append per record.  Every
-    ``_CHUNK`` rows the staging tail is transposed and frozen into one
-    numpy array per column, handed to the ``on_freeze`` fold, and
-    released — unless ``keep_all`` keeps every chunk, or a row reader
-    (:meth:`follow`) has not read past it yet.
+    Dict key order is observable (summaries serialize to JSON): every
+    mapping is keyed in *first-occurrence order* over the post-warmup
+    sessions.
     """
 
-    __slots__ = (
-        "_schema",
-        "_index",
-        "_staging",
-        "_count",
-        "_on_freeze",
-        "_keep_all",
-        "_following",
-        "_kept",
-        "_kept_from",
-    )
+    #: Sessions per traffic-class label.
+    session_counts: Dict[str, int] = field(default_factory=dict)
+    #: Per-session volume (KB) lists per traffic-class label.
+    volume_kb_by_class: Dict[str, List[float]] = field(default_factory=dict)
+    #: Per-session waiting time (minutes) lists per traffic-class label.
+    waiting_min_by_class: Dict[str, List[float]] = field(default_factory=dict)
+    #: Sessions whose traffic class is an exchange class.
+    exchange_sessions: int = 0
+    #: All post-warmup sessions (the fraction's denominator).
+    total_sessions: int = 0
+    #: Volume (kbit) received by sharer / freeloader requesters.
+    sharer_kbit: float = 0.0
+    freeloader_kbit: float = 0.0
+    #: Volume (kbit) received per population-class label (records
+    #: without a label fall back to sharer/freeloader).
+    kbit_by_peer_class: Dict[str, float] = field(default_factory=dict)
+    #: Sessions per scenario-phase label (unlabeled sessions skipped).
+    phase_counts: Dict[str, int] = field(default_factory=dict)
+    #: Exchange sessions per scenario-phase label.
+    phase_exchange_counts: Dict[str, int] = field(default_factory=dict)
 
-    def __init__(
-        self,
-        schema: _Schema,
-        on_freeze: Optional[Callable[[Dict[str, np.ndarray]], None]] = None,
-        keep_all: bool = False,
-    ) -> None:
-        self._schema = schema
-        self._index = {name: i for i, (name, _) in enumerate(schema)}
-        self._staging: List[Tuple[object, ...]] = []
-        self._count = 0
-        self._on_freeze = on_freeze
-        self._keep_all = keep_all
-        self._following = False
-        self._kept: List[Dict[str, np.ndarray]] = []
-        #: Row index of the first kept row (of the staging tail when no
-        #: chunk is kept).
-        self._kept_from = 0
 
-    def __len__(self) -> int:
-        return self._count
+def _grouped(pairs: Iterable[Tuple[str, float]]) -> Dict[str, List[float]]:
+    """``{label: times}`` keyed in first-occurrence order ("" skipped)."""
+    grouped: Dict[str, List[float]] = {}
+    for label, time in pairs:
+        if label:
+            grouped.setdefault(label, []).append(time)
+    return grouped
 
-    def append(self, row: Tuple[object, ...]) -> None:
-        """Stage one row (positional, matching the schema order)."""
-        staging = self._staging
-        staging.append(row)
-        self._count += 1
-        if len(staging) >= _CHUNK:
-            self._flush()
 
-    def _flush(self) -> None:
-        columns = zip(*self._staging)
-        frozen = {  # simlint: disable=HOT001 -- amortized once per _CHUNK rows
-            name: np.asarray(values, dtype=dtype)
-            for (name, dtype), values in zip(self._schema, columns)
-        }
-        if self._on_freeze is not None:
-            self._on_freeze(frozen)
-        if self._keep_all or self._following:
-            self._kept.append(frozen)
-        else:
-            self._kept_from += len(self._staging)
-        self._staging.clear()
+def _take(feed: Optional[List[Any]], count: int, start: int) -> List[Any]:
+    """Rows ``start..`` of a feed whose last row is row ``count - 1``.
 
-    def drain(self) -> None:
-        """Freeze the staging tail now (partial chunk; query-time use).
-
-        Chunk boundaries are not observable — every fold is elementwise
-        or a carried left-fold — so draining early changes no value.
-        """
-        if self._staging:
-            self._flush()
-
-    def follow(self) -> int:
-        """Keep frozen chunks for a row reader from now on.
-
-        Returns the reader's starting cursor, the current row count:
-        rows before it may already be released.
-        """
-        self._following = True
-        return self._count
-
-    def rows_since(self, start: int, names: Sequence[str]) -> List[List[object]]:
-        """Python-scalar columns of rows ``start..`` in record order.
-
-        Kept chunks are sliced and the staging tail is read in place
-        (reading freezes nothing).  A reader reads to the end, so
-        afterwards every kept chunk is behind its cursor and is released
-        unless ``keep_all`` holds it.
-        """
-        if start < self._kept_from:
-            raise MetricsError(
-                f"rows before {self._kept_from} were released; build the "
-                "collector with keep_records=True to read them"
-            )
-        columns: List[List[object]] = []
-        for name in names:
-            values: List[object] = []
-            offset = self._kept_from
-            for chunk in self._kept:
-                array = chunk[name]
-                if offset + len(array) > start:
-                    values.extend(array[max(0, start - offset):].tolist())
-                offset += len(array)
-            index = self._index[name]
-            values.extend(row[index] for row in self._staging[max(0, start - offset):])
-            columns.append(values)
-        if not self._keep_all:
-            self._kept_from = self._count - len(self._staging)
-            self._kept.clear()
-        return columns
-
-    def nbytes(self) -> int:
-        """Approximate kept-chunk footprint in bytes (staging excluded)."""
-        return sum(  # simlint: disable=NUM001 -- int byte tally, no float rounding
-            array.nbytes for chunk in self._kept for array in chunk.values()
+    The feed is emptied: a reader reads to the end.
+    """
+    unread = feed if feed is not None else []
+    first = count - len(unread)
+    if start < first:
+        raise MetricsError(
+            f"rows before {first} were not kept for a reader; call "
+            "follow_rows() before they land"
         )
-
-
-def _counted(
-    fold: Callable[[Dict[str, np.ndarray]], None], counters: PerfCounters, name: str
-) -> Callable[[Dict[str, np.ndarray]], None]:
-    """``fold`` plus one ``name`` bump per frozen chunk, the collector's
-    unit of amortized work."""
-
-    def on_freeze(frozen: Dict[str, np.ndarray]) -> None:
-        fold(frozen)
-        counters.bump(name)
-
-    return on_freeze
+    rows = unread[start - first:]
+    unread.clear()
+    return rows
 
 
 class ColumnarCollector:
-    """Numpy-backed metrics sink: the ``add_*`` scalar rows, counters,
-    phase stamping, the summary-input queries and the strategy layer's
-    row feeds.
+    """The metrics sink: the ``add_*`` API, counters, phase stamping,
+    the summary-input queries and the strategy layer's row feeds.
 
-    ``warmup`` is the measurement-window boundary the folds censor at;
-    ``perf_counters`` receives the chunk-freeze tallies (a private set
-    when omitted); ``keep_records`` keeps every row for the record views.
+    ``warmup`` is the measurement-window boundary the fold censors at;
+    ``keep_records`` keeps every record for the record views.
+
+    The module and class names date from an earlier design that stored
+    rows in numpy columns.  They stay because the end-to-end benchmark's
+    tracer hooks ``repro.metrics.columnar:ColumnarCollector.add_session``,
+    ``add_download``, ``session_rows_since`` and ``download_rows_since``
+    by name, and its cell report probes :meth:`storage_nbytes`.
     """
 
-    def __init__(
-        self,
-        warmup: float = 0.0,
-        perf_counters: Optional[PerfCounters] = None,
-        keep_records: bool = False,
-    ) -> None:
-        #: Shared string-interning table for class and phase labels.
-        self._labels: List[str] = [""]
-        self._codes: Dict[str, int] = {"": 0}
+    def __init__(self, warmup: float = 0.0, keep_records: bool = False) -> None:
         self.warmup = warmup
         self.keep_records = keep_records
-        traffic_labels = tuple(tc.value for tc in _TRAFFIC_CLASSES)
-        self._session_fold = RunningSessionAggregates(
-            warmup, traffic_labels, self._labels, _NON_EXCHANGE_CODE
-        )
-        self._download_fold = RunningDownloadTimes(warmup, self._labels)
-        perf = perf_counters if perf_counters is not None else PerfCounters()
-        self._sessions = _ColumnTable(
-            _SESSION_SCHEMA,
-            on_freeze=_counted(self._session_fold.fold, perf, "collector.session_chunks"),
-            keep_all=keep_records,
-        )
-        self._downloads = _ColumnTable(
-            _DOWNLOAD_SCHEMA,
-            on_freeze=_counted(
-                self._download_fold.fold, perf, "collector.download_chunks"
-            ),
-            keep_all=keep_records,
-        )
-        # One row per revision epoch, never a memory concern: the
-        # summary reads the whole table.
-        self._epochs = _ColumnTable(_EPOCH_SCHEMA, keep_all=True)
+        self._aggregates = SessionAggregates()
+        #: ``(download_time, sharer, class label, phase)`` per
+        #: post-warmup download, in record order.
+        self._downloads: List[Tuple[float, bool, str, str]] = []
+        self._epochs: List[StrategyEpochRecord] = []
+        self._session_records: List[SessionRecord] = []
+        self._download_records: List[DownloadRecord] = []
+        #: Unread rows of the reader's feeds; ``None`` until
+        #: :meth:`follow_rows`.
+        self._session_feed: Optional[List[SessionRow]] = None
+        self._download_feed: Optional[List[DownloadRow]] = None
+        #: Session / download records so far (warmup included).
+        self.num_sessions = 0
+        self.num_downloads = 0
         self.counters: Counter = Counter()
         #: Scenario-phase label stamped onto records as they land; set
         #: by the :class:`~repro.scenario.ScenarioDirector` on phase
         #: markers ("" = no named phase, the closed-system default).
         self.current_phase: str = ""
-
-    # ------------------------------------------------------------------
-    # interning
-    # ------------------------------------------------------------------
-    def _intern(self, label: str) -> int:
-        code = self._codes.get(label)
-        if code is None:
-            code = len(self._labels)
-            self._labels.append(label)
-            self._codes[label] = code
-        return code
 
     # ------------------------------------------------------------------
     # recording
@@ -316,7 +170,7 @@ class ColumnarCollector:
         requester_class: str = "",
         phase: str = "",
     ) -> None:
-        """Append one transfer-session row without building a record."""
+        """Record one transfer session; a post-warmup one is folded."""
         if end_time < start_time:
             raise ValueError(
                 f"session ends before it starts: [{start_time}, {end_time}]"
@@ -325,30 +179,56 @@ class ColumnarCollector:
             raise ValueError(f"negative session volume {kbit_transferred}")
         if self.current_phase and not phase:
             phase = self.current_phase
-        effective = requester_class or (
-            "sharer" if requester_is_sharer else "freeloader"
-        )
-        self._sessions.append(
-            (
-                provider_id,
-                requester_id,
-                object_id,
-                _TRAFFIC_CODE[traffic_class],
-                ring_size,
-                -1 if ring_id is None else ring_id,
-                request_time,
-                start_time,
-                end_time,
-                kbit_transferred,
-                _REASON_CODE[reason],
-                requester_is_sharer,
-                self._intern(requester_class),
-                self._intern(phase),
-                self._intern(effective),
-            )
-        )
+        self.num_sessions += 1
         self.counters[f"session.{traffic_class.value}"] += 1
         self.counters[f"session.reason.{reason.value}"] += 1
+        is_exchange = traffic_class.is_exchange
+        if self._session_feed is not None:
+            self._session_feed.append((requester_id, request_time, end_time, is_exchange))
+        if self.keep_records:
+            self._session_records.append(
+                SessionRecord(
+                    provider_id=provider_id,
+                    requester_id=requester_id,
+                    object_id=object_id,
+                    traffic_class=traffic_class,
+                    ring_size=ring_size,
+                    ring_id=ring_id,
+                    request_time=request_time,
+                    start_time=start_time,
+                    end_time=end_time,
+                    kbit_transferred=kbit_transferred,
+                    reason=reason,
+                    requester_is_sharer=requester_is_sharer,
+                    requester_class=requester_class,
+                    phase=phase,
+                )
+            )
+        if end_time >= self.warmup:
+            agg = self._aggregates
+            label = traffic_class.value
+            agg.total_sessions += 1
+            agg.session_counts[label] = agg.session_counts.get(label, 0) + 1
+            agg.volume_kb_by_class.setdefault(label, []).append(kbit_transferred / 8.0)
+            agg.waiting_min_by_class.setdefault(label, []).append(
+                (start_time - request_time) / 60.0
+            )
+            agg.exchange_sessions += is_exchange
+            if requester_is_sharer:
+                agg.sharer_kbit += kbit_transferred
+            else:
+                agg.freeloader_kbit += kbit_transferred
+            peer_class = requester_class or (
+                "sharer" if requester_is_sharer else "freeloader"
+            )
+            agg.kbit_by_peer_class[peer_class] = (
+                agg.kbit_by_peer_class.get(peer_class, 0.0) + kbit_transferred
+            )
+            if phase:
+                agg.phase_counts[phase] = agg.phase_counts.get(phase, 0) + 1
+                agg.phase_exchange_counts[phase] = (
+                    agg.phase_exchange_counts.get(phase, 0) + is_exchange
+                )
 
     def add_download(
         self,
@@ -361,7 +241,7 @@ class ColumnarCollector:
         class_name: str = "",
         phase: str = "",
     ) -> None:
-        """Append one completed-download row without building a record."""
+        """Record one completed download; a post-warmup one keeps a row."""
         if complete_time < request_time:
             raise ValueError(
                 "download completes before request: "
@@ -369,22 +249,27 @@ class ColumnarCollector:
             )
         if self.current_phase and not phase:
             phase = self.current_phase
-        effective = class_name or ("sharer" if peer_is_sharer else "freeloader")
-        self._downloads.append(
-            (
-                peer_id,
-                object_id,
-                request_time,
-                complete_time,
-                size_kbit,
-                peer_is_sharer,
-                self._intern(class_name),
-                self._intern(phase),
-                self._intern(effective),
+        self.num_downloads += 1
+        self.counters["download.sharer" if peer_is_sharer else "download.freeloader"] += 1
+        download_time = complete_time - request_time
+        if self._download_feed is not None:
+            self._download_feed.append((peer_id, request_time, complete_time, download_time))
+        if self.keep_records:
+            self._download_records.append(
+                DownloadRecord(
+                    peer_id=peer_id,
+                    object_id=object_id,
+                    request_time=request_time,
+                    complete_time=complete_time,
+                    size_kbit=size_kbit,
+                    peer_is_sharer=peer_is_sharer,
+                    class_name=class_name,
+                    phase=phase,
+                )
             )
-        )
-        key = "download.sharer" if peer_is_sharer else "download.freeloader"
-        self.counters[key] += 1
+        if complete_time >= self.warmup:
+            peer_class = class_name or ("sharer" if peer_is_sharer else "freeloader")
+            self._downloads.append((download_time, peer_is_sharer, peer_class, phase))
 
     def add_strategy_epoch(
         self,
@@ -399,23 +284,22 @@ class ColumnarCollector:
         mean_payoff_freeloading: Optional[float],
         phase: str = "",
     ) -> None:
-        """Append one strategy-revision epoch row."""
-        if not 0 <= sharing <= enrolled:
-            raise ValueError(f"sharing count {sharing} outside [0, {enrolled}]")
+        """Record one strategy-revision epoch (the record rejects a
+        sharing count outside ``[0, enrolled]``)."""
         if self.current_phase and not phase:
             phase = self.current_phase
         self._epochs.append(
-            (
-                time,
-                epoch,
-                enrolled,
-                sharing,
-                revised,
-                switched_to_sharing,
-                switched_to_freeloading,
-                np.nan if mean_payoff_sharing is None else mean_payoff_sharing,
-                np.nan if mean_payoff_freeloading is None else mean_payoff_freeloading,
-                self._intern(phase),
+            StrategyEpochRecord(
+                time=time,
+                epoch=epoch,
+                enrolled=enrolled,
+                sharing=sharing,
+                revised=revised,
+                switched_to_sharing=switched_to_sharing,
+                switched_to_freeloading=switched_to_freeloading,
+                mean_payoff_sharing=mean_payoff_sharing,
+                mean_payoff_freeloading=mean_payoff_freeloading,
+                phase=phase,
             )
         )
 
@@ -426,85 +310,28 @@ class ColumnarCollector:
     # ------------------------------------------------------------------
     # record views (keep_records only; tests and tools)
     # ------------------------------------------------------------------
-    def _records(self, table: _ColumnTable, schema: _Schema, view: str) -> Iterator[tuple]:
+    def _kept(self, records: List[Any], view: str) -> List[Any]:
         if not self.keep_records:
             raise MetricsError(
                 f"the {view} record view needs a collector built with "
                 "keep_records=True"
             )
-        return zip(*table.rows_since(0, [name for name, _ in schema]))
+        return list(records)
 
     @property
     def sessions(self) -> List[SessionRecord]:
-        """All session rows materialized as records (fresh list)."""
-        labels = self._labels
-        return [
-            SessionRecord(
-                provider_id=pid,
-                requester_id=rid,
-                object_id=oid,
-                traffic_class=_TRAFFIC_CLASSES[tc],
-                ring_size=ring_size,
-                ring_id=None if ring_id < 0 else ring_id,
-                request_time=request_time,
-                start_time=start_time,
-                end_time=end_time,
-                kbit_transferred=kbit,
-                reason=_REASONS[reason],
-                requester_is_sharer=sharer,
-                requester_class=labels[req_class],
-                phase=labels[phase],
-            )
-            for (
-                pid, rid, oid, tc, ring_size, ring_id, request_time,
-                start_time, end_time, kbit, reason, sharer, req_class,
-                phase, _eff,
-            ) in self._records(self._sessions, _SESSION_SCHEMA, "sessions")
-        ]
+        """Every session record, in record order (fresh list)."""
+        return self._kept(self._session_records, "sessions")
 
     @property
     def downloads(self) -> List[DownloadRecord]:
-        """All download rows materialized as records (fresh list)."""
-        labels = self._labels
-        return [
-            DownloadRecord(
-                peer_id=pid,
-                object_id=oid,
-                request_time=request_time,
-                complete_time=complete_time,
-                size_kbit=size_kbit,
-                peer_is_sharer=sharer,
-                class_name=labels[class_name],
-                phase=labels[phase],
-            )
-            for (
-                pid, oid, request_time, complete_time, size_kbit, sharer,
-                class_name, phase, _eff,
-            ) in self._records(self._downloads, _DOWNLOAD_SCHEMA, "downloads")
-        ]
+        """Every download record, in record order (fresh list)."""
+        return self._kept(self._download_records, "downloads")
 
     @property
     def strategy_epochs(self) -> List[StrategyEpochRecord]:
-        """All strategy-epoch rows materialized as records (fresh list)."""
-        labels = self._labels
-        return [
-            StrategyEpochRecord(
-                time=time,
-                epoch=epoch,
-                enrolled=enrolled,
-                sharing=sharing,
-                revised=revised,
-                switched_to_sharing=to_sharing,
-                switched_to_freeloading=to_freeloading,
-                mean_payoff_sharing=None if payoff_s != payoff_s else payoff_s,
-                mean_payoff_freeloading=None if payoff_f != payoff_f else payoff_f,
-                phase=labels[phase],
-            )
-            for (
-                time, epoch, enrolled, sharing, revised, to_sharing,
-                to_freeloading, payoff_s, payoff_f, phase,
-            ) in self._records(self._epochs, _EPOCH_SCHEMA, "strategy_epochs")
-        ]
+        """Every strategy-epoch record, in record order (fresh list)."""
+        return self._kept(self._epochs, "strategy_epochs")
 
     def reason_counts(self) -> Dict[TerminationReason, int]:
         """Session count per termination reason (zero counts omitted)."""
@@ -516,12 +343,15 @@ class ColumnarCollector:
         return counts
 
     # ------------------------------------------------------------------
-    # summary inputs (post-warmup, read from the folds)
+    # summary inputs (post-warmup)
     # ------------------------------------------------------------------
     def download_times(self, sharer: Optional[bool] = None) -> List[float]:
         """Download times in seconds, optionally filtered by peer class."""
-        self._downloads.drain()
-        return self._download_fold.times(sharer)
+        return [
+            time
+            for time, is_sharer, _, _ in self._downloads
+            if sharer is None or is_sharer == sharer
+        ]
 
     def download_times_by_class(self) -> Dict[str, List[float]]:
         """Download times (seconds) per population-class label.
@@ -529,89 +359,72 @@ class ColumnarCollector:
         Unlabeled records read as sharer/freeloader.  Keys appear in
         first-occurrence order.
         """
-        self._downloads.drain()
-        return self._download_fold.times_by_label("eff_class")
+        return _grouped((label, time) for time, _, label, _ in self._downloads)
 
     def download_times_by_phase(self) -> Dict[str, List[float]]:
         """Download times (seconds) per scenario-phase label ("" skipped)."""
-        self._downloads.drain()
-        return self._download_fold.times_by_label("phase")
+        return _grouped((phase, time) for time, _, _, phase in self._downloads)
 
     def session_aggregates(self) -> SessionAggregates:
-        """Per-class/per-phase reductions over post-warmup sessions."""
-        self._sessions.drain()
-        return self._session_fold.result()
+        """Per-class/per-phase reductions over post-warmup sessions (a
+        fresh, caller-owned copy)."""
+        return copy.deepcopy(self._aggregates)
 
     def sharing_fraction_by_epoch(self) -> List[List[float]]:
         """``[time, sharing_fraction]`` per revision epoch, in
         ``(time, epoch)`` order (warmup included)."""
-        self._epochs.drain()  # read back through the schema dtypes
-        rows = sorted(
-            zip(*self._epochs.rows_since(0, ("time", "epoch", "enrolled", "sharing"))),
-            key=lambda row: (row[0], row[1]),
-        )
         return [
-            [time, sharing / enrolled if enrolled > 0 else 0.0]
-            for time, _epoch, enrolled, sharing in rows
+            [record.time, record.sharing_fraction]
+            for record in sorted(self._epochs, key=lambda r: (r.time, r.epoch))
         ]
 
     # ------------------------------------------------------------------
-    # incremental row feeds (strategy layer)
+    # row feeds (strategy layer)
     # ------------------------------------------------------------------
-    @property
-    def num_sessions(self) -> int:
-        """Session rows recorded so far (no materialization)."""
-        return len(self._sessions)
-
-    @property
-    def num_downloads(self) -> int:
-        """Download rows recorded so far (no materialization)."""
-        return len(self._downloads)
-
     def follow_rows(self) -> Tuple[int, int]:
-        """Keep rows for a ``*_rows_since`` reader from now on.
+        """Start the row feeds for a ``*_rows_since`` reader.
 
         Returns its starting ``(session, download)`` cursors: the current
-        row counts.  Earlier rows may already be released.
+        record counts.  Earlier records are not fed.
         """
-        return self._sessions.follow(), self._downloads.follow()
+        if self._session_feed is None:
+            self._session_feed = []
+            self._download_feed = []
+        return self.num_sessions, self.num_downloads
 
-    def session_rows_since(
-        self, start: int
-    ) -> Iterator[Tuple[int, float, float, bool]]:
+    def session_rows_since(self, start: int) -> List[SessionRow]:
         """``(requester_id, request_time, end_time, is_exchange)`` rows.
 
-        Yields rows ``start..`` in record order; the strategy layer's
-        epoch ingestion reads these instead of materializing records.
+        Returns rows ``start..`` in record order and releases them; the
+        strategy layer's epoch ingestion reads these instead of records.
         """
-        requester, request, end, codes = self._sessions.rows_since(
-            start, ("requester_id", "request_time", "end_time", "traffic_class")
-        )
-        return zip(requester, request, end, [c != _NON_EXCHANGE_CODE for c in codes])
+        return _take(self._session_feed, self.num_sessions, start)
 
-    def download_rows_since(
-        self, start: int
-    ) -> Iterator[Tuple[int, float, float, float]]:
-        """``(peer_id, request_time, complete_time, download_time)`` rows."""
-        peer, request, complete = self._downloads.rows_since(
-            start, ("peer_id", "request_time", "complete_time")
-        )
-        return zip(peer, request, complete, [c - r for c, r in zip(complete, request)])
+    def download_rows_since(self, start: int) -> List[DownloadRow]:
+        """``(peer_id, request_time, complete_time, download_time)`` rows
+        ``start..``, released once returned."""
+        return _take(self._download_feed, self.num_downloads, start)
 
     # ------------------------------------------------------------------
     def storage_nbytes(self) -> int:
-        """Resident metrics footprint in bytes (staging tails excluded):
-        kept chunks plus what the folds retain."""
-        return (
-            self._sessions.nbytes()
-            + self._downloads.nbytes()
-            + self._epochs.nbytes()
-            + self._session_fold.nbytes()
-            + self._download_fold.nbytes()
+        """Approximate retained footprint: 8 bytes per value held.
+
+        Counts the fold's two values per post-warmup session, four per
+        download row and per unread feed row, and one per field of each
+        kept record and strategy epoch.
+        """
+        unread = len(self._session_feed or ()) + len(self._download_feed or ())
+        values = (
+            2 * self._aggregates.total_sessions
+            + 4 * (len(self._downloads) + unread)
+            + len(fields(SessionRecord)) * len(self._session_records)
+            + len(fields(DownloadRecord)) * len(self._download_records)
+            + len(fields(StrategyEpochRecord)) * len(self._epochs)
         )
+        return 8 * values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ColumnarCollector(sessions={len(self._sessions)}, "
-            f"downloads={len(self._downloads)})"
+            f"ColumnarCollector(sessions={self.num_sessions}, "
+            f"downloads={self.num_downloads})"
         )

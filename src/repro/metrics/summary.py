@@ -158,7 +158,7 @@ def summarize(
     extracted volume, blacklist hit/evasion counts; ``None`` (every
     honest run) leaves them at their defaults.
 
-    All per-record reduction happens inside the collector's chunk folds
+    All per-record reduction happens in the collector as records land
     (``collector.session_aggregates`` and the download-time views).
     """
     sharer_times = collector.download_times(sharer=True)

@@ -593,8 +593,10 @@ class Peer:
         """Periodic maintenance: exchange search, service, re-registration."""
         if not self.online:
             return
-        self.refresh_outgoing_trees()
-        if self.policy.enables_exchanges and self.shares:
+        policy = self.policy
+        if policy.tree_levels > 1:  # otherwise a refresh has no tree to push
+            self.refresh_outgoing_trees()
+        if policy.enables_exchanges and self.shares:
             exchange_manager.try_form_exchanges(self)
         scheduler.serve_pending(self)
         self._replenish_downloads()

@@ -1,18 +1,17 @@
-"""Fold-on-freeze equivalence: the chunk folds equal a record-order loop.
+"""Per-record fold equivalence: the collector equals a record-order loop.
 
-:class:`~repro.metrics.columnar.ColumnarCollector` folds every frozen
-row chunk into running aggregates and releases it.  Its contract is
-that the folds are *invisible*: every summary input equals, float for
-float and dict key for dict key, the per-record loop the golden tables
-were first computed with (:class:`Oracle` below).  Three layers of
-evidence:
+:class:`~repro.metrics.columnar.ColumnarCollector` folds every record
+into running aggregates as it lands.  Its contract is that every
+summary input equals, float for float and dict key for dict key, the
+per-record loop the golden tables were first computed with
+(:class:`Oracle` below).  Three layers of evidence:
 
-* a hypothesis property over synthetic record streams and chunk sizes
-  1/3/7/4096, with queries and row-feed reads mid-stream, comparing every
-  summary input, the row feeds, the record views and the full
-  ``summarize()`` dict serialized to JSON (key order included);
-* unit checks that returned aggregates are caller-owned and that
-  released rows stay released;
+* a hypothesis property over synthetic record streams, with queries
+  and row-feed reads mid-stream, comparing every summary input, the row
+  feeds, the record views and the full ``summarize()`` dict serialized
+  to JSON (key order included);
+* unit checks that returned aggregates are caller-owned, that the fold
+  is the record-order left fold, and that released rows stay released;
 * end-to-end runs at (shortened) smoke scale across mechanisms, a
   scenario timeline, strategy dynamics and the attack cells, each run
   once with ``keep_records=True`` and its folds compared against the
@@ -30,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.metrics.columnar as columnar_module
 from repro.errors import MetricsError
 from repro.experiments.presets import (
     adversarial_config,
@@ -38,8 +36,7 @@ from repro.experiments.presets import (
     flash_crowd_scenario,
     preset,
 )
-from repro.metrics.aggregates import SessionAggregates
-from repro.metrics.columnar import ColumnarCollector
+from repro.metrics.columnar import ColumnarCollector, SessionAggregates
 from repro.metrics.records import (
     DownloadRecord,
     SessionRecord,
@@ -166,9 +163,9 @@ stream = st.lists(
 class Oracle:
     """Record-order reference for the collector's summary inputs.
 
-    The historical per-record loops, kept here as the specification the
-    chunk folds must reproduce: same IEEE operations in the same order,
-    dict keys in first-occurrence order.
+    The per-record loops kept here as the specification the collector's
+    fold must reproduce: same IEEE operations in the same order, dict
+    keys in first-occurrence order.
     """
 
     def __init__(self, sessions, downloads, epochs, counters, warmup):
@@ -265,16 +262,6 @@ def assert_summary_inputs_match(collector, oracle):
     assert summary_json(collector) == summary_json(oracle)
 
 
-@pytest.fixture
-def chunk(monkeypatch):
-    """Set the collector's freeze threshold for one test."""
-
-    def set_chunk(size):
-        monkeypatch.setattr(columnar_module, "_CHUNK", size)
-
-    return set_chunk
-
-
 def _feed(collector, events):
     for kind, kwargs in events:
         if kind == "session":
@@ -325,40 +312,33 @@ def _download_rows(downloads):
 @given(
     events=stream,
     warmup=st.sampled_from([0.0, 1_000.0, 10_000.0]),
-    chunk_size=st.sampled_from([1, 3, 7, 4096]),
     keep_records=st.booleans(),
     follow_at=st.floats(0.0, 0.5),
 )
 def test_property_identical_over_synthetic_streams(
-    events, warmup, chunk_size, keep_records, follow_at
+    events, warmup, keep_records, follow_at
 ):
-    """Any stream, any chunking: the folds answer like the oracle.
+    """Any stream: the fold answers like the oracle.
 
-    Tiny chunk sizes force many freeze-fold-release cycles plus a
-    partial staging tail.  A row reader starts following part-way in
-    (like a strategy director created mid-run) and reads mid-stream and
-    at the end; summary queries are asked mid-stream too, so a
-    query-time drain must not double-fold or lose rows.
+    A row reader starts following part-way in (like a strategy director
+    created mid-run) and reads mid-stream and at the end; summary
+    queries are asked mid-stream too, so a query must not mutate the
+    fold or lose rows.
     """
-    original = columnar_module._CHUNK
-    columnar_module._CHUNK = chunk_size
-    try:
-        collector = ColumnarCollector(warmup=warmup, keep_records=keep_records)
-        follow, half = int(len(events) * follow_at), len(events) // 2
-        _feed(collector, events[:follow])
-        session_cursor, download_cursor = collector.follow_rows()
-        first = (session_cursor, download_cursor)
-        _feed(collector, events[follow:half])
-        session_rows = list(collector.session_rows_since(session_cursor))
-        download_rows = list(collector.download_rows_since(download_cursor))
-        session_cursor, download_cursor = collector.num_sessions, collector.num_downloads
-        collector.download_times()
-        collector.session_aggregates()
-        _feed(collector, events[half:])
-        session_rows += collector.session_rows_since(session_cursor)
-        download_rows += collector.download_rows_since(download_cursor)
-    finally:
-        columnar_module._CHUNK = original
+    collector = ColumnarCollector(warmup=warmup, keep_records=keep_records)
+    follow, half = int(len(events) * follow_at), len(events) // 2
+    _feed(collector, events[:follow])
+    session_cursor, download_cursor = collector.follow_rows()
+    first = (session_cursor, download_cursor)
+    _feed(collector, events[follow:half])
+    session_rows = list(collector.session_rows_since(session_cursor))
+    download_rows = list(collector.download_rows_since(download_cursor))
+    session_cursor, download_cursor = collector.num_sessions, collector.num_downloads
+    collector.download_times()
+    collector.session_aggregates()
+    _feed(collector, events[half:])
+    session_rows += collector.session_rows_since(session_cursor)
+    download_rows += collector.download_rows_since(download_cursor)
 
     sessions, downloads, epochs, counters = _records(events)
     assert session_rows == _session_rows(sessions[first[0]:])
@@ -369,8 +349,7 @@ def test_property_identical_over_synthetic_streams(
     # Asking twice is idempotent (no re-fold, no mutation leaks).
     assert_summary_inputs_match(collector, oracle)
     if keep_records:
-        # The record views restore the exact dataclasses (None
-        # sentinels included).
+        # The record views hold the exact dataclasses.
         assert collector.sessions == sessions
         assert collector.downloads == downloads
         assert collector.strategy_epochs == epochs
@@ -404,8 +383,7 @@ def _download(i):
     )
 
 
-def test_mutating_a_returned_aggregate_does_not_corrupt_state(chunk):
-    chunk(2)
+def test_mutating_a_returned_aggregate_does_not_corrupt_state():
     collector = ColumnarCollector()
     for i in range(9):
         collector.add_download(**_download(i))
@@ -421,11 +399,11 @@ def test_mutating_a_returned_aggregate_does_not_corrupt_state(chunk):
     assert_summary_inputs_match(collector, oracle)
 
 
-def test_fold_carries_the_left_fold_across_chunks(chunk):
-    """Volumes whose sum depends on association order: 1e16 absorbs
-    each lone 1.0 (half an ulp), so only a fold that carries its
-    accumulator from chunk to chunk matches the record-order loop."""
-    chunk(3)
+def test_fold_is_the_record_order_left_fold():
+    """Volumes whose sum depends on how it is taken: 1e16 absorbs each
+    lone 1.0 (half an ulp), so the record-order left fold stays at 1e16,
+    while a compensated sum (builtin ``sum()`` over floats from CPython
+    3.12) reaches 1.0000000000000008e16."""
     collector = ColumnarCollector()
     sessions = []
     for i, kbit in enumerate([1e16] + [1.0] * 8):
@@ -437,21 +415,24 @@ def test_fold_carries_the_left_fold_across_chunks(chunk):
     assert_summary_inputs_match(collector, oracle)
 
 
-def test_released_rows_cannot_be_read(chunk):
-    chunk(2)
+def test_released_rows_cannot_be_read():
     collector = ColumnarCollector()
     for i in range(5):
         collector.add_session(**_session(i))
     assert collector.follow_rows() == (5, 0)
-    with pytest.raises(MetricsError, match="keep_records"):
+    with pytest.raises(MetricsError, match="follow_rows"):
         collector.session_rows_since(0)
-    assert list(collector.session_rows_since(5)) == []
+    assert collector.session_rows_since(5) == []
+    collector.add_session(**_session(5))
+    assert len(collector.session_rows_since(5)) == 1
+    with pytest.raises(MetricsError, match="follow_rows"):
+        collector.session_rows_since(5)
 
 
 def test_folds_and_a_follower_keep_a_fraction_of_the_records():
-    """Metrics memory stays flat: the folds keep two float64 values per
-    session (15 columns per kept row), and a reader's chunks are
-    released once it has read past them."""
+    """Metrics memory stays flat: the fold keeps two values per session
+    (a kept record has fourteen fields), and a reader's feed holds only
+    the rows it has not read yet."""
     recording = ColumnarCollector(keep_records=True)
     folding = ColumnarCollector()
     follower = ColumnarCollector()
@@ -460,16 +441,16 @@ def test_folds_and_a_follower_keep_a_fraction_of_the_records():
         for collector in (recording, folding, follower):
             collector.add_session(**_session(i))
         if i % 1_000 == 999:
+            assert follower.storage_nbytes() > folding.storage_nbytes()
             follower.session_rows_since(cursor)
             cursor = follower.num_sessions
+            assert follower.storage_nbytes() == folding.storage_nbytes()
     assert folding.storage_nbytes() < recording.storage_nbytes() / 3
-    # At most the chunk frozen since the last read is still kept.
-    assert follower.storage_nbytes() < folding.storage_nbytes() + 4096 * 100
 
 
 def test_keep_records_run_identical_to_default():
-    """Keeping every row is invisible: same trajectory, counters and
-    byte-identical summary as a run whose collector releases chunks."""
+    """Keeping every record is invisible: same trajectory, counters and
+    byte-identical summary as a run whose collector only folds."""
     config = preset("smoke", duration=9_000.0, warmup=3_000.0)
     default = run_simulation(config)
     recording = run_with_records(config)

@@ -15,7 +15,7 @@ from repro.core.request_tree import (
 )
 from repro.errors import ProtocolError
 from repro.metrics.records import TerminationReason
-from repro.network.peer import ABANDON_AFTER_LOOKUP_FAILURES
+from repro.network.peer import ABANDON_AFTER_LOOKUP_FAILURES, Peer
 
 from tests.helpers import build_peer, give, make_ctx, small_config
 
@@ -261,6 +261,19 @@ class TestTreeRefresh:
             assert provider.irq.version == versions[provider.peer_id] + 1
             assert provider.irq.index_view() == buckets[provider.peer_id]
         assert ctx.counters.counts["irq.tree_refreshes"] == refreshes + len(providers)
+
+    @pytest.mark.parametrize("mechanism, refreshes", [("none", 0), ("pairwise", 0), ("2-5-way", 1)])
+    def test_scan_refreshes_trees_only_when_trees_have_levels(
+        self, mechanism, refreshes, monkeypatch
+    ):
+        # Pairwise and no-exchange policies attach no tree below the
+        # root (tree_levels <= 1), so a scan skips the refresh call.
+        ctx = make_ctx(small_config())
+        peer = build_peer(ctx, 0, mechanism=mechanism)
+        calls = []
+        monkeypatch.setattr(Peer, "refresh_outgoing_trees", lambda self: calls.append(self))
+        peer.scan()
+        assert len(calls) == refreshes
 
 
 class _ExchangeStub:

@@ -294,7 +294,7 @@ class TestNUM001:
                 return np.sum(values)
             """,
             ["NUM001"],
-            name="aggregates.py",
+            name="columnar.py",
         )
         assert [f.rule for f in findings] == ["NUM001"]
         assert "np.sum" in findings[0].message
@@ -322,19 +322,33 @@ class TestNUM001:
         )
         assert [f.rule for f in findings] == ["NUM001"]
 
-    def test_bare_sum_requires_explicit_start(self, tmp_path):
+    def test_builtin_sum_is_flagged(self, tmp_path):
+        # A start value does not help: from CPython 3.12 sum() over
+        # floats compensates, so sum(values, 0.0) is not the left fold.
         findings = lint(
             tmp_path,
-            "def total(values):\n    return sum(values)\n",
-            ["NUM001"],
-            name="aggregates.py",
-        )
-        assert [f.rule for f in findings] == ["NUM001"]
+            """\
+            import builtins
 
-    def test_left_fold_with_start_is_clean(self, tmp_path):
+            def total(values):
+                return sum(values) + sum(values, 0.0) + builtins.sum(values, 0.0)
+            """,
+            ["NUM001"],
+            name="columnar.py",
+        )
+        assert [f.rule for f in findings] == ["NUM001"] * 3
+        assert "3.12" in findings[0].message
+
+    def test_plus_equals_left_fold_is_clean(self, tmp_path):
         findings = lint(
             tmp_path,
-            "def total(values):\n    return sum(values, 0.0)\n",
+            """\
+            def total(values):
+                acc = 0.0
+                for value in values:
+                    acc += value
+                return acc
+            """,
             ["NUM001"],
             name="columnar.py",
         )
@@ -598,22 +612,32 @@ SEEDED_PLANTS = {
         """,
     ),
     "num001": (
-        "metrics/aggregates.py",
+        "metrics/columnar.py",
         "NUM001",
         """
         def _seeded_num(values):
             return np.sum(values)
         """,
     ),
-    # A pairwise reduction inside a chunk-fold method: the running
-    # aggregates must keep the record-order left-fold.
+    # A pairwise reduction inside the fold: add_session must keep the
+    # record-order left fold.
     "num001_at_a_fold_site": (
-        "metrics/aggregates.py",
+        "metrics/columnar.py",
         "NUM001",
         """
-        class _SeededFold(RunningSessionAggregates):
-            def fold(self, chunk: Mapping[str, np.ndarray]) -> None:
-                self._total += int(np.sum(chunk["kbit"]))
+        class _SeededFold(ColumnarCollector):
+            def add_session(self, *args: Any, **kwargs: Any) -> None:
+                agg = self._aggregates
+                agg.sharer_kbit = float(np.sum([agg.sharer_kbit, kwargs["kbit_transferred"]]))
+        """,
+    ),
+    # A start value does not make builtin sum() a left fold on 3.12+.
+    "num001_sum_with_a_start": (
+        "metrics/columnar.py",
+        "NUM001",
+        """
+        def _seeded_sum(values: List[float]) -> float:
+            return sum(values, 0.0)
         """,
     ),
     "mir001": (
@@ -717,6 +741,9 @@ class TestSeededViolations:
 
     def test_seeded_num001_at_a_fold_site(self, fired):
         assert fired.get("num001_at_a_fold_site")
+
+    def test_seeded_num001_sum_with_a_start(self, fired):
+        assert fired.get("num001_sum_with_a_start")
 
     def test_seeded_mir001(self, fired):
         assert fired.get("mir001")

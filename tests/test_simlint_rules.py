@@ -177,15 +177,28 @@ class TestDET002UnorderedIteration:
         assert [f.rule for f in findings] == ["DET002", "DET002"]
 
     def test_for_loop_over_set_that_schedules_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
+        sources = [
             """\
             for peer in set(peers):
                 engine.schedule(1.0, peer.scan)
             """,
-            ["DET002"],
-        )
-        assert [f.rule for f in findings] == ["DET002"]
+            # Periodic events and heap re-pushes take the order too.
+            """\
+            for peer in {a, b}:
+                engine.schedule_every(1.0, 0.0, peer.scan)
+            """,
+            """\
+            for item in {a, b}:
+                heapq.heapreplace(heap, item)
+            """,
+            """\
+            for item in {a, b}:
+                heapq.heappushpop(heap, item)
+            """,
+        ]
+        for source in sources:
+            findings = lint(tmp_path, source, ["DET002"])
+            assert [f.rule for f in findings] == ["DET002"], source
 
     def test_for_loop_over_set_without_order_sensitive_body_is_fine(self, tmp_path):
         findings = lint(

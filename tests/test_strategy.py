@@ -10,7 +10,6 @@ import os
 
 import pytest
 
-import repro.metrics.columnar as columnar
 from repro.errors import ConfigError
 from repro.experiments.presets import evolution_config, evolution_strategy, preset
 from repro.metrics.records import StrategyEpochRecord, TerminationReason
@@ -460,14 +459,14 @@ def test_strategy_config_round_trips_through_dict():
 
 class TestRowReader:
     """The director reads session/download rows at epoch time from a
-    collector that folds and releases every chunk the reader has passed.
+    collector that hands each row over once and then releases it.
 
     The cell combines what could make that reader see different rows:
     the director is created lazily by a mid-run arrival wave (so its
     cursor starts at the current row count), and a flip shock moves
     ``_last_switch`` between epochs (so a row's filter depends on when
-    it is read).  Its trajectory is pinned from the full-retention
-    reader this replaced, and must hold for any chunk size.
+    it is read).  Its trajectory is pinned from a reader that kept
+    every record.
     """
 
     #: ``(events_fired, summary sha256)`` of :meth:`cell`.
@@ -497,9 +496,7 @@ class TestRowReader:
             ),
         )
 
-    @pytest.mark.parametrize("chunk", [1, 7, 4096])
-    def test_lazy_director_and_flip_shock_pinned(self, chunk, monkeypatch):
-        monkeypatch.setattr(columnar, "_CHUNK", chunk)
+    def test_lazy_director_and_flip_shock_pinned(self):
         sim = FileSharingSimulation(self.cell())
         sim.build()
         assert sim.strategy is None  # created by the arrival wave

@@ -19,7 +19,7 @@ import time
 from repro.experiments.presets import adversarial_config
 from repro.simulation import run_simulation
 
-from conftest import SCALE, SEED, publish_bench, run_once
+from conftest import SCALE, SEED, publish_bench, run_cell
 
 
 def _run_adversarial():
@@ -31,12 +31,13 @@ def _run_adversarial():
 
 
 def test_adversarial_cell(benchmark):
-    result, wall = run_once(benchmark, _run_adversarial)
+    (result, wall), rss = run_cell(benchmark, _run_adversarial)
     summary = result.summary
     publish_bench(
         "adversarial",
         wall_seconds=wall,
         events_fired=result.events_fired,
+        peak_rss_mb=rss,
         num_peers=result.config.num_peers,
         scenario_events=len(result.config.scenario),
         whitewashes=summary.counters.get("adversary.whitewash", 0),

@@ -7,13 +7,13 @@ gap widens as the system gets more loaded.
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig4_download_time_vs_capacity
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
 
 def test_fig4_download_time_vs_capacity(benchmark):
-    table = run_once(benchmark, fig4_download_time_vs_capacity, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig4", scale=SCALE, seed=SEED)
     publish(table, "fig4")
 
     # Shape 1: at the most loaded point (lowest capacity = last row),

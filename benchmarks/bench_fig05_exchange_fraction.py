@@ -7,13 +7,13 @@ each other closely (pairwise slightly below the ring variants).
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig5_exchange_fraction_vs_capacity
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
 
 def test_fig5_exchange_fraction(benchmark):
-    table = run_once(benchmark, fig5_exchange_fraction_vs_capacity, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig5", scale=SCALE, seed=SEED)
     publish(table, "fig5")
 
     for mechanism in ("pairwise", "5-2-way", "2-5-way"):

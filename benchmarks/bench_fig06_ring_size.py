@@ -7,13 +7,13 @@ offer no substantial further improvement.
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig6_ring_size_sweep
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
 
 def test_fig6_ring_size(benchmark):
-    table = run_once(benchmark, fig6_ring_size_sweep, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig6", scale=SCALE, seed=SEED)
     publish(table, "fig6")
 
     sharing = dict(table.series("2-N-way/sharing"))

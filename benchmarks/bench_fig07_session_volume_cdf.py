@@ -8,13 +8,13 @@ breaks sooner because any member completing drops the exchange).
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig7_session_volume_cdf
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
 
 def test_fig7_session_volume_cdf(benchmark):
-    table = run_once(benchmark, fig7_session_volume_cdf, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig7", scale=SCALE, seed=SEED)
     publish(table, "fig7")
 
     # Shape: non-exchange sessions are the small ones — they get

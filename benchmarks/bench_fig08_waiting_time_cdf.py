@@ -8,7 +8,7 @@ pairwise ones.
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig8_waiting_time_cdf
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
@@ -19,7 +19,7 @@ def _mean_cdf(table, column):
 
 
 def test_fig8_waiting_time_cdf(benchmark):
-    table = run_once(benchmark, fig8_waiting_time_cdf, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig8", scale=SCALE, seed=SEED)
     publish(table, "fig8")
 
     # Higher mean CDF = mass at smaller waits = faster service.

@@ -7,13 +7,13 @@ visible even at evenly-spread popularity.
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig9_download_time_vs_popularity
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
 
 def test_fig9_popularity_factor(benchmark):
-    table = run_once(benchmark, fig9_download_time_vs_popularity, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig9", scale=SCALE, seed=SEED)
     publish(table, "fig9")
 
     def ratio(row, mechanism):

@@ -6,13 +6,13 @@ under exchange mechanisms, with the spread growing as f rises.
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig10_volume_vs_popularity
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
 
 def test_fig10_volume_vs_popularity(benchmark):
-    table = run_once(benchmark, fig10_volume_vs_popularity, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig10", scale=SCALE, seed=SEED)
     publish(table, "fig10")
 
     # Shape: at the highest f, sharers receive more volume per peer than

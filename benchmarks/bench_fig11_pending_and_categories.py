@@ -8,13 +8,13 @@ the sharer advantage exists at every grid point.
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig11_pending_and_categories
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
 
 def test_fig11_pending_and_categories(benchmark):
-    table = run_once(benchmark, fig11_pending_and_categories, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig11", scale=SCALE, seed=SEED)
     publish(table, "fig11")
 
     # Shape 1: more outstanding requests => more feasible exchanges =>

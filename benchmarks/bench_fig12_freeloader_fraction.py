@@ -6,13 +6,13 @@ users persists regardless of the fraction of non-sharing peers.
 
 from __future__ import annotations
 
-from repro.experiments.figures import fig12_freeloader_fraction
+from repro.experiments import run_figure
 
 from conftest import SCALE, SEED, publish, run_once
 
 
 def test_fig12_freeloader_fraction(benchmark):
-    table = run_once(benchmark, fig12_freeloader_fraction, SCALE, SEED)
+    table = run_once(benchmark, run_figure, "fig12", scale=SCALE, seed=SEED)
     publish(table, "fig12")
 
     # Shape: at every freeloader fraction, sharers beat free-riders

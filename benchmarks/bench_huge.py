@@ -26,7 +26,7 @@ import time
 from repro.experiments.presets import preset
 from repro.simulation import FileSharingSimulation
 
-from conftest import SEED, publish_bench, run_once
+from conftest import SEED, publish_bench, run_cell
 
 
 def _run_huge():
@@ -38,18 +38,21 @@ def _run_huge():
     run_started = time.perf_counter()
     result = sim.run()
     run_wall = time.perf_counter() - run_started
-    return sim, result, build_wall, run_wall
+    table = sim.ctx.peer_table
+    return result, build_wall, run_wall, table.counts(), table.storage_nbytes()
 
 
 def test_huge_preset(benchmark):
-    sim, result, build_wall, run_wall = run_once(benchmark, _run_huge)
-    table = sim.ctx.peer_table
+    (result, build_wall, run_wall, table_counts, table_bytes), rss = run_cell(
+        benchmark, _run_huge
+    )
     publish_bench(
         "huge",
         wall_seconds=run_wall,
         events_fired=result.events_fired,
         scale="huge",
         num_peers=result.config.num_peers,
+        peak_rss_mb=rss,
         counters=result.perf_counters,
         build_seconds=round(build_wall, 3),
         completed_downloads=(
@@ -57,12 +60,12 @@ def test_huge_preset(benchmark):
             + result.summary.completed_downloads_freeloaders
         ),
         rings_formed=result.summary.counters.get("ring.formed", 0),
-        peer_table=table.counts(),
-        peer_table_bytes=table.storage_nbytes(),
+        peer_table=table_counts,
+        peer_table_bytes=table_bytes,
     )
     # A 50k-peer run must simulate a working network, not just survive:
     # downloads complete, rings form, and the peer table mirrors the
     # full population.
     assert result.summary.completed_downloads_sharers > 0
     assert result.summary.counters.get("ring.formed", 0) > 0
-    assert table.counts()["registered"] == result.config.num_peers
+    assert table_counts["registered"] == result.config.num_peers

@@ -15,7 +15,7 @@ from repro.sim.engine import Engine
 from repro.sim.processes import PeriodicProcess
 from repro.simulation import collector_paused
 
-from conftest import publish_bench
+from conftest import publish_bench, run_cell
 
 #: Periodic processes in the periodic cell, one per simulated peer scan.
 PERIODIC_PROCESSES = 1_000
@@ -35,40 +35,42 @@ def _churn(num_events: int) -> Engine:
     return engine
 
 
-def test_engine_throughput(benchmark):
-    def timed():
-        started = time.perf_counter()
-        engine = _churn(20_000)
-        return engine, time.perf_counter() - started
+def _throughput_cell():
+    started = time.perf_counter()
+    engine = _churn(20_000)
+    return time.perf_counter() - started, engine.events_fired, engine.counters.snapshot()
 
-    engine, wall = benchmark(timed)
-    fired = engine.events_fired
+
+def test_engine_throughput(benchmark):
+    (wall, fired, counters), rss = run_cell(benchmark, _throughput_cell)
     publish_bench(
         "micro_engine",
         wall_seconds=wall,
         events_fired=fired,
-        counters=engine.counters.snapshot(),
+        peak_rss_mb=rss,
+        counters=counters,
     )
     assert fired == 20_000
 
 
-def test_engine_cancellation_cost(benchmark):
-    def cancel_heavy():
-        engine = Engine()
-        started = time.perf_counter()
-        events = [engine.schedule(float(i % 97) + 1.0, lambda: None) for i in range(5_000)]
-        for event in events[::2]:
-            event.cancel()
-        engine.run(until=100.0)
-        return engine, time.perf_counter() - started
+def _cancellation_cell():
+    engine = Engine()
+    started = time.perf_counter()
+    events = [engine.schedule(float(i % 97) + 1.0, lambda: None) for i in range(5_000)]
+    for event in events[::2]:
+        event.cancel()
+    engine.run(until=100.0)
+    return time.perf_counter() - started, engine.events_fired, engine.counters.snapshot()
 
-    engine, wall = benchmark(cancel_heavy)
-    fired = engine.events_fired
+
+def test_engine_cancellation_cost(benchmark):
+    (wall, fired, counters), rss = run_cell(benchmark, _cancellation_cell)
     publish_bench(
         "micro_engine_cancel",
         wall_seconds=wall,
         events_fired=fired,
-        counters=engine.counters.snapshot(),
+        peak_rss_mb=rss,
+        counters=counters,
     )
     assert fired == 2_500
 
@@ -104,21 +106,23 @@ def _noop() -> None:
     """The periodic cell's callback: the cost left is the engine's."""
 
 
-def test_engine_periodic_throughput(benchmark):
-    def timed():
-        with collector_paused():
-            started = time.perf_counter()
-            engine = _periodic_wave()
-            return engine, time.perf_counter() - started
+def _periodic_cell():
+    with collector_paused():
+        started = time.perf_counter()
+        engine = _periodic_wave()
+        wall = time.perf_counter() - started
+    return wall, engine.events_fired, engine.counters.snapshot(), engine.cancelled_skipped
 
-    engine, wall = benchmark(timed)
-    fired = engine.events_fired
+
+def test_engine_periodic_throughput(benchmark):
+    (wall, fired, counters, cancelled_skipped), rss = run_cell(benchmark, _periodic_cell)
     publish_bench(
         "micro_engine_periodic",
         wall_seconds=wall,
         events_fired=fired,
-        counters=engine.counters.snapshot(),
+        peak_rss_mb=rss,
+        counters=counters,
         processes=PERIODIC_PROCESSES,
-        cancelled_skipped=engine.cancelled_skipped,
+        cancelled_skipped=cancelled_skipped,
     )
     assert 120_000 < fired < 130_000

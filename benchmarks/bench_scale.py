@@ -21,7 +21,7 @@ import time
 from repro.experiments.presets import preset
 from repro.simulation import run_simulation
 
-from conftest import SEED, publish_bench, run_once
+from conftest import SEED, publish_bench, run_cell
 
 
 def _run_scale(**overrides):
@@ -33,11 +33,12 @@ def _run_scale(**overrides):
 
 
 def test_scale_base(benchmark):
-    result, wall = run_once(benchmark, _run_scale)
+    (result, wall), rss = run_cell(benchmark, _run_scale)
     publish_bench(
         "scale_base",
         wall_seconds=wall,
         events_fired=result.events_fired,
+        peak_rss_mb=rss,
         scale="scale",
         num_peers=result.config.num_peers,
         counters=result.perf_counters,
@@ -49,18 +50,18 @@ def test_scale_base(benchmark):
 
 
 def test_scale_churn(benchmark):
-    result, wall = run_once(
+    (result, wall), rss = run_cell(
         benchmark,
-        lambda: _run_scale(
-            churn_enabled=True,
-            churn_mean_online=3_000.0,
-            churn_mean_offline=3_000.0,
-        ),
+        _run_scale,
+        churn_enabled=True,
+        churn_mean_online=3_000.0,
+        churn_mean_offline=3_000.0,
     )
     publish_bench(
         "scale_churn",
         wall_seconds=wall,
         events_fired=result.events_fired,
+        peak_rss_mb=rss,
         scale="scale",
         num_peers=result.config.num_peers,
         churn_transitions=result.summary.counters.get("churn.offline", 0)

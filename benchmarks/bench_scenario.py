@@ -19,7 +19,7 @@ import time
 from repro.experiments.presets import flash_crowd_scenario, preset
 from repro.simulation import run_simulation
 
-from conftest import SCALE, SEED, publish_bench, run_once
+from conftest import SCALE, SEED, publish_bench, run_cell
 
 
 def _run_flashcrowd():
@@ -32,12 +32,13 @@ def _run_flashcrowd():
 
 
 def test_flashcrowd_preset(benchmark):
-    result, wall = run_once(benchmark, _run_flashcrowd)
+    (result, wall), rss = run_cell(benchmark, _run_flashcrowd)
     summary = result.summary
     publish_bench(
         "flashcrowd",
         wall_seconds=wall,
         events_fired=result.events_fired,
+        peak_rss_mb=rss,
         num_peers=result.config.num_peers,
         scenario_events=len(result.config.scenario),
         flash_objects=summary.counters.get("scenario.flash_objects", 0),

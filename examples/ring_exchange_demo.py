@@ -18,6 +18,7 @@ from repro.content.catalog import Catalog, Category, ContentObject
 from repro.content.interests import InterestProfile
 from repro.content.storage import ObjectStore
 from repro.context import SimContext
+from repro.core.disciplines import make_discipline
 from repro.core.policies import parse_mechanism
 from repro.metrics.columnar import ColumnarCollector
 from repro.network.behaviors import FREELOADER, SHARER
@@ -36,6 +37,7 @@ def build_catalog() -> Catalog:
 
 
 def build_peer(ctx: SimContext, peer_id: int, shares: bool = True) -> Peer:
+    config = ctx.config
     behavior = SHARER if shares else FREELOADER
     peer = Peer(
         ctx,
@@ -44,6 +46,15 @@ def build_peer(ctx: SimContext, peer_id: int, shares: bool = True) -> Peer:
         parse_mechanism("2-5-way"),
         InterestProfile([0], [1.0]),
         ObjectStore(capacity=8),
+        upload_capacity_kbit=config.upload_capacity_kbit,
+        download_capacity_kbit=config.download_capacity_kbit,
+        discipline=make_discipline(
+            config.scheduler_mode,
+            peer_id,
+            shares=shares,
+            fake_participation=config.freeloaders_fake_participation,
+        ),
+        class_name=behavior.name,
     )
     ctx.peers[peer_id] = peer
     return peer

@@ -10,9 +10,10 @@ HOT001    no record-dataclass / dict-per-event allocation inside
           hot-set functions of the five hot-path modules
           (``transfer`` / ``peer`` / ``strategy`` /
           ``exchange_manager`` / ``irq``)
-NUM001    byte-identity reductions in ``metrics/columnar.py``: no
-          ``np.sum`` / ``math.fsum`` / method reductions and no builtin
-          ``sum()``; float sums are ``+=`` left folds in record order
+NUM001    byte-identity reductions in the collector and in every
+          module whose float sums feed a summary, a draw table or a
+          figure: no ``np.sum`` / ``math.fsum`` / method reductions
+          and no builtin ``sum()``; float sums are ``+=`` left folds
 MIR001    every store to a ``PeerStateTable``-mirrored ``Peer``
           attribute (online / behavior / policy / departed) pairs
           with a table write-through in the same function
@@ -54,8 +55,19 @@ HOT_PATH_BASENAMES = frozenset(
     {"transfer.py", "peer.py", "strategy.py", "exchange_manager.py", "irq.py"}
 )
 
-#: File basenames under the NUM001 byte-identity contract.
-NUMERIC_BASENAMES = frozenset({"columnar.py"})
+#: File basenames under the NUM001 byte-identity contract: the
+#: collector's fold, and every module whose float sums feed a summary,
+#: a draw table or a figure.
+NUMERIC_BASENAMES = frozenset(
+    {
+        "columnar.py",
+        "summary.py",
+        "popularity.py",
+        "interests.py",
+        "strategy.py",
+        "report.py",
+    }
+)
 
 #: Reduction attribute names banned on a numpy-module receiver.
 NUMPY_REDUCTIONS = frozenset(
@@ -183,30 +195,32 @@ class HotPathAllocationRule(Rule):
 
 @register_rule
 class NumericReductionRule(Rule):
-    """NUM001: byte-identity reductions in the metrics columns."""
+    """NUM001: byte-identity reductions behind the pinned values."""
 
     name = "NUM001"
     summary = (
-        "metrics float sums must be += left folds in record order — "
-        "np.sum/math.fsum/.sum() and builtin sum() are banned"
+        "float sums behind summaries, draw tables and figures must be += "
+        "left folds — np.sum/math.fsum/.sum() and builtin sum() are banned"
     )
     rationale = (
-        "The metrics contract is that every summary input equals the "
-        "record-order loop behind the golden tables, and float addition is "
-        "not associative: np.sum's pairwise reduction and math.fsum's exact "
+        "The pins hold one value on every Python only if every float sum "
+        "behind a summary, a draw table or a figure is the left fold the "
+        "golden tables were recorded with, and float addition is not "
+        "associative: np.sum's pairwise reduction and math.fsum's exact "
         "summation both round differently from that left fold, and so does "
         "builtin sum() over floats from CPython 3.12, which adds Neumaier "
         "compensation (sum([1.0, 1.0], 1e16) is 1e16 on 3.11 and "
         "1.0000000000000002e16 on 3.12) -- sum(values, 0.0) is not the "
-        "left fold either.  In metrics/columnar.py the rule bans "
-        "numpy/math reduction calls, ndarray .sum() methods and every "
-        "builtin sum() call; accumulate with += in record order.  Integer "
-        "tallies, where no rounding occurs, may be suppressed inline with "
-        "that argument."
+        "left fold either.  In the modules listed in NUMERIC_BASENAMES (the "
+        "collector, summary, popularity, interests, strategy and report "
+        "modules) the rule bans numpy/math reduction calls, ndarray .sum() "
+        "methods and every builtin sum() call; accumulate with += in a "
+        "fixed order.  Integer tallies, where no rounding occurs, may be "
+        "suppressed inline with that argument."
     )
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
-        """Flag reordered reductions in the metrics fold module."""
+        """Flag reordered reductions in the modules behind pinned values."""
         if _basename(module) not in NUMERIC_BASENAMES:
             return
         for node in ast.walk(module.tree):

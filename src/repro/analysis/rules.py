@@ -49,12 +49,10 @@ from repro.analysis.framework import (
 )
 
 #: Draw methods offered by :class:`repro.sim.rng.RandomSource`.
-RANDOM_SOURCE_DRAWS = frozenset(
-    {"uniform_int", "choice", "sample", "shuffled", "random", "weighted_index"}
-)
+RANDOM_SOURCE_DRAWS = frozenset({"uniform_int", "sample"})
 #: Draws whose names exist on RandomSource but not on ``random.Random``,
 #: so they identify the receiver type by themselves.
-RANDOM_SOURCE_ONLY_DRAWS = frozenset({"uniform_int", "weighted_index", "shuffled"})
+RANDOM_SOURCE_ONLY_DRAWS = frozenset({"uniform_int"})
 #: Receiver identifiers conventionally bound to a RandomSource.
 RANDOM_SOURCE_NAMES = frozenset({"rng", "_rng"})
 
@@ -186,9 +184,9 @@ class ExplicitStreamRule(Rule):
         "place perturbs every other default-stream consumer.  Naming the "
         "stream at the call site keeps subsystems independent and makes the "
         "coupling reviewable.  Receivers are inferred syntactically: names "
-        "bound from RandomSource(...)/.spawn(...), parameters annotated "
-        "RandomSource, identifiers named rng/_rng (or attributes ending in "
-        "them), plus the RandomSource-only method names."
+        "bound from RandomSource(...), parameters annotated RandomSource, "
+        "identifiers named rng/_rng (or attributes ending in them), plus "
+        "the RandomSource-only method name uniform_int."
     )
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
@@ -226,9 +224,7 @@ class ExplicitStreamRule(Rule):
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 callee = dotted_name(node.value.func)
-                if callee is not None and (
-                    callee.endswith("RandomSource") or callee.endswith(".spawn")
-                ):
+                if callee is not None and callee.endswith("RandomSource"):
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             names.add(target.id)
@@ -289,7 +285,6 @@ _ORDER_SENSITIVE_CALLS = frozenset(
     {
         "sample",
         "choice",
-        "shuffled",
         "shuffle",
         "schedule",
         "schedule_at",
@@ -340,7 +335,7 @@ class UnorderedIterationRule(Rule):
         "Set iteration order depends on insertion history and string hashing; "
         "dict views are insertion-ordered but re-order under innocent "
         "refactors.  When such an iterable feeds an RNG draw (sample/choice/"
-        "shuffled) or event scheduling, the replayed event sequence changes "
+        "shuffle) or event scheduling, the replayed event sequence changes "
         "even though no seed did.  An intervening sorted() pins the order.  "
         "Checked shapes: the data argument of a draw call, and for-loops "
         "over an unordered expression whose body draws or schedules — "
@@ -420,7 +415,7 @@ class UnorderedIterationRule(Rule):
             method = func.attr
         elif isinstance(func, ast.Name):
             method = func.id
-        if method not in ("sample", "choice", "shuffled", "shuffle"):
+        if method not in ("sample", "choice", "shuffle"):
             return ()
         if not node.args:
             return ()

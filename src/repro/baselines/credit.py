@@ -82,7 +82,3 @@ class CreditLedger:
     def rank(self, remote_id: int, waiting_seconds: float) -> float:
         """Queue rank of a request from ``remote_id`` (higher = served first)."""
         return credit_queue_rank(waiting_seconds, self.modifier(remote_id))
-
-    def known_peers(self) -> int:
-        """How many remote peers have ledger entries."""
-        return len(self._volumes)

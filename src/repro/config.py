@@ -140,22 +140,6 @@ class SimulationConfig:
         return mb_to_kbit(self.object_size_mb)
 
     @property
-    def upload_slots(self) -> int:
-        """Upload slots per peer at the global link capacity."""
-        return int(self.upload_capacity_kbit // self.slot_kbit)
-
-    @property
-    def download_slots(self) -> int:
-        """Download slots per peer at the global link capacity."""
-        return int(self.download_capacity_kbit // self.slot_kbit)
-
-    @property
-    def blocks_per_object(self) -> int:
-        """Blocks per (paper-default-size) object, rounding the last up."""
-        size = self.object_size_kbit
-        return max(1, int(-(-size // self.block_size_kbit)))
-
-    @property
     def block_seconds(self) -> float:
         """Seconds to move one block through one slot."""
         return self.block_size_kbit / self.slot_kbit
@@ -294,13 +278,6 @@ class SimulationConfig:
         config → same dict → same fingerprint across processes.
         """
         return dataclasses.asdict(self)
-
-    def describe(self) -> str:
-        """Multi-line human-readable dump (mirrors the paper's Table II)."""
-        lines = ["SimulationConfig:"]
-        for f in dataclasses.fields(self):
-            lines.append(f"  {f.name} = {getattr(self, f.name)!r}")
-        return "\n".join(lines)
 
 
 #: :class:`SimulationConfig` fields annotated ``int``.

@@ -92,10 +92,6 @@ class Catalog:
         """Look up a category by id; IndexError on unknown ids is a bug."""
         return self.categories[category_id]
 
-    def all_objects(self) -> List[ContentObject]:
-        """All objects, ordered by object id (stable for seeded sampling)."""
-        return [self._objects[oid] for oid in sorted(self._objects)]
-
     # ------------------------------------------------------------------
     def inject_object(
         self, category_id: int, size_kbit: float, position: int = 0

@@ -37,7 +37,11 @@ class InterestProfile:
         # a decreasing or NaN cumulative table, silently skewing draws.
         if not all(0.0 <= w < math.inf for w in weights):
             raise ConfigError(f"interest weights must be finite and >= 0: {weights}")
-        total = float(sum(weights))
+        # A left fold, never builtin sum(): from CPython 3.12 sum()
+        # compensates float sums (lint rule NUM001).
+        total = 0.0
+        for w in weights:
+            total += w
         if not 0.0 < total < math.inf:
             raise ConfigError("interest weights must have a positive, finite total")
         self.category_ids: Tuple[int, ...] = tuple(category_ids)
@@ -126,9 +130,4 @@ def build_interest_profile(
             continue
         seen.add(category_id)
         chosen.append(category_id)
-    weights = [rand.random() for _ in chosen]
-    # A pathological all-zero draw is astronomically unlikely but cheap
-    # to guard: fall back to uniform weights.
-    if sum(weights) <= 0:
-        weights = [1.0] * len(chosen)
-    return InterestProfile(chosen, weights)
+    return InterestProfile(chosen, [rand.random() for _ in chosen])

@@ -33,26 +33,19 @@ class RankPopularity:
         self.num_ranks = num_ranks
         self.factor = factor
         weights = [1.0 / (rank ** factor) for rank in range(1, num_ranks + 1)]
-        total = sum(weights)
-        self._probabilities = [w / total for w in weights]
+        # Left folds in rank order, never builtin sum(): from CPython 3.12
+        # sum() compensates float sums, and the table would differ by
+        # interpreter (lint rule NUM001).
+        total = 0.0
+        for w in weights:
+            total += w
         self._cumulative: List[float] = []
         acc = 0.0
-        for p in self._probabilities:
-            acc += p
+        for w in weights:
+            acc += w / total
             self._cumulative.append(acc)
         # Guard against floating point drift so bisect never falls off the end.
         self._cumulative[-1] = 1.0
-
-    # ------------------------------------------------------------------
-    def probability(self, rank: int) -> float:
-        """Probability of ``rank`` (1-based)."""
-        if not 1 <= rank <= self.num_ranks:
-            raise ConfigError(f"rank {rank} outside [1, {self.num_ranks}]")
-        return self._probabilities[rank - 1]
-
-    def probabilities(self) -> List[float]:
-        """All rank probabilities (copy), in rank order 1..n."""
-        return list(self._probabilities)
 
     @property
     def cumulative(self) -> List[float]:

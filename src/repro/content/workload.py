@@ -139,7 +139,7 @@ class RequestGenerator:
         stored: Container[int],
         pending: Container[int],
         locatable: Container[int],
-        popularity_cache: Optional[PopularityCache] = None,
+        popularity_cache: PopularityCache,
     ) -> None:
         if not object_factor >= 0:  # NaN too, here rather than at the first draw
             raise ConfigError(f"object_factor must be >= 0, got {object_factor}")
@@ -150,13 +150,7 @@ class RequestGenerator:
         self._stored = stored
         self._pending = pending
         self._locatable = locatable
-        # ``is not None``, not truthiness: PopularityCache defines
-        # __len__, so a shared-but-still-empty cache is falsy and a
-        # plain ``or`` would silently hand every generator its own
-        # private cache (50k duplicate rank tables at the huge preset).
-        self._cache = (
-            popularity_cache if popularity_cache is not None else PopularityCache()
-        )
+        self._cache = popularity_cache
 
     def set_profile(self, profile: InterestProfile) -> None:
         """Swap the interest profile mid-run (scenario demand shifts)."""

@@ -64,11 +64,6 @@ class BloomFilter:
 
     # ------------------------------------------------------------------
     @property
-    def items_added(self) -> int:
-        """How many insertions the filter has absorbed."""
-        return self._items
-
-    @property
     def size_bytes(self) -> int:
         """Wire size of the filter (bits rounded up to whole bytes)."""
         return (self.bits + 7) // 8

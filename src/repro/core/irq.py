@@ -196,8 +196,6 @@ class IncomingRequestQueue:
         "_keys_array",
         "_keys_array_version",
         "_dead_in_index",
-        "rejected_full",
-        "rejected_duplicate",
         "version",
         "binding_epoch",
         "shape_version",
@@ -222,8 +220,6 @@ class IncomingRequestQueue:
         self._keys_array = _EMPTY_IDS
         self._keys_array_version = -1
         self._dead_in_index = 0
-        self.rejected_full = 0
-        self.rejected_duplicate = 0
         #: Bumped on every content change; snapshot caches key off it.
         self.version = 0
         #: Bumped when an entry's transfer attachment changes (bind,
@@ -264,11 +260,7 @@ class IncomingRequestQueue:
         The paper allows "only one registered request on a given peer
         for a given object", so duplicates are rejected, not replaced.
         """
-        if entry.key in self._entries:
-            self.rejected_duplicate += 1
-            return False
-        if len(self._entries) >= self.capacity:
-            self.rejected_full += 1
+        if entry.key in self._entries or len(self._entries) >= self.capacity:
             return False
         self._entries[entry.key] = entry
         entry._indexed = tree_peer_set(entry.requester_id, entry.tree)

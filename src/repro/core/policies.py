@@ -46,16 +46,13 @@ class ExchangePolicy:
         """
         return max(0, self.max_ring - 1)
 
-    def accepts(self, ring_size: int) -> bool:
-        """Whether a ring of ``ring_size`` members is admissible."""
-        return 2 <= ring_size <= self.max_ring
-
     def order(self, candidates: Sequence[RingCandidate]) -> List[RingCandidate]:
-        """Candidates in preference order; default: discovery order.
+        """Admissible candidates in preference order; default: discovery order.
 
-        The admissibility filters below inline :meth:`accepts` — the
-        commit loop orders every candidate of every search pass, so the
-        per-candidate method call is measurable at 50k peers.
+        A ring is admissible when ``2 <= size <= max_ring``.  Every
+        ``order`` tests that inline, not through a method: the commit
+        loop orders every candidate of every search pass, so a
+        per-candidate call is measurable at 50k peers.
         """
         max_ring = self.max_ring
         return [c for c in candidates if 2 <= c.size <= max_ring]

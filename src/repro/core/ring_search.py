@@ -49,11 +49,6 @@ class RingCandidate:
         # per candidate per ordering pass, millions of times per run.
         self.size = len(path) + 1
 
-    @property
-    def closing_peer_id(self) -> int:
-        """The peer that will provide the wanted object."""
-        return self.path[-1][0]
-
     def peers(self) -> List[int]:
         """Peer ids along the candidate path (closing peer last)."""
         return [step[0] for step in self.path]

@@ -67,7 +67,6 @@ def edge_veto(
     if not 2 <= ring_size <= provider.policy.max_ring:
         # Likewise per-member: a pairwise-class peer refuses a
         # 3..N-way ring even when an N-way initiator proposed it.
-        # (policy.accepts inlined: ~millions of edge checks per run.)
         return (REASON_RING_TOO_LONG, provider.peer_id)
     if not provider.can_serve(object_id):
         return (REASON_OBJECT_GONE, provider.peer_id)

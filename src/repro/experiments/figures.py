@@ -659,38 +659,3 @@ FIGURES: Dict[str, FigureSpec] = {
                    _robustness_grid, _robustness_assemble),
     )
 }
-
-
-def run_figure(figure_id: str, scale: str = "smoke", seed: int = 42) -> SeriesTable:
-    """Run one figure's sweep by id (``fig4`` .. ``fig12``), serially.
-
-    Thin wrapper over the orchestrator with ``jobs=1`` and no cache —
-    the reference path the parallel runs are checked against.  Unknown
-    ids raise :class:`~repro.errors.ConfigError` from the orchestrator.
-    """
-    # Imported here: the orchestrator imports this module for the specs.
-    from repro.experiments.orchestrator import run_figure as _run
-
-    return _run(figure_id, scale=scale, seed=seed)
-
-
-def _figure_entry(figure_id: str) -> Callable[[str, int], SeriesTable]:
-    def entry(scale: str = "smoke", seed: int = 42) -> SeriesTable:
-        return run_figure(figure_id, scale=scale, seed=seed)
-
-    entry.__name__ = f"run_{figure_id}"
-    entry.__doc__ = f"Serial entry point for {figure_id} ({FIGURES[figure_id].description})."
-    return entry
-
-
-# Named entry points kept for the benchmarks and external callers.
-fig4_download_time_vs_capacity = _figure_entry("fig4")
-fig5_exchange_fraction_vs_capacity = _figure_entry("fig5")
-fig6_ring_size_sweep = _figure_entry("fig6")
-fig7_session_volume_cdf = _figure_entry("fig7")
-fig8_waiting_time_cdf = _figure_entry("fig8")
-fig9_download_time_vs_popularity = _figure_entry("fig9")
-fig10_volume_vs_popularity = _figure_entry("fig10")
-fig11_pending_and_categories = _figure_entry("fig11")
-fig12_freeloader_fraction = _figure_entry("fig12")
-robustness_mechanism_vs_attack = _figure_entry("robustness")

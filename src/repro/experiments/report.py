@@ -14,7 +14,7 @@ mean ± stderr table.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import MetricsError
 
@@ -58,23 +58,9 @@ class SeriesTable:
             raise MetricsError(f"no series {column!r} in {self.title}")
         return [(x, values.get(column)) for x, values in self.rows]
 
-    def series_errors(self, column: str) -> List[Tuple[float, Optional[float]]]:
-        """(x, stderr) pairs for one series, in row order."""
-        if column not in self.columns:
-            raise MetricsError(f"no series {column!r} in {self.title}")
-        return [
-            (x, errors.get(column))
-            for (x, _values), errors in zip(self.rows, self.row_errors)
-        ]
-
     def column_values(self, column: str) -> List[float]:
         """Non-missing y values for one series."""
         return [y for _x, y in self.series(column) if y is not None]
-
-    @property
-    def has_errors(self) -> bool:
-        """Whether any cell carries a standard error."""
-        return any(self.row_errors)
 
     # ------------------------------------------------------------------
     def render(self, precision: int = 2) -> str:
@@ -112,13 +98,25 @@ class SeriesTable:
         return f"SeriesTable({self.title!r}, rows={len(self.rows)})"
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """``+=`` left fold in input order.
+
+    Never builtin sum(): from CPython 3.12 it compensates float sums,
+    and the tables would differ by interpreter (lint rule NUM001).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _mean_and_stderr(samples: List[float]) -> Tuple[float, Optional[float]]:
     """Sample mean and standard error (``None`` for a single sample)."""
     n = len(samples)
-    mean = sum(samples) / n
+    mean = _left_sum(samples) / n
     if n < 2:
         return mean, None
-    variance = sum((s - mean) ** 2 for s in samples) / (n - 1)
+    variance = _left_sum((s - mean) ** 2 for s in samples) / (n - 1)
     return mean, math.sqrt(variance / n)
 
 
@@ -170,5 +168,5 @@ def aggregate_tables(tables: Sequence[SeriesTable]) -> SeriesTable:
             values[column] = mean
             if stderr is not None:
                 errors[column] = stderr
-        out.add_row(sum(xs) / len(xs), values, errors=errors or None)
+        out.add_row(_left_sum(xs) / len(xs), values, errors=errors or None)
     return out

@@ -333,15 +333,6 @@ class ColumnarCollector:
         """Every strategy-epoch record, in record order (fresh list)."""
         return self._kept(self._epochs, "strategy_epochs")
 
-    def reason_counts(self) -> Dict[TerminationReason, int]:
-        """Session count per termination reason (zero counts omitted)."""
-        counts: Dict[TerminationReason, int] = {}
-        for reason in TerminationReason:
-            key = f"session.reason.{reason.value}"
-            if self.counters[key]:
-                counts[reason] = self.counters[key]
-        return counts
-
     # ------------------------------------------------------------------
     # summary inputs (post-warmup)
     # ------------------------------------------------------------------

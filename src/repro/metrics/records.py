@@ -87,11 +87,6 @@ class SessionRecord:
     phase: str = ""
 
     @property
-    def waiting_time(self) -> float:
-        """Paper Fig. 8: session start minus original object request."""
-        return self.start_time - self.request_time
-
-    @property
     def duration(self) -> float:
         """Session length in seconds (start to termination)."""
         return self.end_time - self.start_time

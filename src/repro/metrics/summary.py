@@ -20,7 +20,13 @@ from repro.units import kbit_to_mb, seconds_to_minutes
 def _mean(values: List[float]) -> Optional[float]:
     if not values:
         return None
-    return sum(values) / len(values)
+    # A left fold in record order, never builtin sum(): from CPython 3.12
+    # sum() compensates float sums, and the means would differ by
+    # interpreter (lint rule NUM001).
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 @dataclass

@@ -49,13 +49,6 @@ class SlotPool:
             raise CapacityError(f"no free slots ({self.in_use}/{self.total} in use)")
         self.in_use += 1
 
-    def try_acquire(self) -> bool:
-        """Take one slot if available; returns whether it succeeded."""
-        if self.in_use >= self.total:
-            return False
-        self.in_use += 1
-        return True
-
     def release(self) -> None:
         """Return one slot; releasing an idle pool is a bookkeeping bug."""
         if self.in_use <= 0:

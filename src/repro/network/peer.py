@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.content.storage import ObjectStore
 from repro.content.workload import RequestGenerator
 from repro.core import exchange_manager, scheduler
-from repro.core.disciplines import ServiceDiscipline, make_discipline
+from repro.core.disciplines import ServiceDiscipline
 from repro.core.irq import IncomingRequestQueue, RequestEntry
 from repro.core.policies import ExchangePolicy
 from repro.core.request_tree import RequestTreeNode, build_snapshot, reroot, reuse_equal
@@ -94,10 +94,10 @@ class Peer:
         profile: "InterestProfile",
         store: ObjectStore,
         *,
-        upload_capacity_kbit: Optional[float] = None,
-        download_capacity_kbit: Optional[float] = None,
-        discipline: Optional[ServiceDiscipline] = None,
-        class_name: Optional[str] = None,
+        upload_capacity_kbit: float,
+        download_capacity_kbit: float,
+        discipline: ServiceDiscipline,
+        class_name: str,
     ) -> None:
         config = ctx.config
         self.ctx = ctx
@@ -106,20 +106,14 @@ class Peer:
         self.policy = policy
         self.profile = profile
         self.store = store
-        #: Population-class label threaded into the metrics records;
-        #: defaults to the behaviour name for hand-built peers.
-        self.class_name = class_name if class_name is not None else behavior.name
+        #: Population-class label threaded into the metrics records.
+        self.class_name = class_name
         self.online = True
         #: Permanently departed (scenario timelines): the teardown ran
         #: once and :meth:`reconnect` refuses forever after.
         self.departed = False
         # Link capacities are per peer: a class spec may give this peer a
-        # broadband uplink while its neighbour runs on a modem.  ``None``
-        # inherits the global config values.
-        if upload_capacity_kbit is None:
-            upload_capacity_kbit = config.upload_capacity_kbit
-        if download_capacity_kbit is None:
-            download_capacity_kbit = config.download_capacity_kbit
+        # broadband uplink while its neighbour runs on a modem.
         self.upload_capacity_kbit = upload_capacity_kbit
         self.download_capacity_kbit = download_capacity_kbit
         self.upload_pool = SlotPool(upload_capacity_kbit, config.slot_kbit)
@@ -148,13 +142,6 @@ class Peer:
         self._rand = ctx.rng.stream(f"peer{peer_id}")
         # The service discipline owns the baseline-mechanism state
         # (credit ledger, participation reporter) and the queue ordering.
-        if discipline is None:
-            discipline = make_discipline(
-                config.scheduler_mode,
-                peer_id,
-                shares=behavior.shares,
-                fake_participation=config.freeloaders_fake_participation,
-            )
         self.discipline = discipline
         # Mirror the scan-relevant slice into the columnar peer table;
         # every later mutation point below pushes its own update.

@@ -59,7 +59,6 @@ class Transfer:
         "entry",
         "_block_event",
         "_pinned",
-        "last_reason",
     )
 
     def __init__(
@@ -85,7 +84,6 @@ class Transfer:
         self.entry = None  # the IRQ entry this transfer satisfies (if any)
         self._block_event = None
         self._pinned = False
-        self.last_reason: Optional[TerminationReason] = None
 
     def bind_entry(self, entry) -> None:
         """Attach the IRQ entry this transfer serves (stays registered)."""
@@ -192,10 +190,8 @@ class Transfer:
         if self.state is TransferState.CREATED:
             # Never started: nothing to release or record.
             self.state = TransferState.TERMINATED
-            self.last_reason = reason
             return
         self.state = TransferState.TERMINATED
-        self.last_reason = reason
         if self._block_event is not None:
             # The in-flight block goes back to the download's pool.
             self._block_event.cancel()

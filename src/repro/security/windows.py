@@ -112,16 +112,6 @@ class WindowedExchange:
         """How many windowed rounds the exchange ran."""
         return len(self.rounds)
 
-    def maximum_cheater_haul(self) -> int:
-        """Worst-case blocks a cheater can take: the final window size.
-
-        A cheater must play honestly to grow the window ("a cheater
-        would need to have at least a few real blocks in order to
-        increase the window"), so its haul is bounded by the window it
-        defects at.
-        """
-        return self.window
-
 
 def simulate_defection(
     defect_round: int,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, List, Sequence, TypeVar
+from typing import Dict, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -42,10 +42,6 @@ class RandomSource:
             self._streams[name] = stream
         return stream
 
-    def spawn(self, name: str) -> "RandomSource":
-        """A child source whose streams are independent of this one's."""
-        return RandomSource(_derive_seed(self.seed, f"spawn:{name}"))
-
     # Convenience draws on the default stream -------------------------------
     def uniform_int(self, low: int, high: int, stream: str = "default") -> int:
         """Inclusive uniform integer draw, matching the paper's uniform(a,b)."""
@@ -53,47 +49,9 @@ class RandomSource:
             raise ValueError(f"uniform_int bounds reversed: [{low}, {high}]")
         return self.stream(stream).randint(low, high)
 
-    def choice(self, items: Sequence[T], stream: str = "default") -> T:
-        """One uniformly drawn element of ``items``."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return self.stream(stream).choice(items)
-
     def sample(self, items: Sequence[T], k: int, stream: str = "default") -> List[T]:
         """``k`` distinct elements drawn without replacement."""
         return self.stream(stream).sample(items, k)
-
-    def shuffled(self, items: Iterable[T], stream: str = "default") -> List[T]:
-        """A shuffled copy of ``items`` (the input is untouched)."""
-        result = list(items)
-        self.stream(stream).shuffle(result)
-        return result
-
-    def random(self, stream: str = "default") -> float:
-        """One uniform float in [0, 1)."""
-        return self.stream(stream).random()
-
-    def weighted_index(self, weights: Sequence[float], stream: str = "default") -> int:
-        """Index drawn proportionally to ``weights`` (need not sum to 1).
-
-        Implemented by inverse-CDF walk; raises :class:`ValueError` on
-        empty or non-positive total weight because a silent fallback
-        would skew popularity distributions undetectably.
-        """
-        total = 0.0
-        for w in weights:
-            if w < 0:
-                raise ValueError(f"negative weight {w} in weighted_index")
-            total += w
-        if not weights or total <= 0.0:
-            raise ValueError("weighted_index needs positive total weight")
-        point = self.stream(stream).random() * total
-        acc = 0.0
-        for index, w in enumerate(weights):
-            acc += w
-            if point < acc:
-                return index
-        return len(weights) - 1  # floating-point edge: point == total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomSource(seed={self.seed}, streams={sorted(self._streams)})"

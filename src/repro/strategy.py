@@ -244,11 +244,6 @@ class StrategyDirector:
             self._processes[spec] = process
             self.sim.register_process(process)
 
-    @property
-    def enrolled_count(self) -> int:
-        """Number of peers under strategy revision."""
-        return len(self._windows)
-
     # ------------------------------------------------------------------
     # payoff evaluation
     # ------------------------------------------------------------------
@@ -294,9 +289,15 @@ class StrategyDirector:
         window = self._windows.get(peer.peer_id)
         if window is None or not window.downloads:
             return None
-        mean_time = sum(t for _, t in window.downloads) / len(window.downloads)
+        # Float sums here are left folds, never builtin sum(): from
+        # CPython 3.12 sum() compensates them (lint rule NUM001).
+        total_time = 0.0
+        for _, minutes in window.downloads:
+            total_time += minutes
+        mean_time = total_time / len(window.downloads)
         value = -mean_time
         if window.sessions:
+            # simlint: disable=NUM001 -- int tally, no rounding
             exchange = sum(1 for _, is_x in window.sessions if is_x)
             value += spec.exchange_weight * (exchange / len(window.sessions))
         value += spec.standing_weight * peer.discipline.standing()
@@ -338,8 +339,13 @@ class StrategyDirector:
             veterans += 1
             window = self._windows[peer.peer_id]
             downloads += len(window.downloads)
-            total_time += sum(minutes for _, minutes in window.downloads)
+            # Per-peer subtotal first, as the pooled payoff always summed.
+            peer_time = 0.0
+            for _, minutes in window.downloads:
+                peer_time += minutes
+            total_time += peer_time
             sessions += len(window.sessions)
+            # simlint: disable=NUM001 -- int tally, no rounding
             exchange_sessions += sum(1 for _, is_x in window.sessions if is_x)
             standing_total += peer.discipline.standing()
         if not downloads:

@@ -36,29 +36,6 @@ def kbit_to_mb(kbit: float) -> float:
     return kbit / KBIT_PER_MB
 
 
-def kbit_to_kb(kbit: float) -> float:
-    """Convert kbit to kilobytes (the unit of the paper's Fig. 7 x-axis)."""
-    return kbit / 8.0
-
-
 def seconds_to_minutes(seconds: float) -> float:
     """Convert seconds to minutes (the unit of the paper's figures)."""
     return seconds / SECONDS_PER_MINUTE
-
-
-def minutes_to_seconds(minutes: float) -> float:
-    """Convert minutes to seconds."""
-    return minutes * SECONDS_PER_MINUTE
-
-
-def transfer_seconds(size_kbit: float, rate_kbit_per_s: float) -> float:
-    """Time to move ``size_kbit`` at ``rate_kbit_per_s``.
-
-    Raises :class:`ValueError` for non-positive rates because a zero rate
-    would silently produce ``inf`` event times and hang the event loop.
-    """
-    if rate_kbit_per_s <= 0:
-        raise ValueError(f"transfer rate must be positive, got {rate_kbit_per_s}")
-    if size_kbit < 0:
-        raise ValueError(f"transfer size must be non-negative, got {size_kbit}")
-    return size_kbit / rate_kbit_per_s

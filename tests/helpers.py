@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.config import SimulationConfig
 from repro.content.catalog import Catalog, Category, ContentObject
 from repro.context import SimContext
@@ -73,11 +71,8 @@ class StubPolicy:
     def tree_levels(self) -> int:
         return max(0, self.max_ring - 1)
 
-    def accepts(self, ring_size: int) -> bool:
-        return 2 <= ring_size <= self.max_ring
-
     def order(self, candidates):
-        return [c for c in candidates if self.accepts(c.size)]
+        return [c for c in candidates if 2 <= c.size <= self.max_ring]
 
 
 def recording_collector(config: SimulationConfig) -> ColumnarCollector:
@@ -105,26 +100,42 @@ def make_ctx(config: SimulationConfig | None = None, catalog: Catalog | None = N
     return ctx
 
 
-def blocks_for(config: SimulationConfig, size_kbit: float) -> int:
-    return max(1, math.ceil(size_kbit / config.block_size_kbit))
-
-
 # ---------------------------------------------------------------------------
 # Manual network assembly (unit tests drive peers without a full simulation)
 # ---------------------------------------------------------------------------
 
 from repro.content.interests import InterestProfile  # noqa: E402
 from repro.content.storage import ObjectStore  # noqa: E402
+from repro.core.disciplines import make_discipline  # noqa: E402
 from repro.core.policies import parse_mechanism  # noqa: E402
 from repro.network.peer import Peer  # noqa: E402
 
 
 def build_peer(ctx, peer_id, shares=True, mechanism="2-5-way", capacity=20):
-    """Create a peer wired into ``ctx`` with a trivial interest profile."""
-    profile = InterestProfile([0], [1.0])
-    store = ObjectStore(capacity)
+    """Create a peer wired into ``ctx`` with a trivial interest profile.
+
+    Capacities and the service discipline come from the global config,
+    and the class label is the behaviour name.
+    """
+    config = ctx.config
     behavior = SHARER if shares else FREELOADER
-    peer = Peer(ctx, peer_id, behavior, parse_mechanism(mechanism), profile, store)
+    peer = Peer(
+        ctx,
+        peer_id,
+        behavior,
+        parse_mechanism(mechanism),
+        InterestProfile([0], [1.0]),
+        ObjectStore(capacity),
+        upload_capacity_kbit=config.upload_capacity_kbit,
+        download_capacity_kbit=config.download_capacity_kbit,
+        discipline=make_discipline(
+            config.scheduler_mode,
+            peer_id,
+            shares=shares,
+            fake_participation=config.freeloaders_fake_participation,
+        ),
+        class_name=behavior.name,
+    )
     ctx.peers[peer_id] = peer
     return peer
 

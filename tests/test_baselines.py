@@ -51,7 +51,6 @@ class TestCreditLedger:
         ledger.record_received(2, 50.0)
         ledger.record_served(2, 30.0)
         assert ledger.volumes(2) == (150.0, 30.0)
-        assert ledger.known_peers() == 1
 
     def test_unknown_peer_neutral(self):
         ledger = CreditLedger(owner_id=1)

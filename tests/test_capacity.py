@@ -32,10 +32,13 @@ class TestSlotPool:
         with pytest.raises(CapacityError):
             pool.acquire()
 
-    def test_try_acquire(self):
+    def test_release_from_full_pool_admits_another_acquire(self):
         pool = SlotPool(10.0, 10.0)
-        assert pool.try_acquire() is True
-        assert pool.try_acquire() is False
+        pool.acquire()
+        pool.release()
+        assert not pool.full
+        pool.acquire()
+        assert pool.full
         assert pool.in_use == 1
 
     def test_release_idle_pool_raises(self):
@@ -57,8 +60,8 @@ class TestSlotPool:
     def test_in_use_never_escapes_bounds(self, slots, operations):
         pool = SlotPool(slots * 10.0, 10.0)
         for acquire in operations:
-            if acquire:
-                pool.try_acquire()
+            if acquire and not pool.full:
+                pool.acquire()
             elif pool.in_use > 0:
                 pool.release()
             assert 0 <= pool.in_use <= pool.total

@@ -34,10 +34,11 @@ class TestCatalogConstruction:
         assert catalog.num_categories == 2
         assert catalog.num_objects == 6
 
-    def test_all_objects_sorted_by_id(self):
-        catalog = tiny_catalog()
-        ids = [o.object_id for o in catalog.all_objects()]
-        assert ids == sorted(ids)
+    def test_every_category_object_is_found_by_id(self):
+        catalog = tiny_catalog(num_categories=3, objects_per_category=4)
+        objects = [o for c in catalog.categories for o in c.objects]
+        assert len(objects) == catalog.num_objects
+        assert all(catalog.object(o.object_id) is o for o in objects)
 
     def test_rejects_empty_catalog(self):
         with pytest.raises(ConfigError):
@@ -82,8 +83,8 @@ class TestCatalogBuild:
             objects_per_category_max=4,
             object_size_kbit=1.0,
         )
-        ids = [o.object_id for o in catalog.all_objects()]
-        assert ids == list(range(len(ids)))
+        ids = sorted(o.object_id for c in catalog.categories for o in c.objects)
+        assert ids == list(range(catalog.num_objects))
 
     def test_build_ranks_start_at_one(self):
         catalog = Catalog.build(

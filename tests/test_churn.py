@@ -151,10 +151,7 @@ class TestChurnedSimulation:
         assert result.summary.counters.get("churn.offline", 0) > 0
         assert result.summary.counters.get("churn.online", 0) > 0
         assert result.summary.completed_downloads_sharers > 0
-        offline_reasons = result.metrics.reason_counts().get(
-            TerminationReason.PEER_OFFLINE, 0
-        )
-        assert offline_reasons > 0
+        assert result.metrics.counters["session.reason.peer-offline"] > 0
 
     def test_churn_is_deterministic(self):
         config = small_config(

@@ -207,7 +207,7 @@ class Oracle:
                 session.kbit_transferred / 8.0
             )
             agg.waiting_min_by_class.setdefault(label, []).append(
-                session.waiting_time / 60.0
+                (session.start_time - session.request_time) / 60.0
             )
             is_exchange = session.traffic_class.is_exchange
             agg.exchange_sessions += is_exchange

@@ -6,9 +6,13 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigError
+from repro.network.capacity import SlotPool
+from repro.units import KBIT_PER_MB
+from tests.helpers import make_ctx
 
 
 class TestTableIIDefaults:
@@ -26,8 +30,8 @@ class TestTableIIDefaults:
         assert config.download_capacity_kbit == 800.0
         assert config.upload_capacity_kbit == 80.0
         assert config.slot_kbit == 10.0
-        assert config.upload_slots == 8
-        assert config.download_slots == 80
+        assert SlotPool(config.upload_capacity_kbit, config.slot_kbit).total == 8
+        assert SlotPool(config.download_capacity_kbit, config.slot_kbit).total == 80
 
     def test_content_model(self):
         config = SimulationConfig()
@@ -48,7 +52,7 @@ class TestTableIIDefaults:
         config = SimulationConfig()
         # 20 MB = 163840 kbit splits evenly into 40 blocks of 4096 kbit.
         assert config.object_size_kbit == 163840.0
-        assert config.blocks_per_object == 40
+        assert make_ctx(config).blocks_for(0) == 40
         assert config.block_seconds == pytest.approx(409.6)
 
 
@@ -186,7 +190,7 @@ class TestReplace:
     def test_replace_overrides_field(self):
         config = SimulationConfig().replace(upload_capacity_kbit=40.0)
         assert config.upload_capacity_kbit == 40.0
-        assert config.upload_slots == 4
+        assert SlotPool(config.upload_capacity_kbit, config.slot_kbit).total == 4
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError):
@@ -197,12 +201,6 @@ class TestReplace:
         original.replace(num_peers=10)
         assert original.num_peers == 200
 
-    def test_describe_mentions_every_field(self):
-        text = SimulationConfig().describe()
-        assert "num_peers" in text
-        assert "exchange_mechanism" in text
-        assert "population" in text
-
     def test_to_dict_includes_population_deterministically(self):
         from repro.population import PeerClassSpec
 
@@ -212,10 +210,23 @@ class TestReplace:
         assert first == second
         assert first["population"][0]["name"] == "all"
 
+    @given(
+        object_kbit=st.integers(min_value=1, max_value=50 * KBIT_PER_MB),
+        block_kbit=st.integers(min_value=1, max_value=10_000),
+    )
+    def test_blocks_cover_the_object_with_under_one_block_spare(
+        self, object_kbit, block_kbit
+    ):
+        config = SimulationConfig(
+            object_size_mb=object_kbit / KBIT_PER_MB, block_size_kbit=float(block_kbit)
+        )
+        blocks = make_ctx(config).blocks_for(0)
+        assert blocks * block_kbit >= object_kbit > (blocks - 1) * block_kbit
+
     def test_blocks_round_up_for_odd_sizes(self):
         config = SimulationConfig(object_size_mb=1.0, block_size_kbit=3000.0)
         # 8192 kbit / 3000 => 3 blocks
-        assert config.blocks_per_object == 3
+        assert make_ctx(config).blocks_for(0) == 3
 
 
 class TestHashing:

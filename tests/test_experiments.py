@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, MetricsError
-from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments import run_figure
+from repro.experiments.figures import FIGURES
 from repro.experiments.presets import SCALES, preset
 from repro.experiments.report import SeriesTable
 

@@ -26,7 +26,7 @@ from repro.experiments.presets import (
     swarm_growth_scenario,
 )
 from repro.network.transfer import Transfer
-from repro.simulation import FileSharingSimulation, collector_paused
+from repro.simulation import _INTERPRETER_FROZEN, FileSharingSimulation, collector_paused
 from repro.strategy import StrategySpec
 from tests.helpers import small_config
 
@@ -216,9 +216,11 @@ class TestCollections:
 
     def test_run_promotes_its_survivors(self):
         # With the collector off, no young collection after the pause
-        # can move the survivors on in the promotion's place.
+        # can move the survivors on in the promotion's place.  Nothing
+        # is frozen but what the interpreter parks on its own (CPython
+        # 3.12's immortal objects).
         gc.disable()
-        assert gc.get_freeze_count() == 0
+        assert gc.get_freeze_count() <= _INTERPRETER_FROZEN
         FileSharingSimulation(small_config()).run()
         assert gc.get_freeze_count() == 0
         assert len(gc.get_objects(0)) < gc.get_threshold()[0]

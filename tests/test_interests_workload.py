@@ -114,6 +114,7 @@ class TestRequestGenerator:
             stored=known,
             pending={},
             locatable=locatable,
+            popularity_cache=PopularityCache(),
         )
 
     def test_draws_objects_from_interest_categories(self):
@@ -211,6 +212,7 @@ class TestExhaustedProfile:
             stored=known,
             pending=pending,
             locatable=locatable,
+            popularity_cache=PopularityCache(),
         )
         assert generator.next_request() is None
         assert rand.random_calls == 0
@@ -229,6 +231,7 @@ class TestExhaustedProfile:
             stored=frozenset(range(4)),
             pending={},
             locatable=frozenset(range(8)),
+            popularity_cache=PopularityCache(),
         )
         assert generator.next_request() is None
         assert rand.random_calls == 2 * MAX_MISS_ATTEMPTS
@@ -304,6 +307,7 @@ def _generator(catalog, profile, rand, factor, store, pending, lookup):
         stored=store.id_view(),
         pending=pending,
         locatable=lookup.provider_index(),
+        popularity_cache=PopularityCache(),
     )
 
 

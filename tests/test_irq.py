@@ -26,14 +26,14 @@ class TestQueueBasics:
         irq = IncomingRequestQueue(capacity=5)
         assert irq.add(entry())
         assert not irq.add(entry())
-        assert irq.rejected_duplicate == 1
+        assert len(irq) == 1
 
     def test_capacity_enforced(self):
         irq = IncomingRequestQueue(capacity=2)
         assert irq.add(entry(2, 20))
         assert irq.add(entry(3, 30))
         assert not irq.add(entry(4, 40))
-        assert irq.rejected_full == 1
+        assert (4, 40) not in irq
 
     def test_same_requester_different_objects_allowed(self):
         irq = IncomingRequestQueue(capacity=5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.content.popularity import RankPopularity
 from repro.errors import MetricsError
 from repro.metrics.cdf import EmpiricalCDF
 from repro.metrics.columnar import ColumnarCollector
@@ -14,7 +15,7 @@ from repro.metrics.records import (
     TerminationReason,
     TrafficClass,
 )
-from repro.metrics.summary import SimulationSummary, summarize
+from repro.metrics.summary import SimulationSummary, _mean, summarize
 
 
 def session_fields(
@@ -89,7 +90,10 @@ class TestTrafficClass:
 
 class TestRecords:
     def test_waiting_time(self):
-        assert session(start=10.0, request=4.0).waiting_time == 6.0
+        collector = ColumnarCollector()
+        collector.add_session(**session_fields(start=10.0, request=4.0))
+        waiting = collector.session_aggregates().waiting_min_by_class
+        assert waiting == {"non-exchange": [6.0 / 60.0]}
 
     def test_duration(self):
         assert session(start=10.0, end=25.0).duration == 15.0
@@ -117,7 +121,7 @@ class TestCollector:
         collector.add_session(**session_fields(traffic=TrafficClass.PAIRWISE, ring_size=2))
         assert collector.counters["session.non-exchange"] == 1
         assert collector.counters["session.pairwise"] == 1
-        assert collector.reason_counts()[TerminationReason.COMPLETED] == 2
+        assert collector.counters["session.reason.completed"] == 2
 
     def test_warmup_filters_by_end_time(self):
         collector = ColumnarCollector(warmup=10.0)
@@ -164,33 +168,22 @@ class TestEmpiricalCDF:
         with pytest.raises(MetricsError):
             EmpiricalCDF([])
 
-    def test_quantiles(self):
-        cdf = EmpiricalCDF([10.0, 20.0, 30.0, 40.0])
-        assert cdf.quantile(0.25) == 10.0
-        assert cdf.quantile(0.5) == 20.0
-        assert cdf.quantile(1.0) == 40.0
+    def test_ties_step_together(self):
+        cdf = EmpiricalCDF([1.0, 2.0, 2.0, 3.0])
+        assert cdf(1.999) == 0.25
+        assert cdf(2.0) == 0.75
 
-    def test_quantile_bounds(self):
-        cdf = EmpiricalCDF([1.0])
-        with pytest.raises(MetricsError):
-            cdf.quantile(0.0)
-        with pytest.raises(MetricsError):
-            cdf.quantile(1.1)
+    def test_unsorted_iterable_input(self):
+        samples = [30.0, 10.0, 20.0]
+        cdf = EmpiricalCDF(x for x in samples)
+        assert [cdf(10.0), cdf(20.0), cdf(30.0)] == [1 / 3, 2 / 3, 1.0]
+        assert samples == [30.0, 10.0, 20.0]
 
-    def test_mean_and_range(self):
-        cdf = EmpiricalCDF([2.0, 4.0])
-        assert cdf.mean() == 3.0
-        assert (cdf.min, cdf.max) == (2.0, 4.0)
-
-    def test_points_are_monotone(self):
-        cdf = EmpiricalCDF(range(1000))
-        pts = cdf.points(max_points=50)
-        xs = [x for x, _ in pts]
-        ys = [y for _, y in pts]
-        assert xs == sorted(xs)
-        assert ys == sorted(ys)
-        assert ys[-1] == 1.0
-        assert len(pts) <= 52
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1))
+    def test_cdf_is_fraction_at_or_below(self, samples):
+        cdf = EmpiricalCDF(samples)
+        for x in samples:
+            assert cdf(x) == sum(1 for s in samples if s <= x) / len(samples)
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1))
     def test_cdf_monotone_property(self, samples):
@@ -200,6 +193,25 @@ class TestEmpiricalCDF:
         assert cdf(hi) == 1.0
         mid = (lo + hi) / 2
         assert 0.0 <= cdf(mid) <= 1.0
+
+
+class TestLeftFolds:
+    def test_means_and_rank_tables_are_left_folds(self):
+        # Builtin sum() compensates float sums from CPython 3.12, where
+        # this mean is 3333333333333334.0 and the rank table differs in
+        # its last bits; the pins hold the left fold on every Python.
+        assert _mean([1e16, 1.0, 1.0]) == 3333333333333333.5
+        weights = [1.0 / rank ** 0.2 for rank in range(1, 51)]
+        total = 0.0
+        for w in weights:
+            total += w
+        expected = []
+        acc = 0.0
+        for w in weights:
+            acc += w / total
+            expected.append(acc)
+        expected[-1] = 1.0
+        assert RankPopularity(50, 0.2).cumulative == expected
 
 
 class TestSummarize:

@@ -328,7 +328,7 @@ class TestRunFigures:
 
     def test_reps_aggregate_mean_and_stderr(self, figtest):
         table = run_figure(figtest, seed=7, reps=3)
-        assert table.has_errors
+        assert any(table.row_errors)
         singles = [run_figure(figtest, seed=7 + rep) for rep in range(3)]
         values = [t.rows[0][1]["pairwise"] for t in singles]
         mean = sum(values) / len(values)
@@ -407,12 +407,11 @@ class TestAggregateTables:
 
 
 class TestSeriesTableErrors:
-    def test_series_errors_align_with_rows(self):
+    def test_row_errors_align_with_rows(self):
         table = SeriesTable("t", "x", ["a", "b"])
         table.add_row(1.0, {"a": 1.0, "b": 2.0}, errors={"a": 0.1})
         table.add_row(2.0, {"a": 3.0})
-        assert table.series_errors("a") == [(1.0, 0.1), (2.0, None)]
-        assert table.series_errors("b") == [(1.0, None), (2.0, None)]
+        assert table.row_errors == [{"a": 0.1}, {}]
 
     def test_unknown_error_series_rejected(self):
         table = SeriesTable("t", "x", ["a"])

@@ -160,6 +160,7 @@ class TestPerPeerState:
     def test_capacity_overrides_size_slot_pools(self):
         from repro.content.interests import InterestProfile
         from repro.content.storage import ObjectStore
+        from repro.core.disciplines import make_discipline
         from repro.core.policies import parse_mechanism
         from repro.network.behaviors import SHARER
         from repro.network.peer import Peer
@@ -174,16 +175,23 @@ class TestPerPeerState:
             ObjectStore(5),
             upload_capacity_kbit=20.0,
             download_capacity_kbit=100.0,
+            discipline=make_discipline("fifo", 0, shares=True, fake_participation=False),
             class_name="modem",
         )
         assert peer.upload_pool.total == 2
         assert peer.download_pool.total == 10
         assert peer.class_name == "modem"
 
-    def test_class_name_defaults_to_behavior(self):
-        ctx = make_ctx()
-        assert build_peer(ctx, 0).class_name == "sharer"
-        assert build_peer(ctx, 1, shares=False).class_name == "freeloader"
+    def test_built_peers_take_class_name_and_discipline_from_their_class(self):
+        from repro.simulation import FileSharingSimulation
+
+        config = small_config(freeloader_fraction=0.5, scheduler_mode="credit")
+        ctx = FileSharingSimulation(config).build()
+        names = [peer.class_name for peer in ctx.peers.values()]
+        assert names.count("freeloader") == config.num_freeloaders
+        for peer in ctx.peers.values():
+            assert peer.class_name == peer.behavior.name
+            assert type(peer.discipline).name == "credit"
 
     def test_participation_cheat_follows_behavior_and_flag(self):
         # The cheat is the non-sharing peer's lie about its level; it is

@@ -23,7 +23,7 @@ import random
 from repro.core import exchange_manager
 from repro.core.disciplines import make_discipline
 from repro.core.irq import IncomingRequestQueue, RequestEntry
-from repro.experiments.figures import fig7_session_volume_cdf
+from repro.experiments import run_figure
 from repro.network.lookup import LookupService
 
 from tests.helpers import build_peer, give, make_ctx
@@ -37,7 +37,7 @@ class TestGoldenFigure:
         deliberate act (optimizations never qualify; model changes do)."""
         with open(os.path.join(GOLDEN_DIR, "fig7_smoke_seed42.txt")) as handle:
             golden = handle.read()
-        table = fig7_session_volume_cdf(scale="smoke", seed=42)
+        table = run_figure("fig7", scale="smoke", seed=42)
         assert table.render() + "\n" == golden
 
 

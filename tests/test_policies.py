@@ -90,12 +90,10 @@ class TestOrdering:
         assert PairwiseOnlyPolicy().tree_levels == 1
         assert ShortestFirstPolicy(5).tree_levels == 4
 
-    def test_accepts_bounds(self):
+    def test_order_admits_sizes_two_to_max_ring(self):
         policy = ShortestFirstPolicy(4)
-        assert not policy.accepts(1)
-        assert policy.accepts(2)
-        assert policy.accepts(4)
-        assert not policy.accepts(5)
+        ordered = policy.order([candidate(size) for size in (1, 2, 4, 5)])
+        assert [c.size for c in ordered] == [2, 4]
 
     def test_negative_max_ring_rejected(self):
         with pytest.raises(ConfigError):

@@ -43,7 +43,6 @@ class TestFindCandidates:
         cand = candidates[0]
         assert cand.size == 2
         assert cand.want_object_id == 7
-        assert cand.closing_peer_id == 2
         assert cand.path == ((2, 20),)
 
     def test_no_candidates_when_providers_disjoint(self):
@@ -70,7 +69,7 @@ class TestFindCandidates:
     def test_multiple_wants_multiple_candidates(self):
         irq = self._irq(RequestEntry(2, 20, 0.0), RequestEntry(3, 30, 1.0))
         candidates = find_candidates(1, irq, wants={7: {2}, 8: {3}}, max_ring=5)
-        assert {(c.want_object_id, c.closing_peer_id) for c in candidates} == {
+        assert {(c.want_object_id, c.path[-1][0]) for c in candidates} == {
             (7, 2),
             (8, 3),
         }

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.content.popularity import PopularityCache
 from repro.content.workload import MAX_MISS_ATTEMPTS, RequestGenerator
 from repro.errors import CapacityError, ConfigError
 from repro.network.capacity import SlotPool
@@ -541,7 +542,7 @@ class TestMechanismRampAndCapacity:
         pool.resize(20.0)  # shrink below in_use: running slots survive
         assert pool.total == 2
         assert pool.free == 0
-        assert not pool.try_acquire()
+        assert pool.full
         pool.release()
         pool.release()
         assert pool.free == 0  # still at the new cap
@@ -601,6 +602,7 @@ class TestMaxMissAttempts:
             stored=range(4),  # everything is a cache hit
             pending={},
             locatable=range(4),
+            popularity_cache=PopularityCache(),
         )
         assert generator.next_request() is None
         # The stream moved exactly as far as MAX_MISS_ATTEMPTS

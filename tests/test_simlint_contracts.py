@@ -354,6 +354,15 @@ class TestNUM001:
         )
         assert findings == []
 
+    @pytest.mark.parametrize(
+        "name", ["summary.py", "popularity.py", "interests.py", "strategy.py", "report.py"]
+    )
+    def test_modules_feeding_pins_are_in_scope(self, tmp_path, name):
+        findings = lint(
+            tmp_path, "def mean(v):\n    return sum(v) / len(v)\n", ["NUM001"], name=name
+        )
+        assert [f.rule for f in findings] == ["NUM001"]
+
     def test_other_modules_are_out_of_scope(self, tmp_path):
         findings = lint(
             tmp_path,
@@ -640,6 +649,16 @@ SEEDED_PLANTS = {
             return sum(values, 0.0)
         """,
     ),
+    # A mean that feeds a summary field: builtin sum() over floats
+    # rounds differently on 3.12+, and the pins would move with it.
+    "num001_in_summary": (
+        "metrics/summary.py",
+        "NUM001",
+        """
+        def _seeded_mean(values: List[float]) -> float:
+            return sum(values) / len(values)
+        """,
+    ),
     "mir001": (
         "network/peer.py",
         "MIR001",
@@ -744,6 +763,9 @@ class TestSeededViolations:
 
     def test_seeded_num001_sum_with_a_start(self, fired):
         assert fired.get("num001_sum_with_a_start")
+
+    def test_seeded_num001_in_summary(self, fired):
+        assert fired.get("num001_in_summary")
 
     def test_seeded_mir001(self, fired):
         assert fired.get("mir001")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.metrics.records import TerminationReason
 from repro.simulation import FileSharingSimulation, run_simulation
 
 from tests.helpers import run_with_records, small_config
@@ -130,8 +129,7 @@ class TestRunInvariants:
                 assert session.ring_id is None
 
     def test_termination_reasons_recorded(self, exchange_result):
-        reasons = exchange_result.metrics.reason_counts()
-        assert reasons.get(TerminationReason.COMPLETED, 0) > 0
+        assert exchange_result.metrics.counters["session.reason.completed"] > 0
 
     def test_no_exchange_run_has_no_rings(self):
         result = run_simulation(small_config(exchange_mechanism="none", seed=5))

@@ -253,7 +253,7 @@ class TestDynamicsRun:
         adaptive = sum(
             1 for p in sim.ctx.peers.values() if p.class_name == "adaptive"
         )
-        assert sim.strategy.enrolled_count == adaptive
+        assert result.metrics.strategy_epochs
         for epoch in result.metrics.strategy_epochs:
             assert epoch.enrolled == adaptive
 

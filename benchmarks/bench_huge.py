@@ -1,13 +1,14 @@
 """Huge-network benchmark: the ``huge`` preset, 50,000 peers.
 
-The columnar-core stress test: one full 2-5-way exchange run at 50x the
+The population stress test: one full 2-5-way exchange run at 50x the
 ``scale`` preset's population — the 10^4..10^5-peer regime the
 ROADMAP's fluid tier must eventually be cross-validated against.  The
 preset keeps the run CI-sized by trading window length for population
 (see ``repro.experiments.presets``); the interesting published numbers
 are events/sec (does the engine stay flat as the population grows?) and
-peak RSS (do the columnar metrics/peer-state cores keep memory linear
-in *records*, not peers x objects?).
+peak RSS (does memory stay linear in *records*, not peers x
+objects?).  The record also carries the registry's end-of-run tallies
+(registered, alive, online, online sharers).
 
 Build and run are timed separately: at 50k peers the one-off world
 construction (RNG streams, interest profiles, initial placement) is a
@@ -29,6 +30,17 @@ from repro.simulation import FileSharingSimulation
 from conftest import SEED, publish_bench, run_cell
 
 
+def population_counts(peers):
+    """Registered, alive, online and online-sharer tallies of a registry."""
+    alive = [peer for peer in peers.values() if not peer.departed]
+    return {
+        "registered": len(peers),
+        "alive": len(alive),
+        "online": sum(peer.online for peer in alive),
+        "online_sharers": sum(peer.shares for peer in alive),
+    }
+
+
 def _run_huge():
     config = preset("huge", exchange_mechanism="2-5-way", seed=SEED)
     sim = FileSharingSimulation(config)
@@ -38,14 +50,11 @@ def _run_huge():
     run_started = time.perf_counter()
     result = sim.run()
     run_wall = time.perf_counter() - run_started
-    table = sim.ctx.peer_table
-    return result, build_wall, run_wall, table.counts(), table.storage_nbytes()
+    return result, build_wall, run_wall, population_counts(sim.ctx.peers)
 
 
 def test_huge_preset(benchmark):
-    (result, build_wall, run_wall, table_counts, table_bytes), rss = run_cell(
-        benchmark, _run_huge
-    )
+    (result, build_wall, run_wall, population), rss = run_cell(benchmark, _run_huge)
     publish_bench(
         "huge",
         wall_seconds=run_wall,
@@ -60,12 +69,10 @@ def test_huge_preset(benchmark):
             + result.summary.completed_downloads_freeloaders
         ),
         rings_formed=result.summary.counters.get("ring.formed", 0),
-        peer_table=table_counts,
-        peer_table_bytes=table_bytes,
+        population=population,
     )
     # A 50k-peer run must simulate a working network, not just survive:
-    # downloads complete, rings form, and the peer table mirrors the
-    # full population.
+    # downloads complete, rings form, and every peer is in the registry.
     assert result.summary.completed_downloads_sharers > 0
     assert result.summary.counters.get("ring.formed", 0) > 0
-    assert table_counts["registered"] == result.config.num_peers
+    assert population["registered"] == result.config.num_peers

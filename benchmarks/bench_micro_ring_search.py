@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from repro.core.irq import IncomingRequestQueue, RequestEntry
+from repro.core.peer_table import PeerStateTable
 from repro.core.request_tree import RequestTreeNode
 from repro.core.ring_search import find_candidates
 
@@ -42,8 +43,11 @@ def test_ring_search_speed(benchmark):
         2: set(indexed[::11]),
         3: {999_999},  # a want nobody in the tree provides
     }
+    # Want 1 clears BITSET_MIN, so its masks must span every indexed id.
+    table = PeerStateTable()
+    table.register(indexed[-1])
 
-    result = benchmark(find_candidates, 1, irq, wants, 5)
+    result = benchmark(find_candidates, 1, irq, wants, 5, table, {}.get)
     assert result, "the synthetic graph must contain ring candidates"
     for candidate in result:
         assert 2 <= candidate.size <= 5
@@ -53,5 +57,5 @@ def test_ring_search_scales_with_hits_not_entries(benchmark):
     # A large IRQ with a want that matches nothing must be near-free.
     irq = _build_irq(num_entries=512, fanout=4)
     wants = {1: {123456789}}
-    result = benchmark(find_candidates, 1, irq, wants, 5)
+    result = benchmark(find_candidates, 1, irq, wants, 5, PeerStateTable(), {}.get)
     assert result == []

@@ -1,8 +1,8 @@
 """The columnar hot-core contract rules (simlint v2).
 
-PR 7's columnar core (``docs/PERFORMANCE.md``) rests on four
-conventions that were previously prose plus equivalence tests.  These
-rules machine-check them, using the project-wide call graph from
+PR 7's columnar core (``docs/PERFORMANCE.md``) rests on conventions
+that were previously prose plus equivalence tests.  These rules
+machine-check them, using the project-wide call graph from
 :mod:`repro.analysis.project` where per-event reachability matters:
 
 ========  =============================================================
@@ -14,9 +14,6 @@ NUM001    byte-identity reductions in the collector and in every
           module whose float sums feed a summary, a draw table or a
           figure: no ``np.sum`` / ``math.fsum`` / method reductions
           and no builtin ``sum()``; float sums are ``+=`` left folds
-MIR001    every store to a ``PeerStateTable``-mirrored ``Peer``
-          attribute (online / behavior / policy / departed) pairs
-          with a table write-through in the same function
 VER001    methods of version-fingerprinted classes that mutate
           ``self`` containers in place must bump ``self.version``
 ========  =============================================================
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.analysis.framework import (
     Finding,
@@ -73,15 +70,6 @@ NUMERIC_BASENAMES = frozenset(
 NUMPY_REDUCTIONS = frozenset(
     {"sum", "nansum", "mean", "nanmean", "prod", "dot", "cumsum", "average"}
 )
-
-#: Peer attribute -> PeerStateTable write-through methods that keep the
-#: columnar mirror in sync with that attribute.
-MIRRORED_ATTRS: Dict[str, Tuple[str, ...]] = {
-    "online": ("set_online", "register"),
-    "behavior": ("set_shares", "register"),
-    "policy": ("set_policy", "register"),
-    "departed": ("set_departed", "register"),
-}
 
 #: In-place mutator method names VER001 watches on ``self`` containers.
 CONTAINER_MUTATORS = frozenset(
@@ -283,81 +271,6 @@ def _attr_store_targets(node: ast.AST) -> List[ast.Attribute]:
         elif isinstance(target, ast.Attribute):
             out.append(target)
     return out
-
-
-@register_rule
-class MirrorWriteThroughRule(Rule):
-    """MIR001: mirrored Peer attribute stores write through to the table."""
-
-    name = "MIR001"
-    summary = (
-        "stores to PeerStateTable-mirrored attributes (online/behavior/"
-        "policy/departed) must pair with the table write-through in the "
-        "same function"
-    )
-    rationale = (
-        "PeerStateTable is a mirror, never the source of truth: Peer "
-        "objects own online/behavior/policy/departed and push every change "
-        "through set_online/set_shares/set_policy/set_departed (or the "
-        "initial register).  A store without the write-through leaves the "
-        "vectorized scans reading stale columns — exactly the bug class "
-        "the mirror's 'one write behind nothing' guarantee excludes "
-        "(docs/PERFORMANCE.md).  The rule is name-based: any attribute "
-        "store named like a mirrored attribute, on any receiver, must "
-        "co-occur with a call to one of its write-through methods; "
-        "register(...) only counts on a receiver path mentioning "
-        "'peer_table'.  The table's own column initialization is exempt "
-        "(class PeerStateTable)."
-    )
-
-    def check_module(self, module: ParsedModule) -> Iterable[Finding]:
-        """Flag mirrored-attribute stores lacking a write-through."""
-        findings: List[Finding] = []
-
-        def visit(node: ast.AST, in_table: bool) -> None:
-            for item in getattr(node, "body", []):
-                if isinstance(item, ast.ClassDef):
-                    visit(item, in_table or item.name == "PeerStateTable")
-                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if not in_table:
-                        findings.extend(self._check_function(module, item))
-                    visit(item, in_table)
-
-        visit(module.tree, False)
-        return findings
-
-    def _check_function(
-        self, module: ParsedModule, func: ast.AST
-    ) -> Iterable[Finding]:
-        stores: List[Tuple[ast.Attribute, str]] = []
-        called: Set[str] = set()
-        register_ok = False
-        for node in _own_body_nodes(func):
-            for target in _attr_store_targets(node):
-                if target.attr in MIRRORED_ATTRS:
-                    stores.append((target, target.attr))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                called.add(node.func.attr)
-                if node.func.attr == "register":
-                    receiver = dotted_name(node.func.value) or ""
-                    if "peer_table" in receiver:
-                        register_ok = True
-        for target, attr in stores:
-            accepted = MIRRORED_ATTRS[attr]
-            satisfied = any(
-                method in called for method in accepted if method != "register"
-            ) or ("register" in accepted and register_ok)
-            if not satisfied:
-                writers = "/".join(m for m in accepted if m != "register")
-                yield node_finding(
-                    self,
-                    module,
-                    target,
-                    f"store to mirrored attribute '{attr}' without a "
-                    f"PeerStateTable write-through ({writers} or "
-                    "peer_table.register) in the same function — the "
-                    "columnar mirror would go stale",
-                )
 
 
 @register_rule

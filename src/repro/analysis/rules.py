@@ -21,8 +21,8 @@ FPR001    every spec dataclass reachable from ``SimulationConfig`` is
 ========  =============================================================
 
 The columnar hot-core contract rules (``HOT001``, ``NUM001``,
-``MIR001``, ``VER001``) live in :mod:`repro.analysis.contracts`, built
-on the cross-module call graph of :mod:`repro.analysis.project`.
+``VER001``) live in :mod:`repro.analysis.contracts`, built on the
+cross-module call graph of :mod:`repro.analysis.project`.
 
 The rules are syntactic: they see one AST, not runtime types, so each
 documents the receiver/shape heuristics it relies on.  False positives

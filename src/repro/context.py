@@ -46,10 +46,12 @@ class SimContext:
         self.metrics = (
             metrics if metrics is not None else ColumnarCollector(warmup=config.warmup)
         )
+        #: The peer registry, the one copy of peer state.  Ids are
+        #: allocated monotonically and never removed (departed peers
+        #: stay, flagged), so iteration is in ascending id order.
         self.peers: Dict[int, "Peer"] = {}
-        #: Columnar mirror of scan-relevant peer state (see
-        #: :mod:`repro.core.peer_table`); peers push updates here from
-        #: their own mutation points.
+        #: Ring search's provider-mask cache (see
+        #: :mod:`repro.core.peer_table`); each peer registers its id.
         self.peer_table = PeerStateTable()
         self.catalog: Optional["Catalog"] = None
         self.lookup: Optional["LookupService"] = None

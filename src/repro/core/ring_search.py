@@ -18,7 +18,7 @@ IRQ's inverted peer index, so its cost is proportional to the number of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Set
 
 from repro.core.peer_table import BITSET_MIN
 from repro.core.request_tree import Path
@@ -80,8 +80,8 @@ def find_candidates(
     irq: "IncomingRequestQueue",
     wants: Dict[int, Set[int]],
     max_ring: int,
-    peer_table: Optional["PeerStateTable"] = None,
-    object_version_of: Optional[Callable[[int, int], int]] = None,
+    peer_table: "PeerStateTable",
+    object_version_of: Callable[[int, int], int],
 ) -> List[RingCandidate]:
     """Enumerate ring candidates for a searching peer.
 
@@ -92,12 +92,12 @@ def find_candidates(
         requests (provider sets from lookup; may be shared live sets —
         they are only read).
     peer_table / object_version_of:
-        When both are given, the provider ∩ request-index intersection
-        goes through :meth:`~repro.core.peer_table.PeerStateTable.
-        sorted_intersection` — provider-mask fancy-indexed by the IRQ's
-        sorted key array for large operands, same ascending hit order
-        either way (``object_version_of`` is
-        ``lookup.object_versions().get``, keying the mask cache).
+        The provider ∩ request-index intersection goes through
+        :meth:`~repro.core.peer_table.PeerStateTable.sorted_intersection`
+        — provider-mask fancy-indexed by the IRQ's sorted key array for
+        large operands, same ascending hit order either way
+        (``object_version_of`` is ``lookup.object_versions().get``,
+        keying the mask cache).
 
     Returns candidates in deterministic discovery order (objects sorted,
     providers sorted, FIFO entries); the policy layer re-orders them.
@@ -106,7 +106,6 @@ def find_candidates(
         return []
     candidates: List[RingCandidate] = []
     index_keys = irq.index_key_set()
-    use_table = peer_table is not None and object_version_of is not None
     # The sorted key array only matters on the mask path, and
     # sorted_intersection takes that path only when *both* operands
     # clear BITSET_MIN — so probe the provider sizes before paying
@@ -115,23 +114,19 @@ def find_candidates(
     # provider sets that never grow past a handful).
     index_keys_arr = (
         irq.index_keys_array()
-        if use_table
-        and len(index_keys) >= BITSET_MIN
+        if len(index_keys) >= BITSET_MIN
         and any(len(p) >= BITSET_MIN for p in wants.values())
         else None
     )
     for object_id in sorted(wants):
         providers = wants[object_id]
-        if use_table:
-            hits_sorted = peer_table.sorted_intersection(
-                object_id,
-                object_version_of(object_id, 0),
-                providers,
-                index_keys_arr,
-                index_keys,
-            )
-        else:
-            hits_sorted = sorted(providers & index_keys)
+        hits_sorted = peer_table.sorted_intersection(
+            object_id,
+            object_version_of(object_id, 0),
+            providers,
+            index_keys_arr,
+            index_keys,
+        )
         for provider_id in hits_sorted:
             for entry, path in irq.paths_to(provider_id):
                 if path_is_usable(path, searcher_id, max_ring):

@@ -59,8 +59,6 @@ class TerminationReason(enum.Enum):
     REQUESTER_CANCELLED = "requester-cancelled"  # requester no longer wants it
     PEER_OFFLINE = "peer-offline"  # churn extension
     STOPPED_SHARING = "stopped-sharing"  # provider turned free-rider (strategy layer)
-    SIM_END = "sim-end"  # censored at end of run
-    CHEAT_DETECTED = "cheat-detected"  # security extension
 
 
 @dataclass(frozen=True)

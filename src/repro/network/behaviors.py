@@ -2,9 +2,7 @@
 
 The paper's population splits into *sharing* peers (serve their stored
 objects, participate in exchanges) and *non-sharing* peers /
-free-riders (consume only).  The security extensions (§III-B) add
-cheating profiles in :mod:`repro.security.middleman`; they subclass
-:class:`PeerBehavior` so the rest of the system stays agnostic.
+free-riders (consume only).
 """
 
 from __future__ import annotations
@@ -23,16 +21,10 @@ class PeerBehavior:
     shares:
         Whether the peer serves its stored objects (appears in lookup,
         accepts requests, joins exchanges as a provider).
-    honest:
-        Whether the peer follows the protocol truthfully.  Cheating
-        profiles (middlemen, junk servers) set this False; the core
-        simulation treats them like sharers and the security layer
-        implements their deviations.
     """
 
     name: str
     shares: bool
-    honest: bool = True
 
     def __str__(self) -> str:
         return self.name

@@ -47,7 +47,6 @@ class ChurnModel:
         self._mean_online = mean_online
         self._mean_offline = mean_offline
         self._rand = rand
-        self.transitions = 0
         for peer in peers:
             self._schedule_offline(peer)
 
@@ -70,13 +69,11 @@ class ChurnModel:
     def _go_offline(self, peer: "Peer") -> None:
         if peer.departed:
             return  # permanently gone: stop driving this peer
-        self.transitions += 1
         peer.disconnect()
         self._schedule_online(peer)
 
     def _go_online(self, peer: "Peer") -> None:
         if peer.departed:
             return
-        self.transitions += 1
         peer.reconnect()
         self._schedule_offline(peer)

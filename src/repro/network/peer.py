@@ -143,16 +143,8 @@ class Peer:
         # The service discipline owns the baseline-mechanism state
         # (credit ledger, participation reporter) and the queue ordering.
         self.discipline = discipline
-        # Mirror the scan-relevant slice into the columnar peer table;
-        # every later mutation point below pushes its own update.
-        ctx.peer_table.register(
-            peer_id,
-            online=True,
-            shares=behavior.shares,
-            enables_exchanges=policy.enables_exchanges,
-            max_ring=policy.max_ring,
-            class_name=self.class_name,
-        )
+        # Ring search's provider masks span every peer id.
+        ctx.peer_table.register(peer_id)
 
     # ------------------------------------------------------------------
     # identity & capability
@@ -404,7 +396,6 @@ class Peer:
             for object_id in self.store.object_ids():
                 ctx.lookup.unregister(self.peer_id, object_id)
         self.online = False
-        ctx.peer_table.set_online(self.peer_id, False)
         self.suspend_periodic()
         ctx.metrics.count("churn.offline")
 
@@ -432,7 +423,6 @@ class Peer:
             return
         ctx = self.ctx
         self.online = True
-        ctx.peer_table.set_online(self.peer_id, True)
         if self.behavior.shares:
             for object_id in self.store.object_ids():
                 ctx.lookup.register(self.peer_id, object_id)
@@ -477,7 +467,6 @@ class Peer:
         """
         if self.behavior.shares == share:
             return False
-        self.ctx.peer_table.set_shares(self.peer_id, share)
         if share:
             self.behavior = SHARER
             if self.online:
@@ -497,7 +486,7 @@ class Peer:
                     self.ctx.lookup.unregister(self.peer_id, object_id)
         return True
 
-    def set_policy(self, policy: ExchangePolicy) -> None:
+    def adopt_policy(self, policy: ExchangePolicy) -> None:
         """Adopt a new exchange mechanism mid-run (adoption ramps).
 
         Every policy-derived cache is invalidated: the idle-search gate
@@ -507,9 +496,6 @@ class Peer:
         newly enabled mechanism starts searching immediately.
         """
         self.policy = policy
-        self.ctx.peer_table.set_policy(
-            self.peer_id, policy.enables_exchanges, policy.max_ring
-        )
         self.idle_search_key = None
         self._snapshot_cache = None
         self._push_complete_version = None

@@ -232,7 +232,6 @@ class Transfer:
         TerminationReason.SOURCE_DELETED,
         TerminationReason.PEER_OFFLINE,
         TerminationReason.STOPPED_SHARING,
-        TerminationReason.CHEAT_DETECTED,
     )
 
     def _release_entry(self, reason: TerminationReason, requeue: bool) -> None:

@@ -404,8 +404,3 @@ def assign_peer_classes(
     for peer_id in pool:
         assignment[peer_id] = first
     return assignment
-
-
-def class_sizes(classes: Tuple[ResolvedPeerClass, ...]) -> Dict[str, int]:
-    """``class name -> peer count`` for the metrics layer."""
-    return {cls.name: cls.count for cls in classes}

@@ -590,9 +590,13 @@ class ScenarioDirector:
             self.sim.spawn_peer(resolved)
 
     def _alive_peer_ids(self, class_name: Optional[str] = None) -> list:
-        # Columnar scan: ascending-id enumeration over the peer table's
-        # masks — identical to sorting the registry-derived ids.
-        return self.ctx.peer_table.alive_ids(class_name)
+        # The registry iterates in ascending id order (see SimContext.peers).
+        return [
+            peer_id
+            for peer_id, peer in self.ctx.peers.items()
+            if not peer.departed
+            and (class_name is None or peer.class_name == class_name)
+        ]
 
     def _apply_departure(self, event: PeerDeparture) -> None:
         candidates = self._alive_peer_ids(event.class_name)
@@ -612,14 +616,18 @@ class ScenarioDirector:
             for _ in range(event.count)
         ]
         # Seed copies: the crowd needs at least one provider to find.
-        # Prefer online sharers; under heavy churn every sharer may be
-        # offline at fire time, in which case offline (non-departed)
-        # ones are seeded instead — their copy publishes on reconnect,
-        # so the hot objects become locatable rather than staying
-        # orphaned forever.
-        sharers = ctx.peer_table.sharer_ids(online_only=True)
+        # Prefer online sharers (a departed peer is never online); under
+        # heavy churn every sharer may be offline at fire time, in which
+        # case offline (non-departed) ones are seeded instead — their
+        # copy publishes on reconnect, so the hot objects become
+        # locatable rather than staying orphaned forever.
+        sharers = [peer_id for peer_id, peer in ctx.peers.items() if peer.shares]
         if not sharers:
-            sharers = ctx.peer_table.sharer_ids(online_only=False)
+            sharers = [
+                peer_id
+                for peer_id, peer in ctx.peers.items()
+                if peer.behavior.shares and not peer.departed
+            ]
             if sharers:
                 ctx.metrics.count("scenario.flash_seeded_offline")
             else:
@@ -670,7 +678,7 @@ class ScenarioDirector:
         # and later arrivals alike.
         policy = self.sim.policy_for(event.exchange_mechanism)
         for peer_id in self._alive_peer_ids(event.class_name):
-            self.ctx.peers[peer_id].set_policy(policy)
+            self.ctx.peers[peer_id].adopt_policy(policy)
         # Later arrivals of the class adopt the new mechanism too.
         self.sim.note_class_override(
             event.class_name, exchange_mechanism=event.exchange_mechanism

@@ -17,13 +17,13 @@ Three attacker kinds, selected per peer class via
 
 * ``"whitewash"`` — free-riders that, driven by
   :class:`~repro.scenario.IdentityWhitewash` events, periodically retire
-  and re-arrive under a fresh peer id (ids are never reused — the
-  :class:`~repro.core.peer_table.PeerStateTable` monotonic-id
-  invariant), shedding any blacklist entries against the old identity.
-  They do not fake participation: the attack's whole value is that a
-  fresh identity is priced by the mechanism itself — worthless under
-  exchange, bottom-of-queue under participation, but served on patience
-  alone under eMule-style credit.
+  and re-arrive under a fresh peer id (ids are allocated monotonically
+  and never reused; the retired identity stays in ``ctx.peers``,
+  flagged departed), shedding any blacklist entries against the old
+  identity.  They do not fake participation: the attack's whole value
+  is that a fresh identity is priced by the mechanism itself —
+  worthless under exchange, bottom-of-queue under participation, but
+  served on patience alone under eMule-style credit.
 * ``"sybil"`` — one principal's identity farm: a
   :class:`~repro.scenario.SybilSpawn` event spawns ``count`` identities
   at once and binds them into a :class:`SybilRing` whose members

@@ -52,7 +52,6 @@ from repro.population import (
     ResolvedPeerClass,
     assign_peer_classes,
     class_by_name,
-    class_sizes,
 )
 from repro.scenario import ScenarioDirector
 from repro.sim.processes import PeriodicProcess
@@ -145,17 +144,11 @@ class FileSharingSimulation:
         self._built = False
         self._ran = False
         self._processes: List[PeriodicProcess] = []
-        # Live population accounting, mutated by spawn_peer/retire_peer.
-        # Seeded from the resolved population so that with an empty
-        # scenario the summary inputs are exactly the build-time sizes.
+        # The runtime class registry: population classes first, then
+        # arrival classes in first-spawn order (spawn_peer adds them).
         self._classes_by_name: Dict[str, ResolvedPeerClass] = {
             cls.name: cls for cls in self.population
         }
-        self._class_sizes: Dict[str, int] = class_sizes(self.population)
-        self._num_sharers = sum(
-            cls.count for cls in self.population if cls.behavior.shares
-        )
-        self._num_freeloaders = config.num_peers - self._num_sharers
         self._next_peer_id = config.num_peers
         self._policies: Dict[str, ExchangePolicy] = {}
         # Scenario overrides (mechanism ramps, capacity changes) aimed
@@ -278,20 +271,6 @@ class FileSharingSimulation:
     def register_process(self, process: PeriodicProcess) -> None:
         """Track a periodic process so :meth:`run` stops it at the end."""
         self._processes.append(process)
-
-    def note_behavior_change(self, peer: Peer) -> None:
-        """Live sharer/freeloader accounting after a strategy switch.
-
-        Class sizes are untouched — the peer stays in its population
-        class; only the behaviour-derived split (used to normalize
-        per-peer volumes) moves.
-        """
-        if peer.behavior.shares:
-            self._num_sharers += 1
-            self._num_freeloaders -= 1
-        else:
-            self._num_sharers -= 1
-            self._num_freeloaders += 1
 
     # ------------------------------------------------------------------
     def build(self) -> SimContext:
@@ -490,13 +469,6 @@ class FileSharingSimulation:
         peer = self._create_peer(peer_id, peer_class)
         self._start_peer_processes(peer)
         self._schedule_bootstrap(peer)
-        self._class_sizes[peer_class.name] = (
-            self._class_sizes.get(peer_class.name, 0) + 1
-        )
-        if peer.behavior.shares:
-            self._num_sharers += 1
-        else:
-            self._num_freeloaders += 1
         if self.churn is not None:
             self.churn.enroll(peer)
         if not peer_class.strategy.is_static:
@@ -518,17 +490,9 @@ class FileSharingSimulation:
             return
         peer.disconnect()  # no-op when churn already took it offline
         peer.departed = True
-        peer.ctx.peer_table.set_departed(peer.peer_id)
         peer.pending.clear()
         for process in peer.periodic_processes:
             process.stop()
-        self._class_sizes[peer.class_name] = max(
-            0, self._class_sizes.get(peer.class_name, 0) - 1
-        )
-        if peer.behavior.shares:
-            self._num_sharers -= 1
-        else:
-            self._num_freeloaders -= 1
         self.ctx.metrics.count("scenario.peer_left")
 
     # ------------------------------------------------------------------
@@ -547,11 +511,23 @@ class FileSharingSimulation:
             self.ctx.engine.run(until=self.config.duration)
             for process in self._processes:
                 process.stop()
-            # Class sizes come from the live accounting, not the legacy
-            # freeloader_fraction properties: scenario arrivals/departures
-            # move them mid-run, and under an explicit population the
-            # legacy properties say nothing about the actual split.  With
-            # an empty scenario these are exactly the build-time values.
+            # Class sizes and the sharer split are counted over the peers
+            # present at the end: arrivals, departures and strategy
+            # switches move them mid-run, and under an explicit
+            # population the legacy freeloader_fraction says nothing
+            # about the actual split.  A class whose peers all left
+            # keeps its key at 0.
+            class_sizes = dict.fromkeys(self._classes_by_name, 0)
+            num_sharers = 0
+            num_freeloaders = 0
+            for peer in self.ctx.peers.values():
+                if peer.departed:
+                    continue
+                class_sizes[peer.class_name] += 1
+                if peer.behavior.shares:
+                    num_sharers += 1
+                else:
+                    num_freeloaders += 1
             adversary_classes = sorted(
                 name
                 for name, cls in self._classes_by_name.items()
@@ -559,9 +535,9 @@ class FileSharingSimulation:
             )
             summary = summarize(
                 self.ctx.metrics,
-                num_sharers=self._num_sharers,
-                num_freeloaders=self._num_freeloaders,
-                class_sizes=self._class_sizes,
+                num_sharers=num_sharers,
+                num_freeloaders=num_freeloaders,
+                class_sizes=class_sizes,
                 adversary_classes=adversary_classes or None,
             )
         return SimulationResult(

@@ -476,7 +476,6 @@ class StrategyDirector:
         # new behaviour by them would pollute both sides' pools.
         self._windows[peer.peer_id] = _PeerWindow()
         self._last_switch[peer.peer_id] = self.ctx.now
-        self.sim.note_behavior_change(peer)
         self.ctx.metrics.count(
             "strategy.switch_to_sharing" if share else "strategy.switch_to_freeloading"
         )

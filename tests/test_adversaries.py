@@ -5,9 +5,8 @@ Three layers:
 * unit tests over :mod:`repro.security.adversaries` — enrollment,
   the admission gate, whitewashing, sybil rings, the audit;
 * hypothesis property tests over the attack primitives — peer ids are
-  never reused across whitewash cycles (the ``PeerStateTable``
-  monotonic-id invariant), columns stay consistent under churn, and
-  sybil ring teardown restores honest accounting;
+  never reused across whitewash cycles and a retired identity stays
+  departed, and sybil ring teardown restores honest accounting;
 * the seed-pinned robustness-ordering test: under whitewashing at
   smoke/seed42, honest-peer degradation (the
   ``honest_download_inflation`` metric — mean honest download time over
@@ -378,42 +377,31 @@ class TestAudit:
 @settings(max_examples=12, deadline=None)
 @given(picks=st.lists(st.integers(0, 100), min_size=1, max_size=10))
 def test_whitewash_never_reuses_identities(picks):
-    """PeerStateTable monotonic-id invariant under arbitrary churn.
+    """Monotonic ids and permanent departures under arbitrary whitewashing.
 
     However the whitewash cycle interleaves, every fresh identity gets
-    a strictly larger id than anything seen before, retired rows stay
-    flagged departed forever, and the struct-of-arrays columns agree
-    with the object registry for every live peer.
+    a strictly larger id than anything seen before, so ``ctx.peers``
+    stays in ascending id order, and every retired identity stays in
+    the registry, departed and offline for good.
     """
     sim = built_sim("whitewash")
     state = sim.adversary
-    table = sim.ctx.peer_table
-    seen = set(sim.ctx.peers)
+    peers = sim.ctx.peers
+    seen = set(peers)
+    retired = []
     for pick in picks:
-        live = sorted(
-            pid
-            for pid in state.kind_of
-            if not sim.ctx.peers[pid].departed
-        )
-        victim = sim.ctx.peers[live[pick % len(live)]]
+        live = sorted(pid for pid in state.kind_of if not peers[pid].departed)
+        victim = peers[live[pick % len(live)]]
         fresh = state.whitewash(victim)
         assert fresh.peer_id not in seen, "peer id was reused"
         assert fresh.peer_id > max(seen)
         seen.add(fresh.peer_id)
-        assert table.departed[victim.peer_id]
-    # Column consistency after the churn storm.
-    assert table.size == max(seen) + 1
-    alive = set(table.alive_ids())
-    for peer_id, peer in sim.ctx.peers.items():
-        assert table.registered[peer_id]
-        assert bool(table.departed[peer_id]) == peer.departed
-        if peer.departed:
-            assert peer_id not in alive
-    assert set(table.alive_ids("attacker")) == {
-        pid
-        for pid in state.kind_of
-        if not sim.ctx.peers[pid].departed and sim.ctx.peers[pid].online
-    }
+        retired.append(victim)
+    assert list(peers) == sorted(seen)
+    for victim in retired:
+        victim.reconnect()
+        assert peers[victim.peer_id] is victim
+        assert victim.departed and not victim.online
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,91 +1,75 @@
-"""PeerStateTable: columnar mirror correctness and order-identity.
+"""PeerStateTable: ring search's provider ∩ request-index intersection.
 
-Two properties matter: the table must mirror the object graph exactly
-(every mutation point pushes its update), and every vectorized reader
-must enumerate ids in exactly the order of the registry loop it
-replaced — ascending peer id — including the bitset intersection path,
-which must equal ``sorted(a & b)`` bit for bit.
+Both paths, plain set intersection for small operands and the cached
+provider mask for large ones, must equal ``sorted(a & b)`` bit for bit,
+and a cached mask must never outlive its object version or the id
+capacity it was built for.
 """
 
 import random
 
-import pytest
+import numpy as np
 
-from repro.config import SimulationConfig
 from repro.core.peer_table import BITSET_MIN, PeerStateTable
-from repro.simulation import FileSharingSimulation
+
+from tests.helpers import build_peer, make_ctx
 
 
-def make_table(num_peers=10, **rows):
+def make_table(num_peers=10):
     table = PeerStateTable(capacity=4)  # force growth
     for peer_id in range(num_peers):
-        table.register(
-            peer_id,
-            online=True,
-            shares=peer_id % 2 == 0,
-            enables_exchanges=True,
-            max_ring=5,
-            class_name="sharer" if peer_id % 2 == 0 else "freeloader",
-        )
+        table.register(peer_id)
     return table
 
 
-class TestRowsAndScans:
-    def test_register_grows_capacity_and_size(self):
+class TestRegister:
+    def test_register_grows_capacity(self):
         table = PeerStateTable(capacity=2)
-        table.register(
-            37, online=True, shares=True, enables_exchanges=True, max_ring=2
+        table.register(1)
+        assert table._capacity == 2
+        table.register(37)
+        assert table._capacity == 64  # doubled from 2 until it covers 37
+        # A lower id never shrinks it.
+        table.register(5)
+        assert table._capacity == 64
+
+    def test_register_ignores_row_keywords(self):
+        # benchmarks/e2e/test_e2e_bench.py still passes the columns of
+        # the old peer-state mirror; they must not change the capacity.
+        plain = PeerStateTable(capacity=2)
+        plain.register(37)
+        with_rows = PeerStateTable(capacity=2)
+        with_rows.register(
+            37,
+            online=True,
+            shares=True,
+            enables_exchanges=True,
+            max_ring=2,
+            class_name="sharer",
         )
-        assert table.size == 38
-        assert bool(table.online[37]) and bool(table.shares[37])
-        assert int(table.max_ring[37]) == 2
-        # Gap rows below are present but unregistered.
-        assert not bool(table.registered[5])
+        assert with_rows._capacity == plain._capacity == 64
 
-    def test_alive_ids_ascending_and_class_filtered(self):
-        table = make_table(10)
-        table.set_departed(4)
-        assert table.alive_ids() == [0, 1, 2, 3, 5, 6, 7, 8, 9]
-        assert table.alive_ids("sharer") == [0, 2, 6, 8]
-        assert table.alive_ids("freeloader") == [1, 3, 5, 7, 9]
-        assert table.alive_ids("never-registered") == []
+    def test_new_peer_registers_its_id(self):
+        ctx = make_ctx()
+        build_peer(ctx, 3000)
+        assert ctx.peer_table._capacity == 4096
 
-    def test_sharer_ids_online_gating(self):
-        table = make_table(10)
-        table.set_online(2, False)
-        table.set_departed(6)
-        assert table.sharer_ids(online_only=True) == [0, 4, 8]
-        assert table.sharer_ids(online_only=False) == [0, 2, 4, 8]
-
-    def test_mutations_write_their_columns(self):
-        table = make_table(4)
-        table.set_online(0, False)
-        table.set_shares(1, True)
-        table.set_policy(2, False, 0)
-        table.set_departed(3)
-        assert not bool(table.online[0])
-        assert bool(table.shares[1])
-        assert not bool(table.enables_exchanges[2]) and int(table.max_ring[2]) == 0
-        assert bool(table.departed[3])
-
-    def test_counts(self):
-        table = make_table(10)
-        table.set_departed(0)
-        table.set_online(2, False)
-        counts = table.counts()
-        assert counts["registered"] == 10
-        assert counts["alive"] == 9
-        assert counts["online"] == 8
-        assert counts["online_sharers"] == 3  # 4, 6, 8 (0 departed, 2 offline)
-
-    def test_storage_nbytes_positive(self):
-        assert make_table(10).storage_nbytes() > 0
+    def test_storage_nbytes_counts_cached_masks(self):
+        size = BITSET_MIN * 2
+        table = make_table(size)
+        assert table.storage_nbytes() == 0
+        keys = set(range(size))
+        keys_sorted = np.asarray(sorted(keys), dtype=np.intc)
+        # The small-set path caches nothing.
+        table.sorted_intersection(1, 1, {3, 9}, keys_sorted, frozenset(keys))
+        assert table.storage_nbytes() == 0
+        # The mask path caches one byte per peer id.
+        table.sorted_intersection(2, 1, set(keys), keys_sorted, frozenset(keys))
+        assert table.storage_nbytes() == table._capacity == size
 
 
 class TestSortedIntersection:
     def _check(self, table, providers, index_keys, object_version=1):
-        import numpy as np
-
         expected = sorted(providers & set(index_keys))
         keys_sorted = np.asarray(sorted(index_keys), dtype=np.intc)
         got = table.sorted_intersection(
@@ -127,9 +111,7 @@ class TestSortedIntersection:
         index_keys = set(range(size))
         self._check(table, providers, index_keys)
         # Growing capacity (new high id) must not break cached masks.
-        table.register(
-            size * 64, online=True, shares=True, enables_exchanges=True, max_ring=2
-        )
+        table.register(size * 64)
         self._check(table, providers, index_keys)
 
     def test_provider_mask_cache_bounded(self):
@@ -139,8 +121,6 @@ class TestSortedIntersection:
         table = make_table(size)
         providers = set(range(size))
         index_keys = set(range(size))
-        import numpy as np
-
         keys_sorted = np.asarray(sorted(index_keys), dtype=np.intc)
         for object_id in range(PROVIDER_MASK_CACHE_MAX + 50):
             got = table.sorted_intersection(
@@ -150,48 +130,5 @@ class TestSortedIntersection:
         assert len(table._provider_masks) <= PROVIDER_MASK_CACHE_MAX
         # Eviction is oldest-first: the most recent inserts survive.
         assert (PROVIDER_MASK_CACHE_MAX + 49) in table._provider_masks
-
-
-class TestMirrorsObjectGraph:
-    @pytest.fixture()
-    def sim(self):
-        config = SimulationConfig(
-            num_peers=12,
-            freeloader_fraction=0.5,
-            duration=100.0,
-            warmup=0.0,
-            seed=5,
-        )
-        sim = FileSharingSimulation(config)
-        sim.build()
-        return sim
-
-    def _assert_mirror(self, sim):
-        table = sim.ctx.peer_table
-        for peer_id, peer in sim.ctx.peers.items():
-            assert bool(table.online[peer_id]) == peer.online
-            assert bool(table.shares[peer_id]) == peer.behavior.shares
-            assert bool(table.departed[peer_id]) == peer.departed
-            assert (
-                bool(table.enables_exchanges[peer_id])
-                == peer.policy.enables_exchanges
-            )
-            assert int(table.max_ring[peer_id]) == peer.policy.max_ring
-
-    def test_build_registers_every_peer(self, sim):
-        assert sim.ctx.peer_table.counts()["registered"] == 12
-        self._assert_mirror(sim)
-
-    def test_connectivity_and_sharing_flips_mirrored(self, sim):
-        peer = sim.ctx.peers[0]
-        peer.disconnect()
-        self._assert_mirror(sim)
-        peer.reconnect()
-        self._assert_mirror(sim)
-        peer.set_sharing(not peer.behavior.shares)
-        self._assert_mirror(sim)
-
-    def test_retirement_mirrored(self, sim):
-        sim.retire_peer(sim.ctx.peers[3])
-        self._assert_mirror(sim)
-        assert 3 not in sim.ctx.peer_table.alive_ids()
+        # One byte per peer id per cached mask; the capacity is ``size``.
+        assert table.storage_nbytes() == PROVIDER_MASK_CACHE_MAX * size

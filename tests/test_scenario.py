@@ -346,6 +346,21 @@ class TestDepartures:
         )
 
 
+    def test_candidates_alive_ascending_and_class_filtered(self):
+        sim = FileSharingSimulation(scenario_config(Phase(0.0, "a")))
+        ctx = sim.build()
+        sim.retire_peer(ctx.peers[4])
+        ctx.peers[7].disconnect()  # offline peers can still depart
+        director = sim.scenario
+        assert director._alive_peer_ids() == [i for i in range(20) if i != 4]
+        assert director._alive_peer_ids("sharer") == [
+            peer_id
+            for peer_id, peer in ctx.peers.items()
+            if peer.class_name == "sharer" and peer_id != 4
+        ]
+        assert director._alive_peer_ids("never-registered") == []
+
+
 class TestFlashCrowd:
     def test_hot_objects_injected_seeded_and_downloaded(self):
         config = scenario_config(
@@ -422,6 +437,55 @@ class TestFlashCrowd:
         )
         seeded[0].reconnect()
         assert sim.ctx.lookup.provider_count(hot_id) == 1
+
+    def _fire_flash_crowd(self, prepare, seed_providers=2):
+        config = scenario_config(
+            FlashCrowd(100.0, count=1, seed_providers=seed_providers),
+            duration=400.0,
+            warmup=0.0,
+        )
+        sim = FileSharingSimulation(config)
+        sim.build()
+        hot_id = sim.ctx.catalog.num_objects
+        sharers = [p for p in sim.ctx.peers.values() if p.behavior.shares]
+        prepare(sim, sharers)
+        sim.ctx.engine.run(until=200.0)
+        seeded = [p for p in sharers if hot_id in p.store]
+        return sim, hot_id, sharers, seeded
+
+    def test_seeds_prefer_online_sharers(self):
+        def prepare(sim, sharers):
+            for peer in sharers[:3] + sharers[5:]:
+                peer.disconnect()
+
+        sim, hot_id, sharers, seeded = self._fire_flash_crowd(prepare)
+        assert seeded == sharers[3:5]
+        assert sim.ctx.lookup.provider_count(hot_id) == 2
+        assert sim.ctx.metrics.counters["scenario.flash_seeded_offline"] == 0
+
+    def test_offline_fallback_skips_departed_sharers(self):
+        def prepare(sim, sharers):
+            for peer in sharers[:4]:
+                sim.retire_peer(peer)
+            for peer in sharers[4:]:
+                peer.disconnect()
+
+        # More seeds than sharers: every eligible sharer is seeded.
+        sim, hot_id, sharers, seeded = self._fire_flash_crowd(
+            prepare, seed_providers=20
+        )
+        assert seeded == sharers[4:]
+        assert sim.ctx.metrics.counters["scenario.flash_seeded_offline"] == 1
+
+    def test_no_live_sharer_leaves_hot_objects_unseeded(self):
+        def prepare(sim, sharers):
+            for peer in sharers:
+                sim.retire_peer(peer)
+
+        sim, hot_id, sharers, seeded = self._fire_flash_crowd(prepare)
+        assert seeded == []
+        assert sim.ctx.lookup.provider_count(hot_id) == 0
+        assert sim.ctx.metrics.counters["scenario.flash_unseeded"] == 1
 
     def test_catalog_injection_unit(self):
         catalog = tiny_catalog(num_categories=2, objects_per_category=3)

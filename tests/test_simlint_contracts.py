@@ -1,7 +1,7 @@
 """Tests for simlint v2: the project pass and the hot-core contract rules.
 
 Covers :mod:`repro.analysis.project` (module naming, call-graph edges,
-hot-set seeding and closure) and the four contract rules from
+hot-set seeding and closure) and the three contract rules from
 :mod:`repro.analysis.contracts` — each with a positive fixture, a clean
 fixture, and a suppression fixture, mirroring the executable-spec style
 of ``tests/test_simlint_rules.py``.  ``TestSeededViolations`` holds the
@@ -385,95 +385,6 @@ class TestNUM001:
         assert findings == []
 
 
-class TestMIR001:
-    def test_store_without_write_through_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            class Peer:
-                def disconnect(self):
-                    self.online = False
-            """,
-            ["MIR001"],
-        )
-        assert [f.rule for f in findings] == ["MIR001"]
-        assert "'online'" in findings[0].message
-
-    def test_paired_store_is_clean(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            class Peer:
-                def disconnect(self):
-                    self.online = False
-                    self.ctx.peer_table.set_online(self.peer_id, False)
-            """,
-            ["MIR001"],
-        )
-        assert findings == []
-
-    def test_non_self_receiver_is_also_checked(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            def retire(peer):
-                peer.departed = True
-            """,
-            ["MIR001"],
-        )
-        assert [f.rule for f in findings] == ["MIR001"]
-
-    def test_register_counts_only_on_a_peer_table_receiver(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            class Peer:
-                def setup(self, ctx):
-                    self.online = True
-                    ctx.lookup.register(self.peer_id, 1)
-            """,
-            ["MIR001"],
-        )
-        assert [f.rule for f in findings] == ["MIR001"]
-        clean = lint(
-            tmp_path,
-            """\
-            class Peer:
-                def setup(self, ctx):
-                    self.online = True
-                    ctx.peer_table.register(self.peer_id, online=True)
-            """,
-            ["MIR001"],
-            name="other.py",
-        )
-        assert clean == []
-
-    def test_peer_state_table_class_is_exempt(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            import numpy as np
-
-            class PeerStateTable:
-                def reset(self, capacity):
-                    self.online = np.zeros(capacity, dtype=bool)
-            """,
-            ["MIR001"],
-        )
-        assert findings == []
-
-    def test_suppression_with_reason_is_honored(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            def fixup(peer):
-                peer.online = True  # simlint: disable=MIR001 -- test-only fixture mutation
-            """,
-            ["MIR001"],
-        )
-        assert findings == []
-
-
 class TestVER001:
     def test_unbumped_subscript_store_is_flagged(self, tmp_path):
         findings = lint(
@@ -659,14 +570,6 @@ SEEDED_PLANTS = {
             return sum(values) / len(values)
         """,
     ),
-    "mir001": (
-        "network/peer.py",
-        "MIR001",
-        """
-        def _seeded_mir(peer):
-            peer.online = False
-        """,
-    ),
     "ver001": (
         "core/peer_table.py",
         "VER001",
@@ -766,9 +669,6 @@ class TestSeededViolations:
 
     def test_seeded_num001_in_summary(self, fired):
         assert fired.get("num001_in_summary")
-
-    def test_seeded_mir001(self, fired):
-        assert fired.get("mir001")
 
     def test_seeded_ver001(self, fired):
         assert fired.get("ver001")

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.population import PeerClassSpec
+from repro.scenario import PeerArrival, PeerDeparture
 from repro.simulation import FileSharingSimulation, run_simulation
 
 from tests.helpers import run_with_records, small_config
@@ -45,8 +49,6 @@ class TestAssembly:
                 assert peer.peer_id not in ctx.lookup.provider_view(object_id)
 
     def test_population_build_assigns_classes(self):
-        from repro.population import PeerClassSpec
-
         config = small_config(
             population=(
                 PeerClassSpec(name="fast", upload_capacity_kbit=160.0),
@@ -78,6 +80,81 @@ class TestAssembly:
         sim.run()
         with pytest.raises(SimulationError):
             sim.run()
+
+
+
+class TestPopulationCounts:
+    """The summary's class sizes and sharer split, counted over ``ctx.peers``."""
+
+    def test_registry_ids_ascend_across_spawns(self):
+        # Scenario candidate lists read ctx.peers in iteration order, so
+        # their seeded draws rely on spawns appending ascending ids.
+        sim = FileSharingSimulation(small_config())
+        ctx = sim.build()
+        late = dataclasses.replace(sim.population[0], name="late")
+        spawned = [sim.spawn_peer(late).peer_id for _ in range(2)]
+        assert spawned == [20, 21]
+        assert list(ctx.peers) == list(range(22))
+
+    def test_summary_counts_read_from_the_registry(self, monkeypatch):
+        import repro.simulation as simulation_module
+
+        seen = {}
+        real_summarize = simulation_module.summarize
+
+        def spy(collector, **kwargs):
+            seen.update(kwargs)
+            return real_summarize(collector, **kwargs)
+
+        monkeypatch.setattr(simulation_module, "summarize", spy)
+        sim = FileSharingSimulation(small_config(duration=1000.0, warmup=0.0))
+        ctx = sim.build()
+        sharers = [p for p in ctx.peers.values() if p.behavior.shares]
+        freeloaders = [p for p in ctx.peers.values() if not p.behavior.shares]
+        sim.retire_peer(sharers[0])
+        sharers[1].set_sharing(False)
+        for peer in freeloaders[:3]:
+            peer.set_sharing(True)
+        sim.run()
+        # A departure leaves both counts; a strategy switch moves the
+        # split but leaves the peer in its population class.
+        assert seen["num_sharers"] == 10 - 1 - 1 + 3
+        assert seen["num_freeloaders"] == 10 + 1 - 3
+        assert seen["class_sizes"] == {"sharer": 9, "freeloader": 10}
+
+    def test_class_sizes_population_then_first_spawn_order(self):
+        zeta = PeerClassSpec(name="zeta", behavior="sharer")
+        alpha = PeerClassSpec(name="alpha", behavior="freeloader")
+        config = small_config(
+            scenario=(
+                PeerArrival(500.0, count=2, spec=zeta),
+                PeerArrival(600.0, count=2, spec=alpha),
+                PeerArrival(700.0, count=1, spec=zeta),
+                PeerDeparture(800.0, count=2, class_name="alpha"),
+            ),
+            duration=1000.0,
+            warmup=0.0,
+        )
+        summary = run_simulation(config).summary
+        # The spawned class whose peers all left keeps its key at 0.
+        assert list(summary.class_sizes.items()) == [
+            ("sharer", 10),
+            ("freeloader", 10),
+            ("zeta", 3),
+            ("alpha", 0),
+        ]
+
+    def test_emptied_population_class_keeps_zero_key(self):
+        config = small_config(
+            scenario=(PeerDeparture(500.0, count=10, class_name="freeloader"),),
+            duration=1000.0,
+            warmup=0.0,
+        )
+        summary = run_simulation(config).summary
+        assert list(summary.class_sizes.items()) == [
+            ("sharer", 10),
+            ("freeloader", 0),
+        ]
 
 
 class TestRunInvariants:

@@ -19,7 +19,7 @@ def setup_pair(config=None):
     download = requester.start_download(ctx.catalog.object(0))
     # Tear down the auto-started normal transfer so tests drive their own.
     for transfer in list(download.transfers.values()):
-        transfer.terminate(TerminationReason.SIM_END, requeue=False)
+        transfer.terminate(TerminationReason.REQUESTER_CANCELLED, requeue=False)
     ctx.metrics.sessions.clear()
     return ctx, provider, requester, download
 

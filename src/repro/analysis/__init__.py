@@ -17,7 +17,6 @@ from repro.analysis.framework import (
     Finding,
     LintReport,
     ParsedModule,
-    Project,
     Rule,
     annotation_names,
     default_rules,
@@ -31,14 +30,11 @@ from repro.analysis.framework import (
 from repro.analysis import rules as _rules  # noqa: F401  (rule registration)
 from repro.analysis import contracts as _contracts  # noqa: F401  (rule registration)
 from repro.analysis.cli import main
-from repro.analysis.project import ProjectGraph, project_graph
 
 __all__ = [
     "Finding",
     "LintReport",
     "ParsedModule",
-    "Project",
-    "ProjectGraph",
     "Rule",
     "RULE_REGISTRY",
     "annotation_names",
@@ -48,7 +44,6 @@ __all__ = [
     "main",
     "missing_docstrings",
     "parse_module",
-    "project_graph",
     "register_rule",
     "run_lint",
 ]

@@ -1,13 +1,12 @@
-"""The columnar hot-core contract rules (simlint v2).
+"""The hot-core contract rules.
 
-PR 7's columnar core (``docs/PERFORMANCE.md``) rests on conventions
-that were previously prose plus equivalence tests.  These rules
-machine-check them, using the project-wide call graph from
-:mod:`repro.analysis.project` where per-event reachability matters:
+The simulator's hot core (``docs/PERFORMANCE.md``) rests on conventions
+that would otherwise be prose plus equivalence tests.  These rules
+machine-check them, one module at a time:
 
 ========  =============================================================
-HOT001    no record-dataclass / dict-per-event allocation inside
-          hot-set functions of the five hot-path modules
+HOT001    no record-dataclass / dict-per-event allocation inside any
+          non-dunder function of the five hot-path modules
           (``transfer`` / ``peer`` / ``strategy`` /
           ``exchange_manager`` / ``irq``)
 NUM001    byte-identity reductions in the collector and in every
@@ -27,25 +26,18 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis.framework import (
     Finding,
     ParsedModule,
-    Project,
     Rule,
     dotted_name,
     node_finding,
     register_rule,
 )
-from repro.analysis.project import (
-    FunctionInfo,
-    ProjectGraph,
-    _own_body_nodes,
-    project_graph,
-)
 
-#: File basenames whose hot-set functions HOT001 polices.  Matching on
+#: File basenames whose functions HOT001 polices.  Matching on
 #: the basename (not the repo path) keeps the rule testable on fixture
 #: files in temp directories.
 HOT_PATH_BASENAMES = frozenset(
@@ -95,90 +87,98 @@ def _basename(module: ParsedModule) -> str:
     return os.path.basename(module.display_path)
 
 
+def _own_body_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """Every node of a function's own body, skipping nested defs.
+
+    Lambda bodies *are* walked (they execute as part of the enclosing
+    function's logic once invoked); nested ``def``/``class`` bodies are
+    not: HOT001 checks a nested ``def`` as a function of its own.
+    """
+    body = getattr(func, "body", [])
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+_Function = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def _functions(node: ast.AST, prefix: str = "") -> Iterator[Tuple[str, _Function]]:
+    """Every function under ``node`` with its dotted name, nested defs included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+_HOIST = "hoist it or use the columnar scalar API"
+_SCALARS = "pass scalars to the columnar add_* API instead"
+
+
 @register_rule
 class HotPathAllocationRule(Rule):
     """HOT001: no per-event record/dict allocation on hot paths."""
 
     name = "HOT001"
     summary = (
-        "no record-dataclass or dict allocation inside Engine-dispatch-"
-        "reachable functions of the hot-path modules"
+        "no record-dataclass or dict allocation inside functions of the "
+        "hot-path modules"
     )
     rationale = (
         "The columnar core exists because a 50k-peer run fires millions of "
         "events; one dict or record object per event is exactly the "
-        "allocation profile it removed (docs/PERFORMANCE.md).  The hot set "
-        "is computed from the project call graph: every function reachable "
-        "from a callback handed to Engine.schedule/schedule_at (directly or "
-        "through a callback= parameter such as PeriodicProcess's).  Within "
-        "hot functions of transfer/peer/strategy/exchange_manager/irq the "
-        "rule flags dict displays, dict() calls, dict comprehensions and "
-        "*Record(...) constructions.  Dunder methods (__init__ and "
-        "friends) are exempt: they run per entity, not per event.  "
-        "Deliberate small allocations carry an inline suppression "
-        "explaining the amortization argument."
+        "allocation profile it removed (docs/PERFORMANCE.md).  The modules "
+        "in HOT_PATH_BASENAMES (transfer, peer, strategy, exchange_manager "
+        "and irq) hold the exchange machinery that event callbacks run: "
+        "IRQ registration, ring search and the token pass, block transfers "
+        "and strategy revisions.  In every function of those modules -- "
+        "methods, property getters and nested defs, with a lambda's body "
+        "counted toward its enclosing function -- the rule flags dict "
+        "displays, dict() calls, dict comprehensions and *Record(...) "
+        "constructions.  Dunder methods (__init__ and friends) are exempt: "
+        "they run per entity, not per event.  Deliberate small allocations "
+        "carry an inline suppression explaining the amortization argument."
     )
 
-    def finalize(self, project: Project) -> Iterable[Finding]:
-        """Flag per-event allocations in hot functions of hot modules."""
-        graph = project_graph(project)
-        findings: List[Finding] = []
-        for module in project.modules:
-            if _basename(module) not in HOT_PATH_BASENAMES:
+    def check_module(self, module: ParsedModule) -> Iterable[Finding]:
+        """Flag per-event allocations in the functions of hot-path modules."""
+        if _basename(module) not in HOT_PATH_BASENAMES:
+            return
+        for label, func in _functions(module.tree):
+            if func.name.startswith("__") and func.name.endswith("__"):
                 continue
-            for info in graph.functions_in(module):
-                if not graph.is_hot(info.qname):
-                    continue
-                if info.bare.startswith("__") and info.bare.endswith("__"):
-                    continue
-                findings.extend(self._check_function(module, graph, info))
-        return findings
+            for node in _own_body_nodes(func):
+                allocation = self._allocation(node)
+                if allocation is not None:
+                    what, advice = allocation
+                    yield node_finding(
+                        self, module, node, f"{what} in hot function '{label}'; {advice}"
+                    )
 
-    def _check_function(
-        self,
-        module: ParsedModule,
-        graph: ProjectGraph,
-        info: FunctionInfo,
-    ) -> Iterable[Finding]:
-        why = graph.hot_reason(info.qname)
-        label = f"{info.cls}.{info.bare}" if info.cls else info.bare
-        for node in _own_body_nodes(info.node):
-            if isinstance(node, ast.Dict):
-                yield node_finding(
-                    self,
-                    module,
-                    node,
-                    f"dict allocated in hot function '{label}' ({why}); "
-                    "hoist it or use the columnar scalar API",
-                )
-            elif isinstance(node, ast.DictComp):
-                yield node_finding(
-                    self,
-                    module,
-                    node,
-                    f"dict comprehension in hot function '{label}' ({why}); "
-                    "hoist it or use the columnar scalar API",
-                )
-            elif isinstance(node, ast.Call):
-                callee = dotted_name(node.func)
-                final = callee.rsplit(".", 1)[-1] if callee else None
-                if final == "dict":
-                    yield node_finding(
-                        self,
-                        module,
-                        node,
-                        f"dict() allocated in hot function '{label}' ({why}); "
-                        "hoist it or use the columnar scalar API",
-                    )
-                elif final is not None and final.endswith("Record") and final[0].isupper():
-                    yield node_finding(
-                        self,
-                        module,
-                        node,
-                        f"per-event record object ('{final}') in hot function "
-                        f"'{label}' ({why}); pass scalars to the columnar "
-                        "add_* API instead",
-                    )
+    @staticmethod
+    def _allocation(node: ast.AST) -> Optional[Tuple[str, str]]:
+        """What ``node`` allocates and the advice for it, or None."""
+        if isinstance(node, ast.Dict):
+            return "dict allocated", _HOIST
+        if isinstance(node, ast.DictComp):
+            return "dict comprehension", _HOIST
+        if not isinstance(node, ast.Call):
+            return None
+        callee = dotted_name(node.func)
+        final = callee.rsplit(".", 1)[-1] if callee else None
+        if final == "dict":
+            return "dict() allocated", _HOIST
+        if final is not None and final.endswith("Record") and final[0].isupper():
+            return f"per-event record object ('{final}')", _SCALARS
+        return None
 
 
 @register_rule
@@ -340,7 +340,7 @@ class VersionBumpRule(Rule):
                         node,
                         f"in-place mutation of self.{attr} in "
                         f"'{cls.name}.{item.name}' without a self.version "
-                        "bump — version-keyed mask caches would serve "
+                        "bump — version-keyed snapshots would serve "
                         "stale entries",
                     )
 

@@ -31,7 +31,7 @@ import io
 import os
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 #: Rule id used for malformed suppression comments (not suppressible).
@@ -78,10 +78,9 @@ class Suppression:
 
 
 class ParsedModule:
-    """One source file: path, text, AST, and its inline suppressions."""
+    """One source file: display path, text, AST, and its inline suppressions."""
 
     def __init__(self, path: str, display_path: str, source: str) -> None:
-        self.path = path
         self.display_path = display_path
         self.source = source
         self.lines = source.splitlines()
@@ -186,13 +185,6 @@ class ParsedModule:
         return suppression is not None and rule in suppression.rules
 
 
-@dataclass
-class Project:
-    """Every parsed module of one lint run, for cross-module rules."""
-
-    modules: List[ParsedModule] = field(default_factory=list)
-
-
 class Rule:
     """Base class for lint rules.
 
@@ -211,7 +203,7 @@ class Rule:
         """Findings local to one module (default: none)."""
         return ()
 
-    def finalize(self, project: Project) -> Iterable[Finding]:
+    def finalize(self) -> Iterable[Finding]:
         """Cross-module findings after every module was seen (default: none)."""
         return ()
 
@@ -301,14 +293,14 @@ def run_lint(
     """Lint every Python file under ``paths`` with the given rules.
 
     Each rule runs ``check_module`` over every module, then
-    ``finalize`` over the project; its findings on inline-suppressed
+    ``finalize`` once; its findings on inline-suppressed
     lines are dropped.  Malformed suppressions (``SUP001``) and files
     that fail to parse (``SYN001``) are reported and cannot themselves
     be suppressed.
     """
     if rules is None:
         rules = default_rules()
-    project = Project()
+    modules: List[ParsedModule] = []
     findings: List[Finding] = []
     for root in paths:
         for file_path in iter_python_files(root):
@@ -325,20 +317,20 @@ def run_lint(
                     )
                 )
                 continue
-            project.modules.append(module)
+            modules.append(module)
             findings.extend(module.meta_findings)
-    by_path = {module.display_path: module for module in project.modules}
+    by_path = {module.display_path: module for module in modules}
     for rule in rules:
         raw: List[Finding] = []
-        for module in project.modules:
+        for module in modules:
             raw.extend(rule.check_module(module))
-        raw.extend(rule.finalize(project))
+        raw.extend(rule.finalize())
         for finding in raw:
             module_for = by_path.get(finding.path)
             if module_for is None or not module_for.is_suppressed(finding.rule, finding.line):
                 findings.append(finding)
     findings.sort(key=lambda f: f.sort_key)
-    return LintReport(findings=findings, files_checked=len(project.modules))
+    return LintReport(findings=findings, files_checked=len(modules))
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,8 @@ FPR001    every spec dataclass reachable from ``SimulationConfig`` is
           fully covered by the cache fingerprint
 ========  =============================================================
 
-The columnar hot-core contract rules (``HOT001``, ``NUM001``,
-``VER001``) live in :mod:`repro.analysis.contracts`, built on the
-cross-module call graph of :mod:`repro.analysis.project`.
+The hot-core contract rules (``HOT001``, ``NUM001``, ``VER001``) live
+in :mod:`repro.analysis.contracts`.
 
 The rules are syntactic: they see one AST, not runtime types, so each
 documents the receiver/shape heuristics it relies on.  False positives
@@ -40,7 +39,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.analysis.framework import (
     Finding,
     ParsedModule,
-    Project,
     Rule,
     annotation_names,
     dotted_name,
@@ -659,7 +657,7 @@ class FingerprintCoverageRule(Rule):
                 return True
         return False
 
-    def finalize(self, project: Project) -> Iterable[Finding]:
+    def finalize(self) -> Iterable[Finding]:
         """Check every spec reachable from the root is fingerprint-covered."""
         if self.ROOT_CLASS not in self._dataclasses:
             return ()

@@ -45,11 +45,6 @@ class ObjectStore:
         """Whether the store currently holds more than its capacity."""
         return len(self._objects) > self.capacity
 
-    @property
-    def overflow(self) -> int:
-        """How many objects above capacity are currently stored."""
-        return max(0, len(self._objects) - self.capacity)
-
     def object_ids(self) -> List[int]:
         """Stored object ids in sorted order (stable for seeded sampling)."""
         return sorted(self._objects)

@@ -252,5 +252,5 @@ def commit_ring(peer: "Peer", edges: Sequence[RingEdge]) -> ExchangeRing:
             transfer.bind_entry(entry)
         ring.attach(transfer)
         transfer.start()
-    ring.activate(ctx.now)
+    ring.activate()
     return ring

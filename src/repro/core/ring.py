@@ -85,7 +85,6 @@ class ExchangeRing:
         self.edges: Tuple[RingEdge, ...] = tuple(edges)
         self.break_policy = break_policy
         self.state = RingState.FORMING
-        self.formed_at = 0.0
         self.transfers: List["Transfer"] = []
 
     @property
@@ -103,15 +102,14 @@ class ExchangeRing:
             raise RingError(f"cannot attach a transfer to broken ring {self.ring_id}")
         self.transfers.append(transfer)
 
-    def activate(self, now: float) -> None:
-        """All edges attached: the ring goes active at ``now``."""
+    def activate(self) -> None:
+        """All edges attached: the ring goes active."""
         if len(self.transfers) != len(self.edges):
             raise RingError(
                 f"ring {self.ring_id} activated with {len(self.transfers)} "
                 f"transfers for {len(self.edges)} edges"
             )
         self.state = RingState.ACTIVE
-        self.formed_at = now
 
     # ------------------------------------------------------------------
     def on_transfer_terminated(self, transfer: "Transfer", reason: TerminationReason) -> None:

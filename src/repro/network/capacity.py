@@ -38,11 +38,6 @@ class SlotPool:
         spare = self.total - self.in_use
         return spare if spare > 0 else 0
 
-    @property
-    def full(self) -> bool:
-        """Whether no further slot can be acquired."""
-        return self.in_use >= self.total
-
     def acquire(self) -> None:
         """Take one slot; raises :class:`CapacityError` when full."""
         if self.in_use >= self.total:

@@ -108,15 +108,11 @@ class LookupService:
         Invariant: every key maps to a nonempty set, because
         :meth:`unregister` deletes a set the moment it empties.  So
         ``object_id in provider_index()`` is exactly
-        ``provider_count(object_id) > 0``, which is how the request
+        ``len(provider_view(object_id)) > 0``, which is how the request
         sampler tests locatability without a method call per candidate.
         The map is never rebound, so a held reference stays live.
         """
         return self._providers
-
-    def provider_count(self, object_id: int) -> int:
-        """Number of live providers of ``object_id`` (0 if unlocatable)."""
-        return len(self._providers.get(object_id, ()))
 
     def object_versions(self) -> Dict[int, int]:
         """The live per-object mutation counters — read-only by convention.

@@ -378,13 +378,7 @@ class Peer:
             transfer.terminate(TerminationReason.PEER_OFFLINE)
         # Downloads: both the transfers and the queued registrations.
         for download in list(self.pending.values()):
-            for transfer in list(download.transfers.values()):
-                transfer.terminate(TerminationReason.PEER_OFFLINE, requeue=False)
-            for provider_id in list(download.registered_at):
-                ctx.peer(provider_id).irq.remove(
-                    self.peer_id, download.object.object_id
-                )
-            download.registered_at.clear()
+            self._withdraw_download(download, TerminationReason.PEER_OFFLINE)
         # Drain the *queued* entries other peers registered with us.  An
         # entry left behind would keep us in its requester's
         # ``registered_at`` for the whole offline session, and a
@@ -660,6 +654,21 @@ class Peer:
             download.lookup_failures = 0
             self._register_at_providers(download, providers)
 
+    def _withdraw_download(
+        self, download: DownloadState, reason: TerminationReason
+    ) -> None:
+        """End every transfer of ``download`` and withdraw its requests.
+
+        The transfers end without a requeue, and the download's entry
+        leaves the queue of every provider it is registered at.
+        """
+        for transfer in list(download.transfers.values()):
+            transfer.terminate(reason, requeue=False)
+        object_id = download.object.object_id
+        for provider_id in download.registered_at:
+            self.ctx.peer(provider_id).irq.remove(self.peer_id, object_id)
+        download.registered_at.clear()
+
     def abandon_download(self, download: DownloadState) -> None:
         """Cancel a download whose object left the network.
 
@@ -668,13 +677,8 @@ class Peer:
         forever, the peer gives up (as a user would cancel a dead
         download) and requests something locatable instead.
         """
-        object_id = download.object.object_id
-        for transfer in list(download.transfers.values()):
-            transfer.terminate(TerminationReason.REQUESTER_CANCELLED, requeue=False)
-        for provider_id in list(download.registered_at):
-            self.ctx.peer(provider_id).irq.remove(self.peer_id, object_id)
-        download.registered_at.clear()
-        self.pending.pop(object_id, None)
+        self._withdraw_download(download, TerminationReason.REQUESTER_CANCELLED)
+        self.pending.pop(download.object.object_id, None)
         self.ctx.metrics.count("download.abandoned")
         if self.workload is not None:
             self.fill_pending()
@@ -682,13 +686,8 @@ class Peer:
     def on_download_complete(self, download: DownloadState) -> None:
         """The last block arrived: store, publish, record, re-request."""
         object_id = download.object.object_id
-        for transfer in list(download.transfers.values()):
-            transfer.terminate(TerminationReason.COMPLETED)
+        self._withdraw_download(download, TerminationReason.COMPLETED)
         self.pending.pop(object_id, None)
-        for provider_id in list(download.registered_at):
-            provider = self.ctx.peer(provider_id)
-            provider.irq.remove(self.peer_id, object_id)
-        download.registered_at.clear()
         newly_stored = self.store.add_if_absent(object_id)
         if newly_stored and self.shares:
             self.ctx.lookup.register(self.peer_id, object_id)

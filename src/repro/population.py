@@ -284,19 +284,6 @@ def resolve_spec(
     return resolved
 
 
-def class_by_name(
-    classes: Tuple[ResolvedPeerClass, ...], name: str
-) -> ResolvedPeerClass:
-    """Look up a resolved class by name; unknown names raise ConfigError."""
-    for cls in classes:
-        if cls.name == name:
-            return cls
-    raise ConfigError(
-        f"unknown peer class {name!r}; known classes: "
-        f"{sorted(cls.name for cls in classes)}"
-    )
-
-
 def resolve_population(config: "SimulationConfig") -> Tuple[ResolvedPeerClass, ...]:
     """Concrete per-class rows (exact counts) for one configuration.
 

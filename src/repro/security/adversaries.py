@@ -88,7 +88,7 @@ class SybilRing:
     restores each member's honest accounting.
     """
 
-    __slots__ = ("principal_id", "member_ids", "active")
+    __slots__ = ("member_ids", "active")
 
     def __init__(self, member_ids) -> None:
         members = sorted(member_ids)
@@ -98,7 +98,6 @@ class SybilRing:
             )
         if len(set(members)) != len(members):
             raise ProtocolError(f"duplicate sybil member ids: {members}")
-        self.principal_id = members[0]
         self.member_ids: Tuple[int, ...] = tuple(members)
         self.active = True
 
@@ -124,9 +123,6 @@ class AdversaryState:
         #: (retired whitewash identities stay recorded — the audit skips
         #: departed peers, and tests assert ids are never reused).
         self.kind_of: Dict[int, str] = {}
-        #: Peer-class names that enrolled at least one adversary.
-        self.class_names: Set[str] = set()
-        self.rings: List[SybilRing] = []
         self._ring_of: Dict[int, SybilRing] = {}
         #: Collusion cliques, one shared member set per peer class (the
         #: class *is* the conspiracy); every member maps to the same set
@@ -144,7 +140,6 @@ class AdversaryState:
         if kind not in ADVERSARIES:
             raise ProtocolError(f"unknown adversary kind {kind!r}")
         self.kind_of[peer.peer_id] = kind
-        self.class_names.add(peer_class.name)
         if kind == "sybil":
             # Ring members run the cheap KaZaA cheat — claim the maximum
             # participation level regardless of the config's global
@@ -220,7 +215,6 @@ class AdversaryState:
                     f"peer {peer.peer_id} is not a sybil adversary"
                 )
         ring = SybilRing([peer.peer_id for peer in members])
-        self.rings.append(ring)
         for peer in members:
             self._ring_of[peer.peer_id] = ring
         return ring

@@ -48,11 +48,7 @@ from repro.metrics.columnar import ColumnarCollector
 from repro.metrics.summary import SimulationSummary, summarize
 from repro.network.lookup import LookupService
 from repro.network.peer import Peer
-from repro.population import (
-    ResolvedPeerClass,
-    assign_peer_classes,
-    class_by_name,
-)
+from repro.population import ResolvedPeerClass, assign_peer_classes
 from repro.scenario import ScenarioDirector
 from repro.sim.processes import PeriodicProcess
 from repro.strategy import StrategyDirector
@@ -167,7 +163,7 @@ class FileSharingSimulation:
 
     def class_by_name(self, name: str) -> ResolvedPeerClass:
         """A runtime-addressable peer class: population or arrival spec."""
-        return class_by_name(tuple(self._classes_by_name.values()), name)
+        return self._classes_by_name[name]
 
     def note_class_override(self, name: str, **overrides: object) -> None:
         """A scenario event re-provisioned a class; later arrivals follow.
@@ -309,8 +305,9 @@ class FileSharingSimulation:
         self._category_popularity = RankPopularity(
             config.num_categories, config.category_factor
         )
-        self._placement_cache = PopularityCache()
-        self._workload_cache = PopularityCache()
+        # Placement and every peer's request sampler read the same
+        # deterministic (n, object_factor) rank tables.
+        self._popularity_cache = PopularityCache()
 
         class_of = assign_peer_classes(self.population, config.num_peers, rng)
         self._interest_rand = rng.stream("interests")
@@ -401,7 +398,7 @@ class FileSharingSimulation:
             store,
             self._placement_rand,
             config.object_factor,
-            self._placement_cache,
+            self._popularity_cache,
         )
         if behavior.shares:
             for object_id in placed:
@@ -414,7 +411,7 @@ class FileSharingSimulation:
             stored=store.id_view(),
             pending=peer.pending,
             locatable=ctx.lookup.provider_index(),
-            popularity_cache=self._workload_cache,
+            popularity_cache=self._popularity_cache,
         )
         peer.attach_workload(workload)
         ctx.peers[peer_id] = peer

@@ -144,7 +144,7 @@ class TestSybilRing:
 
     def test_principal_is_lowest_id(self):
         ring = SybilRing([9, 3, 5])
-        assert ring.principal_id == 3
+        assert ring.member_ids[0] == 3
         assert ring.member_ids == (3, 5, 9)
         assert len(ring) == 3
         assert ring.active
@@ -166,7 +166,8 @@ class TestEnrollment:
         sim = built_sim("whitewash")
         assert sim.adversary is not None
         assert sim.ctx.adversary is sim.adversary
-        assert sim.adversary.class_names == {"attacker"}
+        classes = {sim.ctx.peers[pid].class_name for pid in attacker_ids(sim)}
+        assert classes == {"attacker"}
         assert set(sim.adversary.kind_of.values()) == {"whitewash"}
 
     def test_sybil_enrollment_fakes_participation(self):

@@ -28,7 +28,7 @@ class TestSlotPool:
     def test_acquire_beyond_capacity_raises(self):
         pool = SlotPool(10.0, 10.0)
         pool.acquire()
-        assert pool.full
+        assert pool.free == 0
         with pytest.raises(CapacityError):
             pool.acquire()
 
@@ -36,9 +36,9 @@ class TestSlotPool:
         pool = SlotPool(10.0, 10.0)
         pool.acquire()
         pool.release()
-        assert not pool.full
+        assert pool.free == 1
         pool.acquire()
-        assert pool.full
+        assert pool.free == 0
         assert pool.in_use == 1
 
     def test_release_idle_pool_raises(self):
@@ -60,7 +60,7 @@ class TestSlotPool:
     def test_in_use_never_escapes_bounds(self, slots, operations):
         pool = SlotPool(slots * 10.0, 10.0)
         for acquire in operations:
-            if acquire and not pool.full:
+            if acquire and pool.free:
                 pool.acquire()
             elif pool.in_use > 0:
                 pool.release()

@@ -291,7 +291,7 @@ class _ChainGenerator:
             object_id = candidate.object_id
             if object_id in self.store or object_id in self.pending:
                 continue
-            if self.lookup.provider_count(object_id) == 0:
+            if len(self.lookup.provider_view(object_id)) == 0:
                 continue
             return candidate
         return None

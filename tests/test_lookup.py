@@ -29,7 +29,7 @@ class TestIndexMaintenance:
         lookup.register(1, 100)
         lookup.register(2, 100)
         assert lookup.provider_view(100) == {1, 2}
-        assert lookup.provider_count(100) == 2
+        assert len(lookup.provider_view(100)) == 2
 
     def test_unregister(self):
         lookup = LookupService()

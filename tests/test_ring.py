@@ -96,15 +96,14 @@ class TestRingConstruction:
         ring = make_ring(size=3)
         ring.attach(_FakeTransfer())
         with pytest.raises(RingError):
-            ring.activate(now=0.0)
+            ring.activate()
 
     def test_activate(self):
         ring = make_ring(size=2)
         ring.attach(_FakeTransfer())
         ring.attach(_FakeTransfer())
-        ring.activate(now=5.0)
+        ring.activate()
         assert ring.state is RingState.ACTIVE
-        assert ring.formed_at == 5.0
 
 
 class TestRingBreak:
@@ -113,7 +112,7 @@ class TestRingBreak:
         transfers = [_FakeTransfer() for _ in range(size)]
         for t in transfers:
             ring.attach(t)
-        ring.activate(now=0.0)
+        ring.activate()
         return ring, transfers
 
     def test_terminate_policy_kills_survivors(self):

@@ -411,7 +411,7 @@ class TestFlashCrowd:
         ]
         assert seeds, "no seed kept a pinned hot copy"
         assert all(hot_id in p.store for p in seeds)
-        assert sim.ctx.lookup.provider_count(hot_id) > 0
+        assert len(sim.ctx.lookup.provider_view(hot_id)) > 0
 
     def test_all_sharers_offline_falls_back_to_offline_seeds(self):
         # Under heavy churn every sharer can be offline at fire time;
@@ -431,12 +431,12 @@ class TestFlashCrowd:
         sim.ctx.engine.run(until=200.0)
         seeded = [p for p in sharers if hot_id in p.store]
         assert len(seeded) == 2
-        assert sim.ctx.lookup.provider_count(hot_id) == 0  # still offline
+        assert len(sim.ctx.lookup.provider_view(hot_id)) == 0  # still offline
         assert (
             sim.ctx.metrics.counters["scenario.flash_seeded_offline"] == 1
         )
         seeded[0].reconnect()
-        assert sim.ctx.lookup.provider_count(hot_id) == 1
+        assert len(sim.ctx.lookup.provider_view(hot_id)) == 1
 
     def _fire_flash_crowd(self, prepare, seed_providers=2):
         config = scenario_config(
@@ -460,7 +460,7 @@ class TestFlashCrowd:
 
         sim, hot_id, sharers, seeded = self._fire_flash_crowd(prepare)
         assert seeded == sharers[3:5]
-        assert sim.ctx.lookup.provider_count(hot_id) == 2
+        assert len(sim.ctx.lookup.provider_view(hot_id)) == 2
         assert sim.ctx.metrics.counters["scenario.flash_seeded_offline"] == 0
 
     def test_offline_fallback_skips_departed_sharers(self):
@@ -484,7 +484,7 @@ class TestFlashCrowd:
 
         sim, hot_id, sharers, seeded = self._fire_flash_crowd(prepare)
         assert seeded == []
-        assert sim.ctx.lookup.provider_count(hot_id) == 0
+        assert len(sim.ctx.lookup.provider_view(hot_id)) == 0
         assert sim.ctx.metrics.counters["scenario.flash_unseeded"] == 1
 
     def test_catalog_injection_unit(self):
@@ -606,7 +606,6 @@ class TestMechanismRampAndCapacity:
         pool.resize(20.0)  # shrink below in_use: running slots survive
         assert pool.total == 2
         assert pool.free == 0
-        assert pool.full
         pool.release()
         pool.release()
         assert pool.free == 0  # still at the new cap

@@ -1,10 +1,9 @@
-"""Tests for simlint v2: the project pass and the hot-core contract rules.
+"""Tests for simlint's hot-core contract rules.
 
-Covers :mod:`repro.analysis.project` (module naming, call-graph edges,
-hot-set seeding and closure) and the three contract rules from
-:mod:`repro.analysis.contracts` — each with a positive fixture, a clean
-fixture, and a suppression fixture, mirroring the executable-spec style
-of ``tests/test_simlint_rules.py``.  ``TestSeededViolations`` holds the
+Covers the three contract rules from :mod:`repro.analysis.contracts` —
+each with a positive fixture, a clean fixture, and a suppression
+fixture, mirroring the executable-spec style of
+``tests/test_simlint_rules.py``.  ``TestSeededViolations`` holds the
 seeded negatives: one violation per guarded family, planted together
 into a single copy of the real tree, must each fire — and nothing else.
 """
@@ -17,15 +16,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (
-    RULE_REGISTRY,
-    Project,
-    iter_python_files,
-    parse_module,
-    project_graph,
-    run_lint,
-)
-from repro.analysis.project import module_name
+from repro.analysis import RULE_REGISTRY, run_lint
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -38,182 +29,77 @@ def lint(tmp_path, source, rules, name="mod.py"):
     return run_lint([str(path)], rules=instances).findings
 
 
-def graph_of(tmp_path, sources):
-    project = Project()
-    for name, source in sources.items():
-        path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-        project.modules.append(parse_module(str(path)))
-    return project_graph(project)
-
-
-class TestModuleName:
-    @pytest.fixture(autouse=True)
-    def _at_repo_root(self, monkeypatch):
-        # module_name reads the package chain from disk, relative to the cwd.
-        monkeypatch.chdir(REPO_ROOT)
-
-    def test_src_layout_maps_to_dotted_name(self):
-        assert module_name("src/repro/network/peer.py") == "repro.network.peer"
-
-    def test_init_maps_to_package(self):
-        assert module_name("src/repro/analysis/__init__.py") == "repro.analysis"
-
-    def test_fixture_path_maps_to_stem(self):
-        assert module_name("tmp/pytest-1/test0/transfer.py") == "transfer"
-
-    def test_hot_set_does_not_depend_on_the_lint_root(self, monkeypatch):
-        """Names follow the ``__init__.py`` chain, not a ``src`` path component."""
-
-        def hot_set(root):
-            modules = [parse_module(path) for path in iter_python_files(root)]
-            return set(project_graph(Project(modules)).hot)
-
-        from_repo_root = hot_set("src/repro")
-        monkeypatch.chdir("src")
-        assert hot_set("repro") == from_repo_root
-
-
-class TestCallGraph:
-    def test_schedule_positional_arg_seeds_hot_set(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "mod.py": """\
-                def kick(engine):
-                    engine.schedule(1.0, worker)
-
-                def worker():
-                    helper()
-
-                def helper():
-                    pass
-
-                def cold():
-                    pass
-                """
-            },
-        )
-        assert graph.is_hot("mod:worker")
-        assert graph.is_hot("mod:helper")  # transitive closure
-        assert not graph.is_hot("mod:cold")
-        assert not graph.is_hot("mod:kick")  # scheduling is not dispatch
-
-    def test_callback_keyword_and_param_convention_seed(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "mod.py": """\
-                class Periodic:
-                    def __init__(self, engine, interval, callback):
-                        self._callback = callback
-
-                def install(engine):
-                    Periodic(engine, 5.0, tick)
-
-                def tick():
-                    pass
-                """
-            },
-        )
-        assert graph.is_hot("mod:tick")
-
-    def test_lambda_callback_seeds_its_callees(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "mod.py": """\
-                class Director:
-                    def start(self, engine):
-                        engine.schedule(1.0, lambda: self._fire(3))
-
-                    def _fire(self, n):
-                        pass
-                """
-            },
-        )
-        assert graph.is_hot("mod:Director._fire")
-
-    def test_self_method_resolution_prefers_own_class(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "mod.py": """\
-                class A:
-                    def go(self, engine):
-                        engine.schedule(0.0, self.run)
-
-                    def run(self):
-                        self.step()
-
-                    def step(self):
-                        pass
-                """
-            },
-        )
-        assert graph.is_hot("mod:A.run")
-        assert graph.is_hot("mod:A.step")
-
-    def test_cross_module_from_import_module_call(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "src/pkg/a.py": """\
-                from pkg import b
-
-                def go(engine):
-                    engine.schedule(0.0, loop)
-
-                def loop():
-                    b.work()
-                """,
-                "src/pkg/b.py": """\
-                def work():
-                    pass
-                """,
-                "src/pkg/__init__.py": "",
-            },
-        )
-        assert graph.is_hot("pkg.b:work")
-
-    def test_hot_reason_names_the_seed(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "mod.py": """\
-                def kick(engine):
-                    engine.schedule(1.0, worker)
-
-                def worker():
-                    helper()
-
-                def helper():
-                    pass
-                """
-            },
-        )
-        assert graph.hot_reason("mod:worker") == "scheduled as an Engine callback"
-        assert "mod:worker" in graph.hot_reason("mod:helper")
-
-
 HOT_FIXTURE = """\
 def kick(engine):
     engine.schedule(1.0, worker)
 
 def worker():
-    stats = {{"a": 1}}
+    stats = {"a": 1}
     return stats
 """
 
 
 class TestHOT001:
     def test_dict_in_hot_function_of_hot_module_is_flagged(self, tmp_path):
-        findings = lint(tmp_path, HOT_FIXTURE.format(), ["HOT001"], name="transfer.py")
+        findings = lint(tmp_path, HOT_FIXTURE, ["HOT001"], name="transfer.py")
         assert [f.rule for f in findings] == ["HOT001"]
-        assert "worker" in findings[0].message
+        assert "'worker'" in findings[0].message
 
-    def test_cold_function_is_not_flagged(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name",
+        ["transfer.py", "peer.py", "strategy.py", "exchange_manager.py", "irq.py"],
+    )
+    def test_hot_path_modules_are_in_scope(self, tmp_path, name):
+        findings = lint(tmp_path, HOT_FIXTURE, ["HOT001"], name=name)
+        assert [f.rule for f in findings] == ["HOT001"]
+
+    def test_dict_comprehension_is_flagged(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            """\
+            def rates(transfers):
+                return {t.peer: t.rate for t in transfers}
+            """,
+            ["HOT001"],
+            name="transfer.py",
+        )
+        assert [f.rule for f in findings] == ["HOT001"]
+        assert findings[0].message.startswith("dict comprehension in hot function 'rates'")
+
+    def test_dict_call_is_flagged(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            """\
+            def snapshot(peer):
+                return dict(up=peer.up, down=peer.down)
+            """,
+            ["HOT001"],
+            name="peer.py",
+        )
+        assert [f.rule for f in findings] == ["HOT001"]
+        assert findings[0].message.startswith("dict() allocated in hot function 'snapshot'")
+
+    def test_hoisted_module_and_class_level_dicts_are_clean(self, tmp_path):
+        # Hoisting is the rule's own advice: a dict built once at import
+        # time is outside every function body.
+        findings = lint(
+            tmp_path,
+            """\
+            _REASONS = {"done": 0, "abandoned": 1}
+
+            class Transfer:
+                _CODES = dict(up=0, down=1)
+
+                def code(self, reason):
+                    return _REASONS[reason]
+            """,
+            ["HOT001"],
+            name="transfer.py",
+        )
+        assert findings == []
+
+    def test_function_no_callback_reaches_is_flagged(self, tmp_path):
+        # Every function of a hot-path module is checked, scheduled or not.
         findings = lint(
             tmp_path,
             """\
@@ -223,10 +109,58 @@ class TestHOT001:
             ["HOT001"],
             name="transfer.py",
         )
-        assert findings == []
+        assert [f.rule for f in findings] == ["HOT001"]
+        assert "'never_scheduled'" in findings[0].message
+
+    def test_property_getter_is_flagged(self, tmp_path):
+        # A property read is not a call, yet callbacks read getters per event.
+        findings = lint(
+            tmp_path,
+            """\
+            class Transfer:
+                @property
+                def rates(self):
+                    return {"up": self.up}
+            """,
+            ["HOT001"],
+            name="transfer.py",
+        )
+        assert [f.rule for f in findings] == ["HOT001"]
+        assert "'Transfer.rates'" in findings[0].message
+
+    def test_nested_def_is_reported_under_the_nested_function(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            """\
+            class Peer:
+                def arm(self, engine):
+                    def fire():
+                        return {"peer": self}
+
+                    engine.schedule(0.0, fire)
+            """,
+            ["HOT001"],
+            name="peer.py",
+        )
+        assert [f.rule for f in findings] == ["HOT001"]
+        assert "'Peer.arm.fire'" in findings[0].message
+
+    def test_lambda_body_counts_toward_its_enclosing_method(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            """\
+            class Director:
+                def start(self, engine):
+                    engine.schedule(1.0, lambda: self.fire({"n": 3}))
+            """,
+            ["HOT001"],
+            name="strategy.py",
+        )
+        assert [f.rule for f in findings] == ["HOT001"]
+        assert "'Director.start'" in findings[0].message
 
     def test_non_hot_module_is_not_flagged(self, tmp_path):
-        findings = lint(tmp_path, HOT_FIXTURE.format(), ["HOT001"], name="summary.py")
+        findings = lint(tmp_path, HOT_FIXTURE, ["HOT001"], name="summary.py")
         assert findings == []
 
     def test_dunder_methods_are_exempt(self, tmp_path):
@@ -236,9 +170,6 @@ class TestHOT001:
             class Peer:
                 def __init__(self):
                     self.pending = {}
-
-                def go(self, engine):
-                    engine.schedule(0.0, self.run)
 
                 def run(self):
                     Peer()
@@ -252,9 +183,6 @@ class TestHOT001:
         findings = lint(
             tmp_path,
             """\
-            def kick(engine):
-                engine.schedule(1.0, worker)
-
             def worker(metrics):
                 metrics.record_session(SessionRecord(1, 2.0))
             """,
@@ -270,9 +198,6 @@ class TestHOT001:
         findings = lint(
             tmp_path,
             """\
-            def kick(engine):
-                engine.schedule(1.0, worker)
-
             def worker():
                 scratch = {}  # simlint: disable=HOT001 -- amortized per pass
                 return scratch
@@ -281,6 +206,27 @@ class TestHOT001:
             name="irq.py",
         )
         assert findings == []
+
+    def test_one_file_run_matches_the_whole_tree_run(self, tmp_path):
+        """The rule needs no other module: linting the planted file alone
+        gives the finding a run over the whole tree gives."""
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            os.path.join(REPO_ROOT, "src", "repro"),
+            tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        peer = tree / "network" / "peer.py"
+        source = peer.read_text(encoding="utf-8")
+        peer.write_text(source + HOT_FIXTURE, encoding="utf-8")
+
+        def hot001(path):
+            return run_lint([str(path)], rules=[RULE_REGISTRY["HOT001"]()]).findings
+
+        whole = hot001(tree)
+        assert [f.rule for f in whole] == ["HOT001"]
+        assert "'worker'" in whole[0].message
+        assert hot001(peer) == whole
 
 
 class TestNUM001:
@@ -524,10 +470,7 @@ SEEDED_PLANTS = {
         "core/exchange_manager.py",
         "HOT001",
         """
-        def _seeded_hot(peer):
-            peer.ctx.engine.schedule(0.0, _seeded_hot_cb)
-
-        def _seeded_hot_cb():
+        def _seeded_hot():
             return {"seeded": True}
         """,
     ),

@@ -49,7 +49,7 @@ class TestBasicOperations:
         for oid in range(4):
             store.add(oid)
         assert store.over_capacity
-        assert store.overflow == 2
+        assert len(store) - store.capacity == 2
 
 
 class TestPinning:

@@ -145,7 +145,7 @@ class TestSetSharing:
         ctx = make_ctx()
         peer = build_peer(ctx, 0, shares=False)
         give(ctx, peer, 0)
-        assert ctx.lookup.provider_count(0) == 0
+        assert len(ctx.lookup.provider_view(0)) == 0
         assert peer.set_sharing(True)
         assert peer.behavior.shares
         assert ctx.lookup.provider_view(0) == {0}
@@ -162,7 +162,7 @@ class TestSetSharing:
         assert provider.set_sharing(False)
         assert not provider.behavior.shares
         assert not provider.active_uploads()
-        assert ctx.lookup.provider_count(0) == 0
+        assert len(ctx.lookup.provider_view(0)) == 0
         assert len(provider.irq) == 0
         assert 0 not in download.registered_at or not download.registered_at
         reasons = {s.reason for s in ctx.metrics.sessions}
@@ -187,7 +187,7 @@ class TestSetSharing:
         peer.reconnect()
         # Reconnected as a free-rider: the store stays unpublished.
         assert peer.online and not peer.behavior.shares
-        assert ctx.lookup.provider_count(0) == 0
+        assert len(ctx.lookup.provider_view(0)) == 0
         peer.set_sharing(True)
         assert ctx.lookup.provider_view(0) == {0}
 

@@ -18,7 +18,6 @@ from repro.analysis.framework import (
     LintReport,
     ParsedModule,
     Rule,
-    annotation_names,
     default_rules,
     dotted_name,
     iter_python_files,
@@ -37,7 +36,6 @@ __all__ = [
     "ParsedModule",
     "Rule",
     "RULE_REGISTRY",
-    "annotation_names",
     "default_rules",
     "dotted_name",
     "iter_python_files",

@@ -1,14 +1,12 @@
 """Core machinery of ``simlint``: findings, modules, suppressions, runner.
 
 The framework is deliberately small and reusable: a :class:`Rule` is a
-class with a ``name`` and a ``check_module`` hook (plus an optional
-cross-module ``finalize`` hook), registered through
-:func:`register_rule`; :func:`run_lint` parses every target file once
-into a :class:`ParsedModule`, then runs each rule over the whole
-project.  The AST helpers at the bottom (:func:`dotted_name`,
-:func:`missing_docstrings`, ...) are shared with other consumers —
-``tests/test_docstrings.py`` reuses them so the repo has exactly one
-AST toolkit.
+class with a ``name`` and a ``check_module`` hook, registered through
+:func:`register_rule`; :func:`run_lint` parses each target file once
+into a :class:`ParsedModule` and runs every rule over it.  The AST
+helpers at the bottom (:func:`dotted_name`, :func:`missing_docstrings`,
+...) are shared with other consumers — ``tests/test_docstrings.py``
+reuses them so the repo has exactly one AST toolkit.
 
 Suppressions
 ------------
@@ -32,7 +30,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 #: Rule id used for malformed suppression comments (not suppressible).
 SUPPRESSION_RULE = "SUP001"
@@ -189,10 +187,8 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set ``name`` / ``summary`` / ``rationale`` and override
-    :meth:`check_module` (per-file findings) and/or :meth:`finalize`
-    (cross-module findings, called once after every file was checked).
-    Rules are instantiated fresh for each run, so instance attributes
-    are safe scratch space for cross-module state.
+    :meth:`check_module`.  A rule sees one module at a time, so linting
+    one file gives the findings a whole-tree run gives in that file.
     """
 
     name: str = "RULE"
@@ -201,10 +197,6 @@ class Rule:
 
     def check_module(self, module: ParsedModule) -> Iterable[Finding]:
         """Findings local to one module (default: none)."""
-        return ()
-
-    def finalize(self) -> Iterable[Finding]:
-        """Cross-module findings after every module was seen (default: none)."""
         return ()
 
 
@@ -292,15 +284,14 @@ def run_lint(
 ) -> LintReport:
     """Lint every Python file under ``paths`` with the given rules.
 
-    Each rule runs ``check_module`` over every module, then
-    ``finalize`` once; its findings on inline-suppressed
-    lines are dropped.  Malformed suppressions (``SUP001``) and files
-    that fail to parse (``SYN001``) are reported and cannot themselves
-    be suppressed.
+    Each module is parsed and checked by every rule in turn; findings
+    on the module's inline-suppressed lines are dropped.  Malformed
+    suppressions (``SUP001``) and files that fail to parse (``SYN001``)
+    are reported and cannot themselves be suppressed.
     """
     if rules is None:
         rules = default_rules()
-    modules: List[ParsedModule] = []
+    files_checked = 0
     findings: List[Finding] = []
     for root in paths:
         for file_path in iter_python_files(root):
@@ -317,20 +308,16 @@ def run_lint(
                     )
                 )
                 continue
-            modules.append(module)
+            files_checked += 1
             findings.extend(module.meta_findings)
-    by_path = {module.display_path: module for module in modules}
-    for rule in rules:
-        raw: List[Finding] = []
-        for module in modules:
-            raw.extend(rule.check_module(module))
-        raw.extend(rule.finalize())
-        for finding in raw:
-            module_for = by_path.get(finding.path)
-            if module_for is None or not module_for.is_suppressed(finding.rule, finding.line):
-                findings.append(finding)
+            for rule in rules:
+                findings.extend(
+                    finding
+                    for finding in rule.check_module(module)
+                    if not module.is_suppressed(finding.rule, finding.line)
+                )
     findings.sort(key=lambda f: f.sort_key)
-    return LintReport(findings=findings, files_checked=len(modules))
+    return LintReport(findings=findings, files_checked=files_checked)
 
 
 # ----------------------------------------------------------------------
@@ -346,30 +333,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def annotation_names(node: Optional[ast.AST]) -> Set[str]:
-    """Every identifier referenced by an annotation expression.
-
-    String constants are treated as forward references and parsed
-    recursively, so ``Optional["StrategySpec"]`` still yields
-    ``StrategySpec``.  Unparseable strings contribute nothing.
-    """
-    names: Set[str] = set()
-    if node is None:
-        return names
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            try:
-                parsed = ast.parse(sub.value, mode="eval")
-            except SyntaxError:
-                continue
-            for inner in ast.walk(parsed):
-                if isinstance(inner, ast.Name):
-                    names.add(inner.id)
-    return names
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ full rationale of each):
 ========  =============================================================
 RNG001    no module-level ``random.*`` calls — all randomness flows
           through seeded :class:`~repro.sim.rng.RandomSource` streams
-RNG002    every ``RandomSource`` draw names its ``stream=`` explicitly
 DET001    no builtin ``hash()`` in simulation code (per-process salt)
 DET002    no unordered (set / dict-view) iteration feeding RNG draws or
           event scheduling without an intervening ``sorted()``
@@ -16,15 +15,13 @@ DET003    no wall-clock reads outside explicitly annotated measurement
 SCH001    events enter the engine heap only via the seq-tie-break API,
           never a raw ``heapq`` insert (``heappush``, ``heapreplace``,
           ``heappushpop``)
-FPR001    every spec dataclass reachable from ``SimulationConfig`` is
-          fully covered by the cache fingerprint
 ========  =============================================================
 
 The hot-core contract rules (``HOT001``, ``NUM001``, ``VER001``) live
 in :mod:`repro.analysis.contracts`.
 
-The rules are syntactic: they see one AST, not runtime types, so each
-documents the receiver/shape heuristics it relies on.  False positives
+The rules are syntactic: each sees one module's AST, not runtime
+types, so each documents the receiver/shape heuristics it relies on.  False positives
 are expected to be rare and are silenced inline with a reasoned
 ``# simlint: disable=RULE -- why`` comment, which doubles as in-code
 documentation of the exemption.
@@ -33,26 +30,16 @@ documentation of the exemption.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set
 
 from repro.analysis.framework import (
     Finding,
     ParsedModule,
     Rule,
-    annotation_names,
     dotted_name,
     node_finding,
     register_rule,
 )
-
-#: Draw methods offered by :class:`repro.sim.rng.RandomSource`.
-RANDOM_SOURCE_DRAWS = frozenset({"uniform_int", "sample"})
-#: Draws whose names exist on RandomSource but not on ``random.Random``,
-#: so they identify the receiver type by themselves.
-RANDOM_SOURCE_ONLY_DRAWS = frozenset({"uniform_int"})
-#: Receiver identifiers conventionally bound to a RandomSource.
-RANDOM_SOURCE_NAMES = frozenset({"rng", "_rng"})
 
 #: Wall-clock callables banned by DET003 (dotted forms as written at
 #: call sites under both ``import x`` and ``from x import y`` styles).
@@ -89,36 +76,6 @@ WALL_CLOCK_FROM_IMPORTS = {
         "process_time_ns",
     },
 }
-
-#: Annotation identifiers FPR001 accepts without further analysis.
-FINGERPRINT_SAFE_NAMES = frozenset(
-    {
-        "int",
-        "float",
-        "str",
-        "bool",
-        "bytes",
-        "None",
-        "object",
-        "Any",
-        "Optional",
-        "Union",
-        "Tuple",
-        "tuple",
-        "List",
-        "list",
-        "Dict",
-        "dict",
-        "Sequence",
-        "Mapping",
-        "Iterable",
-        "ClassVar",
-    }
-)
-#: Unordered container types that must never appear in a fingerprinted
-#: field annotation — their iteration order would leak into the hash.
-FINGERPRINT_UNORDERED_TYPES = frozenset({"set", "Set", "frozenset", "FrozenSet"})
-
 
 @register_rule
 class ModuleLevelRandomRule(Rule):
@@ -168,79 +125,6 @@ class ModuleLevelRandomRule(Rule):
                         )
                     )
         return findings
-
-
-@register_rule
-class ExplicitStreamRule(Rule):
-    """RNG002: RandomSource draws must name their stream."""
-
-    name = "RNG002"
-    summary = "every RandomSource draw passes an explicit stream= name"
-    rationale = (
-        "A draw that falls back to the 'default' stream silently couples "
-        "unrelated subsystems through one sequence: adding a draw in one "
-        "place perturbs every other default-stream consumer.  Naming the "
-        "stream at the call site keeps subsystems independent and makes the "
-        "coupling reviewable.  Receivers are inferred syntactically: names "
-        "bound from RandomSource(...), parameters annotated RandomSource, "
-        "identifiers named rng/_rng (or attributes ending in them), plus "
-        "the RandomSource-only method name uniform_int."
-    )
-
-    def check_module(self, module: ParsedModule) -> Iterable[Finding]:
-        """Flag RandomSource draws that omit an explicit ``stream=``."""
-        sources = self._random_source_names(module.tree)
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute) or func.attr not in RANDOM_SOURCE_DRAWS:
-                continue
-            if any(kw.arg == "stream" for kw in node.keywords):
-                continue
-            receiver = func.value
-            if func.attr not in RANDOM_SOURCE_ONLY_DRAWS and not self._is_random_source(
-                receiver, sources
-            ):
-                continue
-            findings.append(
-                node_finding(
-                    self,
-                    module,
-                    node,
-                    f"RandomSource.{func.attr}() without an explicit stream= — "
-                    "silent 'default' stream couples subsystems",
-                )
-            )
-        return findings
-
-    @staticmethod
-    def _random_source_names(tree: ast.AST) -> Set[str]:
-        """Identifiers bound to a RandomSource anywhere in the module."""
-        names: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                callee = dotted_name(node.value.func)
-                if callee is not None and callee.endswith("RandomSource"):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-            elif isinstance(node, ast.arg):
-                refs = annotation_names(node.annotation)
-                if "RandomSource" in refs:
-                    names.add(node.arg)
-        return names
-
-    @staticmethod
-    def _is_random_source(receiver: ast.AST, sources: Set[str]) -> bool:
-        name = dotted_name(receiver)
-        if name is None:
-            return False
-        last = name.rsplit(".", 1)[-1]
-        if last in RANDOM_SOURCE_NAMES:
-            return True
-        return "." not in name and name in sources
 
 
 @register_rule
@@ -561,184 +445,4 @@ class RawHeappushRule(Rule):
                             "the engine's seq-tie-break API instead",
                         )
                     )
-        return findings
-
-
-@dataclass
-class _DataclassInfo:
-    """What FPR001 needs to know about one dataclass definition."""
-
-    name: str
-    module: ParsedModule
-    lineno: int
-    fields: List[Tuple[str, int, Set[str]]] = field(default_factory=list)
-    to_dict_strings: Optional[Set[str]] = None  #: None = no custom to_dict
-
-
-@register_rule
-class FingerprintCoverageRule(Rule):
-    """FPR001: config specs must be fully fingerprint-covered."""
-
-    name = "FPR001"
-    summary = "every spec dataclass reachable from SimulationConfig is fingerprinted"
-    rationale = (
-        "The experiment cache is keyed by a hash of SimulationConfig.to_dict(); "
-        "a config knob that escapes the dict makes two different experiments "
-        "share one cache entry — silently wrong results (the population field "
-        "once did exactly this, hence CACHE_SCHEMA_VERSION).  The rule walks "
-        "field annotations transitively from SimulationConfig, expanding "
-        "module-level Union/tuple aliases, and requires every reachable type "
-        "to be an analyzable dataclass whose fields all reach the dict: "
-        "dataclasses.asdict covers everything automatically, but a class "
-        "with a hand-written to_dict must mention every field name, and "
-        "unordered containers (set/frozenset) may not appear in fingerprinted "
-        "annotations at all.  An intentionally excluded field carries an "
-        "inline suppression on its declaration line."
-    )
-
-    #: Class name the reachability walk starts from.
-    ROOT_CLASS = "SimulationConfig"
-
-    def __init__(self) -> None:
-        self._dataclasses: Dict[str, _DataclassInfo] = {}
-        self._plain_classes: Dict[str, Tuple[ParsedModule, int]] = {}
-        self._aliases: Dict[str, Set[str]] = {}
-
-    def check_module(self, module: ParsedModule) -> Iterable[Finding]:
-        """Record spec dataclasses and fingerprint wiring in this module."""
-        for node in module.tree.body:
-            if isinstance(node, ast.ClassDef):
-                self._collect_class(module, node)
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    refs = annotation_names(node.value)
-                    if refs:
-                        self._aliases.setdefault(target.id, set()).update(refs)
-        return ()
-
-    def _collect_class(self, module: ParsedModule, node: ast.ClassDef) -> None:
-        if not self._is_dataclass(node):
-            self._plain_classes.setdefault(node.name, (module, node.lineno))
-            return
-        info = _DataclassInfo(node.name, module, node.lineno)
-        for item in node.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                refs = annotation_names(item.annotation)
-                if "ClassVar" in refs:
-                    continue
-                info.fields.append((item.target.id, item.lineno, refs))
-            elif isinstance(item, ast.FunctionDef) and item.name == "to_dict":
-                # A to_dict built on dataclasses.asdict covers every
-                # field by construction; only hand-enumerated dicts
-                # need per-field coverage checking.
-                uses_asdict = any(
-                    isinstance(sub, ast.Call)
-                    and (dotted_name(sub.func) or "").rsplit(".", 1)[-1] == "asdict"
-                    for sub in ast.walk(item)
-                )
-                if uses_asdict:
-                    info.to_dict_strings = None
-                    continue
-                strings = {
-                    sub.value
-                    for sub in ast.walk(item)
-                    if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-                }
-                info.to_dict_strings = strings
-        self._dataclasses.setdefault(node.name, info)
-
-    @staticmethod
-    def _is_dataclass(node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = dotted_name(target)
-            if name in ("dataclass", "dataclasses.dataclass"):
-                return True
-        return False
-
-    def finalize(self) -> Iterable[Finding]:
-        """Check every spec reachable from the root is fingerprint-covered."""
-        if self.ROOT_CLASS not in self._dataclasses:
-            return ()
-        findings: List[Finding] = []
-        seen: Set[str] = set()
-        queue = [self.ROOT_CLASS]
-        while queue:
-            info = self._dataclasses[queue.pop()]
-            if info.name in seen:
-                continue
-            seen.add(info.name)
-            for field_name, lineno, refs in info.fields:
-                if info.to_dict_strings is not None and field_name not in info.to_dict_strings:
-                    findings.append(
-                        Finding(
-                            self.name,
-                            info.module.display_path,
-                            lineno,
-                            1,
-                            f"{info.name}.{field_name} is missing from the custom "
-                            "to_dict() — the cache fingerprint cannot see it "
-                            "(suppress on this line if the exclusion is intended)",
-                        )
-                    )
-                findings.extend(self._check_refs(info, field_name, lineno, refs, queue))
-        return findings
-
-    def _check_refs(
-        self,
-        info: _DataclassInfo,
-        field_name: str,
-        lineno: int,
-        refs: Set[str],
-        queue: List[str],
-    ) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        expanded: Set[str] = set()
-        pending = list(refs)
-        while pending:
-            ref = pending.pop()
-            if ref in expanded:
-                continue
-            expanded.add(ref)
-            if ref in self._aliases and ref not in self._dataclasses:
-                pending.extend(self._aliases[ref])
-                continue
-            if ref in FINGERPRINT_UNORDERED_TYPES:
-                findings.append(
-                    Finding(
-                        self.name,
-                        info.module.display_path,
-                        lineno,
-                        1,
-                        f"{info.name}.{field_name} is typed with unordered "
-                        f"container {ref!r} — iteration order would leak into "
-                        "the cache fingerprint",
-                    )
-                )
-            elif ref in self._dataclasses:
-                queue.append(ref)
-            elif ref in self._plain_classes:
-                findings.append(
-                    Finding(
-                        self.name,
-                        info.module.display_path,
-                        lineno,
-                        1,
-                        f"{info.name}.{field_name} references {ref}, which is "
-                        "not a dataclass — dataclasses.asdict cannot fingerprint "
-                        "its contents",
-                    )
-                )
-            elif ref not in FINGERPRINT_SAFE_NAMES:
-                findings.append(
-                    Finding(
-                        self.name,
-                        info.module.display_path,
-                        lineno,
-                        1,
-                        f"{info.name}.{field_name} references {ref}, which simlint "
-                        "cannot resolve to a fingerprint-analyzable dataclass",
-                    )
-                )
         return findings

@@ -160,12 +160,11 @@ class Catalog:
                 "objects_per_category range reversed: "
                 f"[{objects_per_category_min}, {objects_per_category_max}]"
             )
+        rand = rng.stream("catalog")
         categories: List[Category] = []
         next_object_id = 0
         for category_id in range(num_categories):
-            count = rng.uniform_int(
-                objects_per_category_min, objects_per_category_max, stream="catalog"
-            )
+            count = rand.randint(objects_per_category_min, objects_per_category_max)
             objects = []
             for rank in range(1, count + 1):
                 objects.append(

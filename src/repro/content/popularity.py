@@ -92,6 +92,3 @@ class PopularityCache:
             dist = RankPopularity(num_ranks, factor)
             self._cache[key] = dist
         return dist
-
-    def __len__(self) -> int:
-        return len(self._cache)

@@ -399,17 +399,6 @@ class IncomingRequestQueue:
         """
         return self._index.keys()
 
-    def index_view(self) -> Dict[int, List[RequestEntry]]:
-        """Materialized peer → entry-list adjacency, in append order.
-
-        Diagnostics and tests only — the hot path reads unboxed buckets
-        through :meth:`paths_to` and never builds the list form.
-        """
-        view: Dict[int, List[RequestEntry]] = {}  # simlint: disable=HOT001 -- diagnostics/test-only materialization; hot path uses unboxed buckets
-        for peer_id, bucket in self._index.items():
-            view[peer_id] = list(bucket) if type(bucket) is list else [bucket]
-        return view
-
     def paths_to(self, peer_id: int) -> Iterator[Tuple[RequestEntry, Path]]:
         """(entry, path) pairs for usable occurrences of ``peer_id``.
 

@@ -65,8 +65,6 @@ class Peer:
         "class_name",
         "online",
         "departed",
-        "upload_capacity_kbit",
-        "download_capacity_kbit",
         "upload_pool",
         "download_pool",
         "irq",
@@ -114,8 +112,6 @@ class Peer:
         self.departed = False
         # Link capacities are per peer: a class spec may give this peer a
         # broadband uplink while its neighbour runs on a modem.
-        self.upload_capacity_kbit = upload_capacity_kbit
-        self.download_capacity_kbit = download_capacity_kbit
         self.upload_pool = SlotPool(upload_capacity_kbit, config.slot_kbit)
         self.download_pool = SlotPool(download_capacity_kbit, config.slot_kbit)
         self.irq = IncomingRequestQueue(config.irq_capacity, counters=ctx.counters)
@@ -502,10 +498,8 @@ class Peer:
     ) -> None:
         """Re-provision link capacities (scenario capacity changes)."""
         if upload_capacity_kbit is not None:
-            self.upload_capacity_kbit = upload_capacity_kbit
             self.upload_pool.resize(upload_capacity_kbit)
         if download_capacity_kbit is not None:
-            self.download_capacity_kbit = download_capacity_kbit
             self.download_pool.resize(download_capacity_kbit)
         # Grown pools can serve queued entries right now.
         self.schedule_pass()

@@ -382,7 +382,7 @@ def assign_peer_classes(
     pool = list(range(num_peers))
     assignment: Dict[int, ResolvedPeerClass] = {}
     for cls in classes[1:]:
-        chosen = rng.sample(pool, cls.count, stream="behavior")
+        chosen = rng.stream("behavior").sample(pool, cls.count)
         for peer_id in chosen:
             assignment[peer_id] = cls
         chosen_set = set(chosen)

@@ -53,7 +53,7 @@ sorted-id order.  A run with no adversary classes constructs no
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.security.blacklist import CooperativeBlacklist
@@ -80,15 +80,14 @@ SUSPECT_LEVEL = 0.1
 class SybilRing:
     """One principal's identity farm.
 
-    The first (lowest-id) member is the principal.  While the ring is
-    active every member fakes participation and the ring cross-reports
-    standing: :meth:`standing` returns the *best* member's honest level,
-    so one token upload by any identity shields the whole farm from the
-    audit's claim/behaviour check.  :meth:`~AdversaryState.teardown_ring`
-    restores each member's honest accounting.
+    The first (lowest-id) member is the principal.  Every member fakes
+    participation and the ring cross-reports standing:
+    :meth:`~AdversaryState.standing` returns the *best* member's honest
+    level, so one token upload by any identity shields the whole farm
+    from the audit's claim/behaviour check.
     """
 
-    __slots__ = ("member_ids", "active")
+    __slots__ = ("member_ids",)
 
     def __init__(self, member_ids) -> None:
         members = sorted(member_ids)
@@ -99,10 +98,6 @@ class SybilRing:
         if len(set(members)) != len(members):
             raise ProtocolError(f"duplicate sybil member ids: {members}")
         self.member_ids: Tuple[int, ...] = tuple(members)
-        self.active = True
-
-    def __len__(self) -> int:
-        return len(self.member_ids)
 
 
 class AdversaryState:
@@ -143,7 +138,7 @@ class AdversaryState:
         if kind == "sybil":
             # Ring members run the cheap KaZaA cheat — claim the maximum
             # participation level regardless of the config's global
-            # freeloaders_fake_participation switch — until teardown.
+            # freeloaders_fake_participation switch.
             # Whitewashers deliberately do NOT cheat: theirs is a pure
             # identity-churn attack, so each mechanism prices the fresh
             # identity by its own rules (eMule credit admits it at
@@ -154,11 +149,6 @@ class AdversaryState:
             clique = self._cliques.setdefault(peer_class.name, set())
             clique.add(peer.peer_id)
             self._clique_of[peer.peer_id] = clique
-
-    def clique_of(self, peer_id: int) -> Optional[Set[int]]:
-        """A *copy* of the peer's collusion clique, or ``None``."""
-        clique = self._clique_of.get(peer_id)
-        return set(clique) if clique is not None else None
 
     # ------------------------------------------------------------------
     # admission gate (Peer.register_request_at)
@@ -219,28 +209,14 @@ class AdversaryState:
             self._ring_of[peer.peer_id] = ring
         return ring
 
-    def teardown_ring(self, ring: SybilRing) -> None:
-        """Dissolve a ring: every member returns to honest accounting.
-
-        The members stop faking participation (``cheats = False``), so
-        their claimed level equals their honest level again — the
-        property the ring-teardown tests pin.
-        """
-        ring.active = False
-        for peer_id in ring.member_ids:
-            self._ring_of.pop(peer_id, None)
-            peer = self.ctx.peers.get(peer_id)
-            if peer is not None:
-                peer.participation.cheats = False
-
     def standing(self, peer_id: int) -> float:
         """The audit-visible honest level of one identity.
 
-        Active sybil rings cross-report: every member shows the ring's
-        best member's honest level.  Everyone else shows their own.
+        Sybil rings cross-report: every member shows the ring's best
+        member's honest level.  Everyone else shows their own.
         """
         ring = self._ring_of.get(peer_id)
-        if ring is not None and ring.active:
+        if ring is not None:
             best = 0.0
             for member_id in ring.member_ids:
                 peer = self.ctx.peers.get(member_id)

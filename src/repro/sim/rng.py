@@ -9,16 +9,17 @@ interests and the curves would be noise, not signal.
 :class:`RandomSource` wraps the root seed and hands out named
 sub-streams derived with a stable hash, so ``RandomSource(7).stream("x")``
 is the same sequence on every platform and Python version (we avoid
-``hash()`` which is salted per-process).
+``hash()`` which is salted per-process).  It offers no draws of its
+own: every draw goes through ``stream(name)``, so each call site names
+the stream it consumes and ``stream()`` without a name is a
+``TypeError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Dict
 
 
 def _derive_seed(root_seed: int, name: str) -> int:
@@ -41,17 +42,6 @@ class RandomSource:
             stream = random.Random(_derive_seed(self.seed, name))
             self._streams[name] = stream
         return stream
-
-    # Convenience draws on the default stream -------------------------------
-    def uniform_int(self, low: int, high: int, stream: str = "default") -> int:
-        """Inclusive uniform integer draw, matching the paper's uniform(a,b)."""
-        if low > high:
-            raise ValueError(f"uniform_int bounds reversed: [{low}, {high}]")
-        return self.stream(stream).randint(low, high)
-
-    def sample(self, items: Sequence[T], k: int, stream: str = "default") -> List[T]:
-        """``k`` distinct elements drawn without replacement."""
-        return self.stream(stream).sample(items, k)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomSource(seed={self.seed}, streams={sorted(self._streams)})"

@@ -360,18 +360,14 @@ class FileSharingSimulation:
         config = self.config
         ctx = self.ctx
         rng = ctx.rng
-        categories = rng.uniform_int(
-            peer_class.categories_per_peer_min,
-            peer_class.categories_per_peer_max,
-            stream="peer-categories",
+        categories = rng.stream("peer-categories").randint(
+            peer_class.categories_per_peer_min, peer_class.categories_per_peer_max
         )
         profile = build_interest_profile(
             ctx.catalog, self._category_popularity, self._interest_rand, categories
         )
-        capacity = rng.uniform_int(
-            peer_class.storage_min_objects,
-            peer_class.storage_max_objects,
-            stream="peer-storage",
+        capacity = rng.stream("peer-storage").randint(
+            peer_class.storage_min_objects, peer_class.storage_max_objects
         )
         store = ObjectStore(capacity)
         behavior = peer_class.behavior

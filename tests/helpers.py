@@ -152,3 +152,15 @@ def drain(ctx, until=None, max_events=100_000):
     if until is None:
         until = ctx.engine.now
     ctx.engine.run(until=until, max_events=max_events)
+
+
+def irq_index(irq):
+    """An IRQ's peer -> entry-list index, in append order.
+
+    The IRQ stores a peer's lone entry unboxed; this reads every bucket
+    as a list.
+    """
+    return {
+        peer_id: list(bucket) if type(bucket) is list else [bucket]
+        for peer_id, bucket in irq._index.items()
+    }

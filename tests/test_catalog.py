@@ -109,6 +109,20 @@ class TestCatalogBuild:
 
         assert [c.size for c in build().categories] == [c.size for c in build().categories]
 
+    def test_build_draws_category_sizes_from_the_catalog_stream(self):
+        catalog = Catalog.build(RandomSource(9), 8, 1, 20, 1.0)
+        stream = RandomSource(9).stream("catalog")
+        assert [c.size for c in catalog.categories] == [stream.randint(1, 20) for _ in range(8)]
+
+    def test_build_ignores_draws_on_other_streams(self):
+        busy = RandomSource(9)
+        for name in ("peer-storage", "peer-categories", "behavior"):
+            for _ in range(50):
+                busy.stream(name).random()
+        sizes = [c.size for c in Catalog.build(busy, 8, 1, 20, 1.0).categories]
+        fresh = [c.size for c in Catalog.build(RandomSource(9), 8, 1, 20, 1.0).categories]
+        assert sizes == fresh
+
     def test_build_rejects_bad_ranges(self):
         with pytest.raises(ConfigError):
             Catalog.build(RandomSource(1), 0, 1, 2, 1.0)

@@ -1,13 +1,16 @@
-"""Runtime complement to simlint's FPR001: fingerprints see every knob.
+"""The fingerprint check: the result-cache key sees every knob.
 
-FPR001 proves *statically* that no spec field can escape
-``SimulationConfig.to_dict``; this module proves it *dynamically* — for
-every field of ``SimulationConfig`` (and of every nested spec dataclass:
+:func:`config_fingerprint` hashes ``json.dumps(config.to_dict())``, and
+``to_dict`` is ``dataclasses.asdict``, which recurses into every nested
+spec.  This module checks that end to end: for every field of
+``SimulationConfig`` (and of every nested spec dataclass:
 ``PeerClassSpec``, the scenario event types, ``StrategySpec``), mutating
-just that field must change :func:`config_fingerprint`.  A field whose
-mutation leaves the hash unchanged would let two different experiments
-share one result-cache entry — the exact bug class the cache's
-``CACHE_SCHEMA_VERSION`` history exists to remember.
+just that field must change the fingerprint.  A field whose mutation
+leaves the hash unchanged would let two different experiments share one
+result-cache entry — the exact bug class the cache's
+``CACHE_SCHEMA_VERSION`` history exists to remember.  A value that JSON
+cannot put in a fixed order (a set) or cannot encode at all (a plain
+object) must make the fingerprint fail rather than hash.
 """
 
 from __future__ import annotations
@@ -216,6 +219,36 @@ def test_every_scenario_event_field_moves_the_fingerprint(event_type):
             f"mutating {event_type.__name__}.{field.name} left the cache "
             "fingerprint unchanged"
         )
+
+
+@pytest.mark.parametrize(
+    "value", [{1, 2}, frozenset({1, 2}), object()], ids=["set", "frozenset", "object"]
+)
+def test_a_value_json_cannot_encode_fails_the_fingerprint(value):
+    config = base_config()
+    object.__setattr__(config, "scenario", value)  # past validation: frozen
+    with pytest.raises(TypeError):
+        config_fingerprint(config)
+
+
+#: One field of each nested spec ``base_config`` reaches, by where it sits.
+NESTED_FIELDS = {
+    "population": (lambda config: config.population[1], "name"),
+    "population-strategy": (lambda config: config.population[1].strategy, "rule"),
+    "scenario": (lambda config: config.scenario[1], "count"),
+    "strategy": (lambda config: config.strategy, "rule"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(NESTED_FIELDS))
+def test_a_set_in_a_nested_spec_fails_the_fingerprint(where):
+    """``asdict`` recurses into every nested spec, so a value JSON cannot
+    order fails the fingerprint at any depth, not only at the top."""
+    config = base_config()
+    spec_of, name = NESTED_FIELDS[where]
+    object.__setattr__(spec_of(config), name, frozenset({1, 2}))  # frozen
+    with pytest.raises(TypeError):
+        config_fingerprint(config)
 
 
 def _example_event(event_type):

@@ -10,6 +10,8 @@ from repro.core.irq import IncomingRequestQueue, RequestEntry
 from repro.core.request_tree import RequestTreeNode
 from repro.errors import ProtocolError
 
+from tests.helpers import irq_index
+
 
 def entry(requester=2, obj=20, t=0.0, tree=None):
     return RequestEntry(requester, obj, t, tree)
@@ -126,7 +128,7 @@ class TestPeerIndex:
         irq.add(queued)
         irq.refresh_tree(queued, RequestTreeNode(2, None, (RequestTreeNode(4, 40),)))
         irq.refresh_tree(queued, RequestTreeNode(2, None, (RequestTreeNode(5, 50),)))
-        assert irq.index_view()[5] == [queued]
+        assert irq_index(irq)[5] == [queued]
         assert [path for _e, path in irq.paths_to(5)] == [((2, 20), (5, 50))]
 
     def test_occurrences_cached(self):
@@ -208,7 +210,7 @@ class TestCompactionProperty:
             # Observable state equals the model after *every* step —
             # compaction may have struck anywhere in between.
             assert [e.key for e in irq.snapshot()] == list(model)
-            view = irq.index_view()
+            view = irq_index(irq)
             for peer_id in range(0, 17):
                 expected = [
                     e for (e, peers) in model.values() if peer_id in peers
@@ -219,4 +221,4 @@ class TestCompactionProperty:
         assert irq._dead_in_index >= 0
         if not model:
             # An emptied queue compacts immediately: no garbage index.
-            assert irq.index_view() == {}
+            assert irq_index(irq) == {}

@@ -17,7 +17,7 @@ from repro.errors import ProtocolError
 from repro.metrics.records import TerminationReason
 from repro.network.peer import ABANDON_AFTER_LOOKUP_FAILURES, Peer
 
-from tests.helpers import build_peer, give, make_ctx, small_config
+from tests.helpers import build_peer, give, irq_index, make_ctx, small_config
 
 
 class TestRegistration:
@@ -182,6 +182,14 @@ class TestPerPeerState:
         assert peer.download_pool.total == 10
         assert peer.class_name == "modem"
 
+    def test_resize_capacity_resizes_only_the_named_pool(self):
+        ctx = make_ctx(small_config(upload_capacity_kbit=80.0, download_capacity_kbit=800.0))
+        peer = build_peer(ctx, 0)
+        peer.resize_capacity(upload_capacity_kbit=160.0)
+        assert (peer.upload_pool.total, peer.download_pool.total) == (16, 80)
+        peer.resize_capacity(download_capacity_kbit=100.0)
+        assert (peer.upload_pool.total, peer.download_pool.total) == (16, 10)
+
     def test_built_peers_take_class_name_and_discipline_from_their_class(self):
         from repro.simulation import FileSharingSimulation
 
@@ -254,7 +262,7 @@ class TestTreeRefresh:
         held = {p.peer_id: p.irq.get(0, 0).tree for p in providers}
         assert all(tree.children for tree in held.values())
         versions = {p.peer_id: p.irq.version for p in providers}
-        buckets = {p.peer_id: p.irq.index_view() for p in providers}
+        buckets = {p.peer_id: irq_index(p.irq) for p in providers}
 
         incoming = requester.irq.get(3, 1)
         requester.irq.refresh_tree(incoming, incoming.tree)
@@ -267,7 +275,7 @@ class TestTreeRefresh:
             assert tree is not held[provider.peer_id]
             assert tree.to_dict() == held[provider.peer_id].to_dict()
             assert provider.irq.version == versions[provider.peer_id] + 1
-            assert provider.irq.index_view() == buckets[provider.peer_id]
+            assert irq_index(provider.irq) == buckets[provider.peer_id]
         assert ctx.counters.counts["irq.tree_refreshes"] == refreshes + len(providers)
 
     @pytest.mark.parametrize("mechanism, refreshes", [("none", 0), ("pairwise", 0), ("2-5-way", 1)])

@@ -131,4 +131,4 @@ class TestPopularityCache:
         cache = PopularityCache()
         assert cache.get(10, 0.2) is not cache.get(10, 0.3)
         assert cache.get(10, 0.2) is not cache.get(11, 0.2)
-        assert len(cache) == 3
+        assert len(cache._cache) == 3

@@ -242,12 +242,44 @@ class TestAssignment:
         classes = resolve_population(config)
         assignment = assign_peer_classes(classes, 20, RandomSource(config.seed))
         expected = set(
-            RandomSource(config.seed).sample(
-                range(20), config.num_freeloaders, stream="behavior"
-            )
+            RandomSource(config.seed)
+            .stream("behavior")
+            .sample(range(20), config.num_freeloaders)
         )
         actual = {p for p, c in assignment.items() if c.name == "freeloader"}
         assert actual == expected
+
+    def test_each_later_class_samples_the_behavior_stream_in_order(self):
+        config = SimulationConfig(
+            num_peers=30,
+            population=(
+                PeerClassSpec(name="a"),
+                PeerClassSpec(name="b", count=7),
+                PeerClassSpec(name="c", fraction=0.3),
+            ),
+        )
+        classes = resolve_population(config)
+        assignment = assign_peer_classes(classes, 30, RandomSource(5))
+        stream = RandomSource(5).stream("behavior")
+        pool = list(range(30))
+        for name, count in (("b", 7), ("c", 9)):
+            chosen = stream.sample(pool, count)
+            assert {p for p, c in assignment.items() if c.name == name} == set(chosen)
+            pool = [p for p in pool if p not in chosen]
+        assert {p for p, c in assignment.items() if c.name == "a"} == set(pool)
+
+    def test_assignment_ignores_draws_on_other_streams(self):
+        config = SimulationConfig(num_peers=20, freeloader_fraction=0.4)
+        classes = resolve_population(config)
+        busy = RandomSource(config.seed)
+        for name in ("catalog", "peer-storage", "peer-categories"):
+            for _ in range(50):
+                busy.stream(name).random()
+        assignment = assign_peer_classes(classes, 20, busy)
+        fresh = assign_peer_classes(classes, 20, RandomSource(config.seed))
+        assert {p: c.name for p, c in assignment.items()} == {
+            p: c.name for p, c in fresh.items()
+        }
 
 
 class TestLegacyEquivalence:
@@ -372,6 +404,22 @@ class TestPerPeerCapacity:
         for peer in hoarders:
             assert peer.store.capacity == 20
             assert len(peer.profile.category_ids) == 1
+
+    def test_storage_capacity_drawn_from_the_peer_storage_stream(self):
+        config = small_config(storage_min_objects=3, storage_max_objects=8)
+        ctx = FileSharingSimulation(config).build()
+        stream = RandomSource(config.seed).stream("peer-storage")
+        expected = [stream.randint(3, 8) for _ in range(config.num_peers)]
+        assert [ctx.peers[p].store.capacity for p in range(config.num_peers)] == expected
+
+    def test_interest_count_drawn_from_the_peer_categories_stream(self):
+        # At most 4 of the 10 categories, so no draw is capped by the catalog.
+        config = small_config(categories_per_peer_min=1, categories_per_peer_max=4)
+        ctx = FileSharingSimulation(config).build()
+        stream = RandomSource(config.seed).stream("peer-categories")
+        expected = [stream.randint(1, 4) for _ in range(config.num_peers)]
+        counts = [len(ctx.peers[p].profile.category_ids) for p in range(config.num_peers)]
+        assert counts == expected
 
 
 class TestMixedMechanisms:

@@ -41,6 +41,13 @@ class TestStreams:
         observed = [source.stream("b").random() for _ in range(5)]
         assert observed == expected
 
+    def test_every_draw_names_its_stream(self):
+        # RandomSource draws nothing itself, so no call site can fall
+        # back to an unnamed default stream.
+        assert [n for n in vars(RandomSource) if not n.startswith("_")] == ["stream"]
+        with pytest.raises(TypeError):
+            RandomSource(7).stream()
+
     def test_derive_seed_stable(self):
         # Regression pin: the derivation must never change across
         # versions, or every recorded experiment result shifts.
@@ -57,33 +64,30 @@ class TestStreams:
         assert 0 <= _derive_seed(seed, name) < 2**64
 
 
-class TestConvenienceDraws:
-    def test_uniform_int_bounds_inclusive(self):
-        source = RandomSource(3)
-        draws = {source.uniform_int(1, 3) for _ in range(200)}
-        assert draws == {1, 2, 3}
+class TestStreamDraws:
+    """The draws call sites make on their named streams (``randint`` for
+    catalog sizes, storage and interest counts; ``sample`` for class
+    assignment)."""
 
-    def test_uniform_int_reversed_bounds_rejected(self):
+    def test_randint_bounds_inclusive(self):
+        stream = RandomSource(3).stream("catalog")
+        assert {stream.randint(1, 3) for _ in range(200)} == {1, 2, 3}
+
+    def test_randint_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            RandomSource(3).uniform_int(5, 2)
+            RandomSource(3).stream("peer-storage").randint(5, 2)
 
-    def test_uniform_int_single_value_range(self):
-        source = RandomSource(3)
-        assert {source.uniform_int(4, 4) for _ in range(20)} == {4}
-
-    def test_named_stream_draws_leave_default_untouched(self):
-        source = RandomSource(3)
-        drawn = source.uniform_int(1, 1000, stream="workload")
-        assert drawn == RandomSource(3).stream("workload").randint(1, 1000)
-        assert source.stream("default").random() == RandomSource(3).stream("default").random()
+    def test_randint_single_value_range(self):
+        stream = RandomSource(3).stream("peer-categories")
+        assert {stream.randint(4, 4) for _ in range(20)} == {4}
 
     def test_sample_returns_distinct(self):
-        result = RandomSource(3).sample(list(range(10)), 5)
+        result = RandomSource(3).stream("behavior").sample(list(range(10)), 5)
         assert len(set(result)) == 5
 
     def test_sample_rejects_k_above_population(self):
         with pytest.raises(ValueError):
-            RandomSource(3).sample([1, 2, 3], 4)
+            RandomSource(3).stream("behavior").sample([1, 2, 3], 4)
 
     @given(
         size=st.integers(min_value=0, max_value=30),
@@ -93,6 +97,6 @@ class TestConvenienceDraws:
     def test_sample_draws_distinct_members(self, size, data, seed):
         items = list(range(100, 100 + size))
         k = data.draw(st.integers(min_value=0, max_value=size))
-        result = RandomSource(seed).sample(items, k, stream="placement")
+        result = RandomSource(seed).stream("behavior").sample(items, k)
         assert len(result) == len(set(result)) == k
         assert set(result) <= set(items)

@@ -562,7 +562,6 @@ class TestMechanismRampAndCapacity:
         sim.run()
         sharers = [p for p in sim.ctx.peers.values() if p.class_name == "sharer"]
         assert all(p.upload_pool.total == 16 for p in sharers)
-        assert all(p.upload_capacity_kbit == 160.0 for p in sharers)
 
     def test_capacity_change_covers_later_arrivals(self):
         # A re-provision before the class's first spec wave (or between

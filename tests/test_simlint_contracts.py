@@ -526,15 +526,6 @@ SEEDED_PLANTS = {
                 self.rows[key] = key
         """,
     ),
-    # Sampling whitewash targets without naming the "adversary" stream.
-    "rng002_in_adversaries": (
-        "security/adversaries.py",
-        "RNG002",
-        """
-        def _seeded_pick_targets(rng, candidate_ids):
-            return rng.sample(candidate_ids, 1)
-        """,
-    ),
     # Set iteration order feeds the sampler, even on the sanctioned stream.
     "det002_in_adversaries": (
         "security/adversaries.py",
@@ -542,10 +533,15 @@ SEEDED_PLANTS = {
         """
         def _seeded_pick_clique(rng, state):
             pool = {1, 2, 3}
-            return rng.sample(pool, 1, stream="adversary")
+            return rng.stream("adversary").sample(pool, 1)
         """,
     ),
 }
+
+
+def tree_path(tree, finding):
+    """``finding``'s file as a ``/``-separated path under ``tree``."""
+    return os.path.relpath(os.path.abspath(finding.path), tree).replace(os.sep, "/")
 
 
 class TestSeededViolations:
@@ -553,8 +549,9 @@ class TestSeededViolations:
     which is linted once; each test checks its own plant."""
 
     @pytest.fixture(scope="class")
-    def fired(self, tmp_path_factory):
-        """Rendered findings keyed by the plant they fall on (``None``: no plant)."""
+    def seeded(self, tmp_path_factory):
+        """The planted tree, each plant's (path, rule, lines) by name, and
+        the findings of one lint run over the whole tree."""
         tree = tmp_path_factory.mktemp("seeded") / "repro"
         shutil.copytree(
             os.path.join(REPO_ROOT, "src", "repro"),
@@ -569,16 +566,22 @@ class TestSeededViolations:
             first = source.count("\n") + 1
             target.write_text(source + plant, encoding="utf-8")
             plants[name] = (relpath, rule, range(first, first + plant.count("\n")))
+        return tree, plants, run_lint([str(tree)]).findings
+
+    @pytest.fixture(scope="class")
+    def fired(self, seeded):
+        """Rendered findings keyed by the plant they fall on (``None``: no plant)."""
+        tree, plants, findings = seeded
 
         def plant_of(finding):
-            relpath = os.path.relpath(os.path.abspath(finding.path), tree).replace(os.sep, "/")
+            relpath = tree_path(tree, finding)
             for name, (path, rule, lines) in plants.items():
                 if (path, rule) == (relpath, finding.rule) and finding.line in lines:
                     return name
             return None
 
         fired = {}
-        for finding in run_lint([str(tree)]).findings:
+        for finding in findings:
             fired.setdefault(plant_of(finding), []).append(finding.render())
         return fired
 
@@ -616,8 +619,17 @@ class TestSeededViolations:
     def test_seeded_ver001(self, fired):
         assert fired.get("ver001")
 
-    def test_seeded_rng002_in_adversaries(self, fired):
-        assert fired.get("rng002_in_adversaries")
-
     def test_seeded_det002_in_adversaries(self, fired):
         assert fired.get("det002_in_adversaries")
+
+    @pytest.mark.parametrize(
+        "relpath", sorted({relpath for relpath, _, _ in SEEDED_PLANTS.values()})
+    )
+    def test_one_file_run_matches_the_whole_tree_run(self, seeded, relpath):
+        """Every rule checks one module at a time: linting a planted file
+        alone with all rules gives exactly the whole-tree run's findings
+        in that file."""
+        tree, _, whole = seeded
+        alone = run_lint([str(tree / relpath)]).findings
+        assert alone
+        assert alone == [f for f in whole if tree_path(tree, f) == relpath]

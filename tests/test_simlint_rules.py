@@ -66,77 +66,6 @@ class TestRNG001ModuleLevelRandom:
         assert findings == []
 
 
-class TestRNG002ExplicitStream:
-    def test_rng_named_receiver_without_stream_is_flagged(self, tmp_path):
-        findings = lint(tmp_path, "x = rng.sample(items, 3)\n", ["RNG002"])
-        assert [f.rule for f in findings] == ["RNG002"]
-
-    def test_stream_keyword_satisfies_the_rule(self, tmp_path):
-        findings = lint(
-            tmp_path, 'x = rng.sample(items, 3, stream="workload")\n', ["RNG002"]
-        )
-        assert findings == []
-
-    def test_assignment_from_RandomSource_is_inferred(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            from repro.sim.rng import RandomSource
-            source = RandomSource(7)
-            x = source.sample(items, 3)
-            """,
-            ["RNG002"],
-        )
-        assert [f.rule for f in findings] == ["RNG002"]
-
-    def test_annotated_parameter_is_inferred(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            def build(source: "RandomSource"):
-                return source.uniform_int(1, 8)
-            """,
-            ["RNG002"],
-        )
-        assert [f.rule for f in findings] == ["RNG002"]
-
-    def test_ctx_rng_attribute_is_inferred(self, tmp_path):
-        findings = lint(tmp_path, "x = ctx.rng.sample(items, 2)\n", ["RNG002"])
-        assert [f.rule for f in findings] == ["RNG002"]
-
-    def test_underscore_rng_attribute_is_inferred(self, tmp_path):
-        findings = lint(tmp_path, "x = self._rng.sample(items, 2)\n", ["RNG002"])
-        assert [f.rule for f in findings] == ["RNG002"]
-
-    def test_stream_handles_are_not_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            rand = rng.stream("workload")
-            x = rand.sample(items, 2)
-            """,
-            ["RNG002"],
-        )
-        assert findings == []
-
-    def test_random_source_only_methods_flag_any_receiver(self, tmp_path):
-        findings = lint(tmp_path, "x = anything.uniform_int(1, 8)\n", ["RNG002"])
-        assert [f.rule for f in findings] == ["RNG002"]
-
-    def test_plain_Random_instances_are_not_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """\
-            import random
-            rand = random.Random(7)
-            x = rand.sample(items, 1)
-            y = self._rand.sample(items, 2)
-            """,
-            ["RNG002"],
-        )
-        assert findings == []
-
-
 class TestDET001BuiltinHash:
     def test_builtin_hash_is_flagged(self, tmp_path):
         findings = lint(tmp_path, 'seed = hash("topology")\n', ["DET001"])
@@ -312,205 +241,3 @@ class TestSCH001RawHeappush:
             ["SCH001"],
         )
         assert findings == []
-
-
-FPR_PREAMBLE = """\
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, Set
-"""
-
-
-def fpr(source):
-    """Prefix a dedented FPR001 fixture with the shared import preamble."""
-    return FPR_PREAMBLE + textwrap.dedent(source)
-
-
-class TestFPR001FingerprintCoverage:
-    def test_asdict_based_to_dict_covers_everything(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            import dataclasses
-
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                num_peers: int = 200
-                def to_dict(self):
-                    return dataclasses.asdict(self)
-            """),
-            ["FPR001"],
-        )
-        assert findings == []
-
-    def test_hand_enumerated_to_dict_missing_a_field_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                num_peers: int = 200
-                new_knob: float = 0.5
-                def to_dict(self):
-                    return {"num_peers": self.num_peers}
-            """),
-            ["FPR001"],
-        )
-        assert [f.rule for f in findings] == ["FPR001"]
-        assert "new_knob" in findings[0].message
-
-    def test_nested_spec_with_partial_to_dict_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            import dataclasses
-
-            @dataclass(frozen=True)
-            class StrategySpec:
-                rule: str = "static"
-                hidden: float = 1.0
-                def to_dict(self):
-                    return {"rule": self.rule}
-
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                strategy: Optional[StrategySpec] = None
-                def to_dict(self):
-                    return dataclasses.asdict(self)
-            """),
-            ["FPR001"],
-        )
-        assert [f.rule for f in findings] == ["FPR001"]
-        assert "StrategySpec.hidden" in findings[0].message
-
-    def test_union_alias_is_expanded(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            from typing import Union
-
-            @dataclass(frozen=True)
-            class Phase:
-                time: float
-                secret: int = 0
-                def to_dict(self):
-                    return {"time": self.time}
-
-            @dataclass(frozen=True)
-            class Arrival:
-                time: float
-
-            ScenarioEvent = Union[Phase, Arrival]
-
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                scenario: Tuple[ScenarioEvent, ...] = ()
-            """),
-            ["FPR001"],
-        )
-        assert [f.rule for f in findings] == ["FPR001"]
-        assert "Phase.secret" in findings[0].message
-
-    def test_unordered_container_in_fingerprinted_field_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                banned_peers: Set[int] = field(default_factory=set)
-            """),
-            ["FPR001"],
-        )
-        assert [f.rule for f in findings] == ["FPR001"]
-        assert "unordered" in findings[0].message
-
-    def test_reachable_plain_class_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            class Opaque:
-                pass
-
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                thing: Optional[Opaque] = None
-            """),
-            ["FPR001"],
-        )
-        assert [f.rule for f in findings] == ["FPR001"]
-        assert "not a dataclass" in findings[0].message
-
-    def test_unresolvable_reference_is_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                mystery: "SomewhereElse" = None
-            """),
-            ["FPR001"],
-        )
-        assert [f.rule for f in findings] == ["FPR001"]
-        assert "SomewhereElse" in findings[0].message
-
-    def test_intentional_exclusion_is_suppressed_on_the_field_line(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                num_peers: int = 200
-                cache_dir: str = ""  # simlint: disable=FPR001 -- path never affects results
-                def to_dict(self):
-                    return {"num_peers": self.num_peers}
-            """),
-            ["FPR001"],
-        )
-        assert findings == []
-
-    def test_unreachable_dataclasses_are_ignored(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            fpr("""\
-            @dataclass(frozen=True)
-            class NotASpec:
-                hidden: int = 0
-                def to_dict(self):
-                    return {}
-
-            @dataclass(frozen=True)
-            class SimulationConfig:
-                num_peers: int = 200
-            """),
-            ["FPR001"],
-        )
-        assert findings == []
-
-    def test_cross_module_reachability(self, tmp_path):
-        (tmp_path / "specs.py").write_text(
-            fpr(
-                """\
-                @dataclass(frozen=True)
-                class PeerClassSpec:
-                    name: str
-                    quirk: int = 0
-                    def to_dict(self):
-                        return {"name": self.name}
-                """
-            ),
-            encoding="utf-8",
-        )
-        (tmp_path / "config.py").write_text(
-            fpr(
-                """\
-                from specs import PeerClassSpec
-
-                @dataclass(frozen=True)
-                class SimulationConfig:
-                    population: Tuple[PeerClassSpec, ...] = ()
-                """
-            ),
-            encoding="utf-8",
-        )
-        findings = run_lint([str(tmp_path)], rules=[RULE_REGISTRY["FPR001"]()]).findings
-        assert [f.rule for f in findings] == ["FPR001"]
-        assert "PeerClassSpec.quirk" in findings[0].message

@@ -89,7 +89,6 @@ class SimulationConfig:
     max_pending: int = 6
     irq_capacity: int = 1000
     request_fanout: int = 5
-    lookup_coverage: float = 1.0
 
     # -------------------------------------------------------------- mechanism
     exchange_mechanism: str = "2-5-way"
@@ -168,6 +167,12 @@ class SimulationConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in _INT_FIELDS:
             require_integer(name, getattr(self, name))
+        # Name tables live beside the code that implements each choice;
+        # imported locally to avoid a circular dependency at module load.
+        from repro.core.disciplines import DISCIPLINES
+        from repro.core.policies import parse_mechanism
+        from repro.core.ring import BREAK_POLICIES
+
         checks: Tuple[Tuple[bool, str], ...] = (
             (self.num_peers >= 2, f"num_peers must be >= 2, got {self.num_peers}"),
             (
@@ -209,15 +214,11 @@ class SimulationConfig:
             (self.irq_capacity >= 1, "irq_capacity must be >= 1"),
             (self.request_fanout >= 1, "request_fanout must be >= 1"),
             (
-                0.0 < self.lookup_coverage <= 1.0,
-                f"lookup_coverage must be in (0,1], got {self.lookup_coverage}",
-            ),
-            (
-                self.ring_break_policy in ("terminate", "downgrade"),
+                self.ring_break_policy in BREAK_POLICIES,
                 f"unknown ring_break_policy {self.ring_break_policy!r}",
             ),
             (
-                self.scheduler_mode in ("fifo", "credit", "participation"),
+                self.scheduler_mode in DISCIPLINES,
                 f"unknown scheduler_mode {self.scheduler_mode!r}",
             ),
             (self.scan_interval > 0, "scan_interval must be positive"),
@@ -237,10 +238,6 @@ class SimulationConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        # Mechanism strings are validated by the policy factory; import
-        # locally to avoid a circular dependency at module load.
-        from repro.core.policies import parse_mechanism
-
         parse_mechanism(self.exchange_mechanism)
         if self.strategy is not None:
             if not isinstance(self.strategy, StrategySpec):

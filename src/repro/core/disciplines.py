@@ -8,13 +8,16 @@ the service order of its queued entries — which is what lets a single
 simulated network mix disciplines across peer classes, something the
 old global ``scheduler_mode`` string branch could not express.
 
-The discipline also owns the baseline bookkeeping that used to be bolted
-directly onto :class:`~repro.network.peer.Peer`: the per-remote
-:class:`~repro.baselines.credit.CreditLedger` and the
-:class:`~repro.baselines.participation.ParticipationReporter`.  Both are
-maintained under every discipline — the volumes are cheap to track and
-let analyses compare what credit *would* have said — but only the
-matching discipline consults them for ordering.  The KaZaA cheat (a
+The discipline also owns the peer's baseline bookkeeping, and a
+transfer accounts each block through it: the provider's
+:meth:`~ServiceDiscipline.record_served` and the requester's
+:meth:`~ServiceDiscipline.record_received`.  Every discipline keeps a
+:class:`~repro.baselines.participation.ParticipationReporter`, because
+the participation ranking, the strategy standing and the adversary
+audit read it whatever the owner's own discipline is.  Only
+:class:`CreditDiscipline` keeps a per-remote
+:class:`~repro.baselines.credit.CreditLedger`: its queue rank is the one
+reader, and it reads only its owner's ledger.  The KaZaA cheat (a
 free-rider claiming the maximum participation level) is the claimer's
 behaviour, decided when its discipline is built from the config flag —
 not a build-time peek at a global scheduler mode, which would be wrong
@@ -39,8 +42,7 @@ class ServiceDiscipline:
     """Strategy for ordering one peer's queued IRQ entries.
 
     Subclasses override :meth:`rank`; the base class carries the
-    baseline state (credit ledger + participation reporter) every
-    discipline maintains.
+    participation reporter every discipline maintains.
 
     The scheduler consumes :meth:`service_iter`, which yields entries
     *lazily* in service order: FIFO (no rank) streams the queue
@@ -56,12 +58,19 @@ class ServiceDiscipline:
     #: scheduler can stream the queue without computing keys at all.
     ranked = False
 
-    __slots__ = ("peer_id", "credit", "participation")
+    __slots__ = ("peer_id", "participation")
 
     def __init__(self, peer_id: int, cheats: bool = False) -> None:
         self.peer_id = peer_id
-        self.credit = CreditLedger(peer_id)
         self.participation = ParticipationReporter(peer_id, cheats=cheats)
+
+    def record_served(self, remote_id: int, kbit: float) -> None:
+        """Account ``kbit`` that this peer uploaded to ``remote_id``."""
+        self.participation.record_uploaded(kbit)
+
+    def record_received(self, remote_id: int, kbit: float) -> None:
+        """Account ``kbit`` that ``remote_id`` uploaded to this peer."""
+        self.participation.record_downloaded(kbit)
 
     def rank(self, peer: "Peer", entry: "RequestEntry") -> float:
         """Service priority of one entry (higher serves first)."""
@@ -75,7 +84,7 @@ class ServiceDiscipline:
         both baseline schemes reward (credit multiplies it out per
         remote peer, participation reports it globally).  The strategy
         layer (:mod:`repro.strategy`) feeds it into payoff evaluation;
-        every discipline maintains the underlying volumes, so the
+        every discipline maintains the participation volumes, so the
         standing is defined under FIFO too.
         """
         return self.participation.honest_level
@@ -122,7 +131,21 @@ class CreditDiscipline(ServiceDiscipline):
 
     name = "credit"
     ranked = True
-    __slots__ = ()
+    __slots__ = ("credit",)
+
+    def __init__(self, peer_id: int, cheats: bool = False) -> None:
+        super().__init__(peer_id, cheats)
+        self.credit = CreditLedger(peer_id)
+
+    def record_served(self, remote_id: int, kbit: float) -> None:
+        """Account an upload in the ledger and the participation volumes."""
+        self.credit.record_served(remote_id, kbit)
+        self.participation.record_uploaded(kbit)
+
+    def record_received(self, remote_id: int, kbit: float) -> None:
+        """Account a download in the ledger and the participation volumes."""
+        self.credit.record_received(remote_id, kbit)
+        self.participation.record_downloaded(kbit)
 
     def rank(self, peer: "Peer", entry: "RequestEntry") -> float:
         # One second of base waiting keeps the rank multiplicative even
@@ -151,10 +174,12 @@ class ParticipationDiscipline(ServiceDiscipline):
 
 
 _DISCIPLINES = {
-    FifoDiscipline.name: FifoDiscipline,
-    CreditDiscipline.name: CreditDiscipline,
-    ParticipationDiscipline.name: ParticipationDiscipline,
+    cls.name: cls for cls in (FifoDiscipline, CreditDiscipline, ParticipationDiscipline)
 }
+
+#: Service-discipline names accepted by ``scheduler_mode`` and
+#: :attr:`~repro.population.PeerClassSpec.service_discipline`.
+DISCIPLINES = tuple(_DISCIPLINES)
 
 
 def make_discipline(

@@ -60,6 +60,11 @@ def edges_from_candidate(initiator_id: int, candidate: "RingCandidate") -> List[
     return edges
 
 
+#: What happens to a broken ring's surviving transfers (see the module
+#: docstring); ``SimulationConfig.ring_break_policy`` takes one of these.
+BREAK_POLICIES = ("terminate", "downgrade")
+
+
 class RingState(enum.Enum):
     """Lifecycle of a ring: forming -> active -> broken."""
     FORMING = "forming"
@@ -73,7 +78,7 @@ class ExchangeRing:
     def __init__(self, ring_id: int, edges: List[RingEdge], break_policy: str) -> None:
         if len(edges) < 2:
             raise RingError(f"a ring needs >= 2 edges, got {len(edges)}")
-        if break_policy not in ("terminate", "downgrade"):
+        if break_policy not in BREAK_POLICIES:
             raise RingError(f"unknown ring break policy {break_policy!r}")
         peers = [edge.requester_id for edge in edges]
         if len(set(peers)) != len(peers):

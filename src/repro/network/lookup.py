@@ -6,29 +6,15 @@ mechanisms including broadcast in Gnutella-like networks or a DHT
 query") and assumes a peer "can locate up to a certain fraction of
 peers that currently have the object".
 
-:class:`LookupService` implements exactly that contract as a global
-provider index: sharing peers register the objects they store; a lookup
-returns a ``coverage`` fraction of the current providers, sampled with
-the caller's RNG stream so runs stay deterministic.
+:class:`LookupService` implements that contract with the fraction at
+one, as a global provider index: sharing peers register the objects
+they store, and a lookup returns every current provider in an order
+shuffled with the caller's RNG stream, so runs stay deterministic.
 
-Two determinism notes that downstream consumers rely on:
-
-* Per-object counters (:meth:`LookupService.object_versions`) count
-  the mutations of each provider set.  Exchange-search gating keys off
-  them to prove "no provider set *I can see* changed since my last
-  empty search", so every register/unregister must bump its object's
-  counter.
-* The two coverage regimes consume *different RNG stream shapes* on
-  purpose: full coverage (``coverage >= 1.0``) permutes the candidate
-  list with ``rand.shuffle``, partial coverage draws a subset with
-  ``rand.sample``.  The shapes are each individually deterministic and
-  are pinned by tests, but a run at ``coverage=1.0`` and a run at
-  ``coverage=0.999`` are *different RNG universes* — when comparing a
-  coverage sweep, compare cells against same-path baselines (the sweep
-  should include an explicit ``1.0`` cell rather than extrapolating
-  from ``<1.0`` cells, and vice versa).  Normalizing both paths onto
-  ``rand.sample`` would silently re-seed every historical full-coverage
-  result, so the asymmetry is documented and frozen instead.
+Per-object counters (:meth:`LookupService.object_versions`) count the
+mutations of each provider set.  Exchange-search gating keys off them
+to prove "no provider set *I can see* changed since my last empty
+search", so every register/unregister must bump its object's counter.
 """
 
 from __future__ import annotations
@@ -45,10 +31,7 @@ _EMPTY_PROVIDERS: Set[int] = set()
 class LookupService:
     """Global index of *shared* objects → provider peer ids."""
 
-    def __init__(self, coverage: float = 1.0) -> None:
-        if not 0.0 < coverage <= 1.0:
-            raise LookupError_(f"coverage must be in (0, 1], got {coverage}")
-        self.coverage = coverage
+    def __init__(self) -> None:
         self._providers: Dict[int, Set[int]] = {}
         #: Sorted provider lists, built lazily per object and dropped on
         #: any mutation of that object's provider set.  ``find_providers``
@@ -91,13 +74,13 @@ class LookupService:
     def provider_view(self, object_id: int) -> Set[int]:
         """The live provider set itself — read-only by convention, no copy.
 
-        Complete (coverage not applied): the exchange machinery, which
-        the paper allows to reuse "the original provider list", reads
-        every pending object's provider set on every ungated pass, so
-        the set is not copied.  Callers must only *read* the result (set
-        intersections, membership) and must not hold it across events.
-        The view may contain the calling peer itself; ring search
-        already rejects any path through the searcher.
+        The exchange machinery, which the paper allows to reuse "the
+        original provider list", reads every pending object's provider
+        set on every ungated pass, so the set is not copied.  Callers
+        must only *read* the result (set intersections, membership) and
+        must not hold it across events.  The view may contain the
+        calling peer itself; ring search already rejects any path
+        through the searcher.
         """
         view = self._providers.get(object_id)
         return view if view is not None else _EMPTY_PROVIDERS
@@ -138,14 +121,7 @@ class LookupService:
     def find_providers(
         self, object_id: int, requester_id: int, rand: random.Random
     ) -> List[int]:
-        """A coverage-limited provider sample, excluding the requester.
-
-        Models the search mechanism's partial view: with coverage c and
-        n live providers, returns ceil(c*n) of them, uniformly sampled,
-        in deterministic (seeded) order.  The full-coverage path uses
-        ``shuffle`` and the partial path ``sample`` — see the module
-        docstring for why that asymmetry is load-bearing and frozen.
-        """
+        """Every live provider except the requester, in seeded random order."""
         base = self._sorted_providers(object_id)
         if not base:
             return []
@@ -154,14 +130,8 @@ class LookupService:
         candidates = [p for p in base if p != requester_id]
         if not candidates:
             return []
-        if self.coverage >= 1.0:
-            rand.shuffle(candidates)
-            return candidates
-        count = max(1, -(-len(candidates) * self.coverage // 1))
-        return rand.sample(candidates, int(min(len(candidates), count)))
+        rand.shuffle(candidates)
+        return candidates
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LookupService(objects={len(self._providers)}, "
-            f"coverage={self.coverage})"
-        )
+        return f"LookupService(objects={len(self._providers)})"

@@ -137,7 +137,8 @@ class Peer:
         self._workload_stalled_until = -math.inf
         self._rand = ctx.rng.stream(f"peer{peer_id}")
         # The service discipline owns the baseline-mechanism state
-        # (credit ledger, participation reporter) and the queue ordering.
+        # (participation reporter, and a credit ledger under credit)
+        # and the queue ordering.
         self.discipline = discipline
         # Ring search's provider masks span every peer id.
         ctx.peer_table.register(peer_id)
@@ -149,11 +150,6 @@ class Peer:
     def shares(self) -> bool:
         """Whether this peer currently serves content."""
         return self.behavior.shares and self.online
-
-    @property
-    def credit(self):
-        """The discipline-owned eMule credit ledger (always maintained)."""
-        return self.discipline.credit
 
     @property
     def participation(self):

@@ -165,10 +165,8 @@ class Transfer:
         self.session_blocks += 1
         self.total_blocks_delivered += 1
         block_kbit = self._ctx.config.block_size_kbit
-        self.requester.credit.record_received(self.provider.peer_id, block_kbit)
-        self.provider.credit.record_served(self.requester.peer_id, block_kbit)
-        self.provider.participation.record_uploaded(block_kbit)
-        self.requester.participation.record_downloaded(block_kbit)
+        self.provider.discipline.record_served(self.requester.peer_id, block_kbit)
+        self.requester.discipline.record_received(self.provider.peer_id, block_kbit)
         completed = self.download.deliver_block()
         if completed:
             requester = self.requester

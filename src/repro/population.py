@@ -48,10 +48,6 @@ BEHAVIORS: Dict[str, PeerBehavior] = {
     FREELOADER.name: FREELOADER,
 }
 
-#: Service-discipline names accepted by :attr:`PeerClassSpec.service_discipline`
-#: (see :mod:`repro.core.disciplines`).
-DISCIPLINES = ("fifo", "credit", "participation")
-
 
 def require_integer(what: str, value: object) -> None:
     """Raise :class:`ConfigError` unless ``value`` is an integer.
@@ -124,17 +120,18 @@ class PeerClassSpec:
                 f"peer class {self.name!r} has unknown behavior "
                 f"{self.behavior!r}; expected one of {sorted(BEHAVIORS)}"
             )
-        if (
-            self.service_discipline is not None
-            and self.service_discipline not in DISCIPLINES
-        ):
-            raise ConfigError(
-                f"peer class {self.name!r} has unknown service discipline "
-                f"{self.service_discipline!r}; expected one of {DISCIPLINES}"
-            )
+        if self.service_discipline is not None:
+            # Locally imported: the core package sits below config in
+            # the import graph and this module is imported by config.
+            from repro.core.disciplines import DISCIPLINES
+
+            if self.service_discipline not in DISCIPLINES:
+                raise ConfigError(
+                    f"peer class {self.name!r} has unknown service discipline "
+                    f"{self.service_discipline!r}; expected one of {DISCIPLINES}"
+                )
         if self.exchange_mechanism is not None:
-            # Locally imported: policies sits below config in the import
-            # graph and this module is imported by config.
+            # Locally imported for the same reason.
             from repro.core.policies import parse_mechanism
 
             parse_mechanism(self.exchange_mechanism)

@@ -197,7 +197,7 @@ class AdversaryState:
         self.ctx.metrics.count("adversary.whitewash")
         return fresh
 
-    def form_ring(self, members) -> SybilRing:
+    def form_ring(self, members) -> None:
         """Bind freshly spawned sybil identities into one ring."""
         for peer in members:
             if self.kind_of.get(peer.peer_id) != "sybil":
@@ -207,7 +207,6 @@ class AdversaryState:
         ring = SybilRing([peer.peer_id for peer in members])
         for peer in members:
             self._ring_of[peer.peer_id] = ring
-        return ring
 
     def standing(self, peer_id: int) -> float:
         """The audit-visible honest level of one identity.

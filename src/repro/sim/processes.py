@@ -3,9 +3,10 @@
 Peers run several recurring activities — IRQ scans for feasible
 exchanges, storage-limit checks — which the paper describes as happening
 "in regular intervals".  :class:`PeriodicProcess` arms one periodic
-event (:meth:`~repro.sim.engine.Engine.schedule_every`), which the
-engine re-arms in place before every firing, and adds clean
-cancellation semantics: pausing or stopping cancels that event, and
+event (:meth:`~repro.sim.engine.Engine.schedule_every`) that runs the
+model's callback directly and that the engine re-arms in place before
+every firing, and adds clean cancellation semantics: pausing or
+stopping cancels that event, so the callback runs no more, and
 resuming arms a new one.
 """
 
@@ -30,6 +31,10 @@ class PeriodicProcess:
     ``interval`` must be finite and positive (NaN would refire at one
     instant forever) and ``start_delay`` finite and not negative, or
     the engine raises :class:`~repro.errors.SchedulingError`.
+
+    The engine re-arms the event before each callback, so a callback
+    that raises still leaves the process alive for the next tick, and a
+    callback that calls :meth:`stop` cancels the queued firing.
     """
 
     __slots__ = (
@@ -40,7 +45,6 @@ class PeriodicProcess:
         "_event",
         "_stopped",
         "_paused",
-        "_fired",
     )
 
     def __init__(
@@ -57,16 +61,10 @@ class PeriodicProcess:
         self._name = name
         self._stopped = False
         self._paused = False
-        self._fired = 0
         first = interval if start_delay is None else start_delay
         self._event: Optional[Event] = engine.schedule_every(
-            first, interval, self._fire, name
+            first, interval, callback, name
         )
-
-    @property
-    def fired(self) -> int:
-        """Number of times the callback has run."""
-        return self._fired
 
     @property
     def stopped(self) -> bool:
@@ -120,15 +118,6 @@ class PeriodicProcess:
             return
         delay = self._interval if start_delay is None else start_delay
         self._event = self._engine.schedule_every(
-            delay, self._interval, self._fire, self._name
+            delay, self._interval, self._callback, self._name
         )
         self._paused = False
-
-    def _fire(self) -> None:
-        if self._stopped or self._paused:
-            return
-        self._fired += 1
-        # The engine re-armed the event before this call, so a callback
-        # that raises still leaves the process alive for the next tick,
-        # and a callback that calls stop() cancels the queued firing.
-        self._callback()

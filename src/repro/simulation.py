@@ -300,7 +300,7 @@ class FileSharingSimulation:
             objects_per_category_max=config.objects_per_category_max,
             object_size_kbit=config.object_size_kbit,
         )
-        ctx.lookup = LookupService(coverage=config.lookup_coverage)
+        ctx.lookup = LookupService()
 
         self._category_popularity = RankPopularity(
             config.num_categories, config.category_factor

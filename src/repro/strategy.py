@@ -11,22 +11,17 @@ converges to under each incentive mechanism.  This module closes that
 gap.
 
 A :class:`StrategySpec` declares how one peer class revises its
-behaviour: every ``revision_period`` seconds the peer evaluates its
-*realized payoff* over a sliding ``window`` — mean download time,
-exchange-session fraction, and its credit/participation standing from
-its :class:`~repro.core.disciplines.ServiceDiscipline` — minus a
-``sharing_cost`` charged while it serves.  A pluggable update rule then
-decides whether to keep sharing, start sharing, or start free-riding:
+behaviour.  Its ``rule`` is one of two:
 
-* ``best-response`` — compare the mean realized payoff of currently
-  sharing peers against currently free-riding peers and adopt the
-  better strategy (best response to the population's observed payoffs);
-* ``imitate`` — sample one other peer and copy its strategy if its
-  realized payoff beats your own (imitation / replicator-style
-  dynamics);
-* ``epsilon-greedy`` — best response with probability ``1 - epsilon``,
-  a uniformly random strategy with probability ``epsilon``
-  (exploration noise);
+* ``best-response`` — every ``revision_period`` seconds, pool the
+  *realized payoffs* of the currently sharing peers and of the
+  currently free-riding peers over a sliding ``window`` — mean download
+  time, exchange-session fraction, and the credit/participation
+  standing from each peer's
+  :class:`~repro.core.disciplines.ServiceDiscipline`, minus a
+  ``sharing_cost`` charged while it serves — and move revising peers
+  toward the better side (best response to the population's observed
+  payoffs, after Buragohain et al.);
 * ``static`` — never revise (the paper's model, and the default).
 
 Switching is implemented with the same world-mutation machinery the
@@ -59,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.simulation import FileSharingSimulation
 
 #: Update-rule names accepted by :attr:`StrategySpec.rule`.
-STRATEGY_RULES = ("static", "best-response", "imitate", "epsilon-greedy")
+STRATEGY_RULES = ("static", "best-response")
 
 
 @dataclass(frozen=True)
@@ -110,8 +105,6 @@ class StrategySpec:
     exchange_weight: float = 10.0
     #: Weight of the discipline-standing payoff term.
     standing_weight: float = 2.0
-    #: Exploration probability for the ``epsilon-greedy`` rule.
-    epsilon: float = 0.1
 
     @property
     def is_static(self) -> bool:
@@ -146,8 +139,6 @@ class StrategySpec:
                 "payoff_sensitivity must be positive and finite, got "
                 f"{self.payoff_sensitivity}"
             )
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0,1], got {self.epsilon}")
         for name in ("sharing_cost", "exchange_weight", "standing_weight"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -277,41 +268,13 @@ class StrategyDirector:
                 window.sessions.append((end_time, is_exchange))
         self._session_index = num_sessions
 
-    def payoff(self, peer: "Peer", spec: StrategySpec) -> Optional[float]:
-        """The peer's realized payoff over its window; None without data.
-
-        Payoff (minutes-equivalent, higher is better) = −mean download
-        time + ``exchange_weight`` × exchange-session fraction +
-        ``standing_weight`` × discipline standing − ``sharing_cost``
-        while sharing.  A peer that completed no download inside the
-        window has no realized payoff and returns ``None``.
-        """
-        window = self._windows.get(peer.peer_id)
-        if window is None or not window.downloads:
-            return None
-        # Float sums here are left folds, never builtin sum(): from
-        # CPython 3.12 sum() compensates them (lint rule NUM001).
-        total_time = 0.0
-        for _, minutes in window.downloads:
-            total_time += minutes
-        mean_time = total_time / len(window.downloads)
-        value = -mean_time
-        if window.sessions:
-            # simlint: disable=NUM001 -- int tally, no rounding
-            exchange = sum(1 for _, is_x in window.sessions if is_x)
-            value += spec.exchange_weight * (exchange / len(window.sessions))
-        value += spec.standing_weight * peer.discipline.standing()
-        if peer.behavior.shares:
-            value -= spec.sharing_cost
-        return value
-
     # ------------------------------------------------------------------
     # revision epochs
     # ------------------------------------------------------------------
     def _side_payoff(
-        self, spec: StrategySpec, members: List[Tuple["Peer", Optional[float]]], sharing: bool
+        self, spec: StrategySpec, members: List["Peer"], sharing: bool
     ) -> Optional[float]:
-        """Pooled realized payoff of one strategy side.
+        """Pooled realized payoff of one strategy side (see :class:`StrategySpec`).
 
         Pools every window record of the side's peers (weighting peers
         by how much they observed) instead of averaging per-peer means:
@@ -333,12 +296,14 @@ class StrategyDirector:
         sessions = 0
         standing_total = 0.0
         veterans = 0
-        for peer, _ in members:
+        for peer in members:
             if now - last_switch.get(peer.peer_id, 0.0) < spec.window:
                 continue
             veterans += 1
             window = self._windows[peer.peer_id]
             downloads += len(window.downloads)
+            # Float sums here are left folds, never builtin sum(): from
+            # CPython 3.12 sum() compensates them (lint rule NUM001).
             # Per-peer subtotal first, as the pooled payoff always summed.
             peer_time = 0.0
             for _, minutes in window.downloads:
@@ -365,28 +330,36 @@ class StrategyDirector:
         self._ingest_new_records()
         cutoff = now - spec.window
         peers = ctx.peers
-        group: List[Tuple["Peer", Optional[float]]] = []
+        group: List["Peer"] = []
         for peer_id in self._groups[spec]:
             peer = peers[peer_id]
             if peer.departed:
                 continue
-            window = self._windows[peer_id]
-            window.evict_before(cutoff)
-            group.append((peer, self.payoff(peer, spec)))
+            self._windows[peer_id].evict_before(cutoff)
+            group.append(peer)
 
-        sharers = [(p, v) for p, v in group if p.behavior.shares]
-        freeloaders = [(p, v) for p, v in group if not p.behavior.shares]
+        sharers = [p for p in group if p.behavior.shares]
+        freeloaders = [p for p in group if not p.behavior.shares]
         mean_sharing = self._side_payoff(spec, sharers, sharing=True)
         mean_freeloading = self._side_payoff(spec, freeloaders, sharing=False)
         biased_sharing = mean_sharing
         if mean_sharing is not None and now < self._bias_until:
             biased_sharing = mean_sharing + self._payoff_bias
 
+        # Best response: the side with the higher pooled payoff, and by
+        # how much.  Ties and missing data never force a switch.
+        target: Optional[bool] = None
+        gap = 0.0
+        if biased_sharing is not None and mean_freeloading is not None:
+            if biased_sharing > mean_freeloading:
+                target, gap = True, biased_sharing - mean_freeloading
+            elif biased_sharing < mean_freeloading:
+                target, gap = False, mean_freeloading - biased_sharing
+
         revised = 0
         to_sharing = 0
         to_freeloading = 0
-        candidates = [(peer, p) for peer, p in group if peer.online and p is not None]
-        for peer, own_payoff in group:
+        for peer in group:
             # Offline peers are not experiencing the system; they revise
             # when they are back with fresh observations.
             if not peer.online:
@@ -394,13 +367,7 @@ class StrategyDirector:
             if self._rand.random() >= spec.revision_probability:
                 continue
             revised += 1
-            target = self._target(
-                spec, peer, own_payoff, biased_sharing, mean_freeloading, candidates
-            )
-            if target is None:
-                continue
-            gap, target = target
-            if target == peer.behavior.shares:
+            if target is None or target == peer.behavior.shares:
                 continue
             # Proportional switching: the pull toward the better
             # strategy scales with how much better it looks, so switch
@@ -430,43 +397,6 @@ class StrategyDirector:
             mean_payoff_sharing=mean_sharing,
             mean_payoff_freeloading=mean_freeloading,
         )
-
-    def _target(
-        self,
-        spec: StrategySpec,
-        peer: "Peer",
-        own_payoff: Optional[float],
-        mean_sharing: Optional[float],
-        mean_freeloading: Optional[float],
-        candidates: List[Tuple["Peer", float]],
-    ) -> Optional[Tuple[float, bool]]:
-        """The behaviour ``spec.rule`` picks for one revising peer.
-
-        Returns ``(payoff_gap, share?)`` — the gap feeds proportional
-        switching — or ``None`` to keep the current behaviour (ties and
-        missing data never force a switch).
-        """
-        if spec.rule == "imitate":
-            others = [(q, p) for q, p in candidates if q is not peer]
-            if not others:
-                return None
-            model, model_payoff = others[int(self._rand.random() * len(others))]
-            if own_payoff is None:
-                return (spec.payoff_sensitivity, model.behavior.shares)
-            if model_payoff > own_payoff:
-                return (model_payoff - own_payoff, model.behavior.shares)
-            return None
-        if spec.rule == "epsilon-greedy" and self._rand.random() < spec.epsilon:
-            # Exploration ignores payoffs entirely — full-strength jump.
-            return (spec.payoff_sensitivity, self._rand.random() < 0.5)
-        # best-response (also epsilon-greedy's exploit branch).
-        if mean_sharing is None or mean_freeloading is None:
-            return None
-        if mean_sharing > mean_freeloading:
-            return (mean_sharing - mean_freeloading, True)
-        if mean_sharing < mean_freeloading:
-            return (mean_freeloading - mean_sharing, False)
-        return None
 
     def _switch(self, peer: "Peer", share: bool) -> bool:
         """Flip one peer's behaviour and keep the accounting straight."""

@@ -96,7 +96,7 @@ def make_ctx(config: SimulationConfig | None = None, catalog: Catalog | None = N
     config = config or small_config()
     ctx = SimContext(config, metrics=recording_collector(config))
     ctx.catalog = catalog or tiny_catalog(size_kbit=config.object_size_kbit)
-    ctx.lookup = LookupService(coverage=config.lookup_coverage)
+    ctx.lookup = LookupService()
     return ctx
 
 

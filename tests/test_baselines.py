@@ -118,7 +118,7 @@ class TestSchedulerIntegration:
         contributor = build_peer(ctx, 3, mechanism="none")
         give(ctx, provider, 0)
         # The contributor has uploaded 2 MB to the provider in the past.
-        provider.credit.record_received(3, 2 * KBIT_PER_MB)
+        provider.discipline.credit.record_received(3, 2 * KBIT_PER_MB)
         # The stranger registers FIRST; under FIFO it would be served first.
         stranger.start_download(ctx.catalog.object(0))
         contributor.start_download(ctx.catalog.object(0))

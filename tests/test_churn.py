@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.metrics.records import TerminationReason
+from repro.network.peer import Peer
 from repro.simulation import FileSharingSimulation, run_simulation
 
 from tests.helpers import (
@@ -112,20 +116,36 @@ class TestOfflineTransitions:
 
     def test_offline_pauses_periodic_processes(self):
         """No scan.p*/storage.p* events fire while a peer is offline."""
+        fired = Counter()
+
+        def counted(method):
+            def callback(self):
+                fired[self.peer_id, method.__name__] += 1
+                return method(self)
+
+            return callback
+
         sim = FileSharingSimulation(small_config())
-        ctx = sim.build()
+        # The processes bind the peer's methods at build time.
+        with mock.patch.object(Peer, "scan", counted(Peer.scan)), mock.patch.object(
+            Peer, "storage_check", counted(Peer.storage_check)
+        ):
+            ctx = sim.build()
         peer = ctx.peers[0]
         assert len(peer.periodic_processes) == 2
         ctx.engine.run(until=200.0)
+        assert fired[0, "scan"] > 0
         peer.disconnect()
         assert all(p.paused for p in peer.periodic_processes)
-        fired_before = [p.fired for p in peer.periodic_processes]
+        fired_before = fired.copy()
         ctx.engine.run(until=1_200.0)  # many scan/storage intervals
-        assert [p.fired for p in peer.periodic_processes] == fired_before
+        assert fired[0, "scan"] == fired_before[0, "scan"]
+        assert fired[0, "storage_check"] == fired_before[0, "storage_check"]
+        assert fired[1, "scan"] > fired_before[1, "scan"]
         peer.reconnect()
         assert all(not p.paused for p in peer.periodic_processes)
         ctx.engine.run(until=1_600.0)
-        assert peer.periodic_processes[0].fired > fired_before[0]
+        assert fired[0, "scan"] > fired_before[0, "scan"]
 
     def test_transitions_idempotent(self):
         ctx = make_ctx()

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigError
+from repro.core.disciplines import DISCIPLINES, make_discipline
+from repro.core.ring import BREAK_POLICIES, ExchangeRing, RingEdge
+from repro.errors import ConfigError, RingError
 from repro.network.capacity import SlotPool
 from repro.units import KBIT_PER_MB
 from tests.helpers import make_ctx
@@ -84,8 +86,6 @@ class TestValidation:
             {"irq_capacity": 0},
             {"request_fanout": 0},
             {"scheduler_mode": "lottery"},
-            {"lookup_coverage": 0.0},
-            {"lookup_coverage": 1.5},
             {"ring_break_policy": "explode"},
             {"scan_interval": 0.0},
             {"max_tree_nodes": 0},
@@ -184,6 +184,60 @@ class TestValidation:
             SimulationConfig(
                 population=(PeerClassSpec(name="ghost", behavior="lurker"),)
             )
+
+
+class TestNameTables:
+    """Each choice's names live in one table beside the code that
+    implements it (``core.disciplines.DISCIPLINES``,
+    ``core.ring.BREAK_POLICIES``).  Every validator reads that table, so
+    a name is accepted everywhere or nowhere, and an unknown name is
+    still rejected with the message each validator always gave."""
+
+    @pytest.mark.parametrize("name", DISCIPLINES)
+    def test_every_discipline_is_accepted_and_built(self, name):
+        from repro.population import PeerClassSpec
+
+        SimulationConfig(scheduler_mode=name)
+        SimulationConfig(population=(PeerClassSpec(name="x", service_discipline=name),))
+        assert make_discipline(name, 0, shares=True, fake_participation=False).name == name
+
+    @pytest.mark.parametrize("policy", BREAK_POLICIES)
+    def test_every_break_policy_is_accepted_and_built(self, policy):
+        SimulationConfig(ring_break_policy=policy)
+        edges = [RingEdge(1, 2, 10), RingEdge(2, 1, 11)]
+        assert ExchangeRing(1, edges, policy).break_policy == policy
+
+    def test_unknown_names_keep_their_messages(self):
+        from repro.population import PeerClassSpec
+
+        def message(error, build):
+            with pytest.raises(error) as info:
+                build()
+            return str(info.value)
+
+        assert (
+            message(ConfigError, lambda: SimulationConfig(scheduler_mode="lottery"))
+            == "unknown scheduler_mode 'lottery'"
+        )
+        assert (
+            message(ConfigError, lambda: SimulationConfig(ring_break_policy="explode"))
+            == "unknown ring_break_policy 'explode'"
+        )
+        assert message(
+            ConfigError, lambda: PeerClassSpec(name="x", service_discipline="lottery").validate()
+        ) == (
+            "peer class 'x' has unknown service discipline 'lottery'; "
+            "expected one of ('fifo', 'credit', 'participation')"
+        )
+        assert message(ConfigError, lambda: make_discipline("lottery", 0, True, False)) == (
+            "unknown service discipline 'lottery'; "
+            "expected one of ['credit', 'fifo', 'participation']"
+        )
+        edges = [RingEdge(1, 2, 10), RingEdge(2, 1, 11)]
+        assert (
+            message(RingError, lambda: ExchangeRing(1, edges, "explode"))
+            == "unknown ring break policy 'explode'"
+        )
 
 
 class TestReplace:

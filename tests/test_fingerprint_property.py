@@ -56,7 +56,7 @@ def base_config() -> SimulationConfig:
             FlashCrowd(time=1_000.0, count=2),
             StrategyShock(time=2_000.0, flip_fraction=0.1),
         ),
-        strategy=StrategySpec(rule="imitate"),
+        strategy=StrategySpec(rule="static"),
     )
 
 
@@ -72,7 +72,7 @@ def mutate(value, field: dataclasses.Field):
     if name == "ring_break_policy":
         return "downgrade" if value != "downgrade" else "terminate"
     if name == "rule":
-        return "epsilon-greedy" if value != "epsilon-greedy" else "imitate"
+        return "static" if value != "static" else "best-response"
     if name == "behavior":
         return "freeloader" if value != "freeloader" else "sharer"
     if name == "name":
@@ -83,8 +83,6 @@ def mutate(value, field: dataclasses.Field):
         return "credit" if value != "credit" else "fifo"
     if name == "adversary":
         return "whitewash" if value != "whitewash" else "sybil"
-    if name == "lookup_coverage":
-        return 0.5 if value != 0.5 else 0.75  # stay inside the validated (0,1] range
     if isinstance(value, StrategySpec):
         return dataclasses.replace(value, revision_period=value.revision_period + 1.0)
     if isinstance(value, PeerClassSpec):

@@ -87,40 +87,20 @@ class TestFindProviders:
         assert found == [2]
 
     def test_full_coverage_returns_all_shuffled(self):
-        lookup = LookupService(coverage=1.0)
+        lookup = LookupService()
         for peer in range(10):
             lookup.register(peer, 100)
         found = lookup.find_providers(100, requester_id=99, rand=random.Random(0))
         assert sorted(found) == list(range(10))
-
-    def test_partial_coverage_returns_fraction(self):
-        lookup = LookupService(coverage=0.5)
-        for peer in range(10):
-            lookup.register(peer, 100)
-        found = lookup.find_providers(100, requester_id=99, rand=random.Random(0))
-        assert len(found) == 5
-        assert len(set(found)) == 5
-
-    def test_partial_coverage_returns_at_least_one(self):
-        lookup = LookupService(coverage=0.01)
-        lookup.register(1, 100)
-        found = lookup.find_providers(100, requester_id=99, rand=random.Random(0))
-        assert found == [1]
 
     def test_no_providers_empty(self):
         lookup = LookupService()
         assert lookup.find_providers(100, 1, random.Random(0)) == []
 
     def test_deterministic_under_seed(self):
-        lookup = LookupService(coverage=0.4)
+        lookup = LookupService()
         for peer in range(20):
             lookup.register(peer, 100)
         a = lookup.find_providers(100, 99, random.Random(7))
         b = lookup.find_providers(100, 99, random.Random(7))
         assert a == b
-
-    def test_invalid_coverage_rejected(self):
-        with pytest.raises(LookupError_):
-            LookupService(coverage=0.0)
-        with pytest.raises(LookupError_):
-            LookupService(coverage=1.0001)

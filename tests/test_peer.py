@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.credit import CreditLedger
+from repro.core.disciplines import DISCIPLINES, make_discipline
 from repro.core.irq import RequestEntry
 from repro.core.request_tree import (
     RequestTreeNode,
@@ -17,7 +19,7 @@ from repro.errors import ProtocolError
 from repro.metrics.records import TerminationReason
 from repro.network.peer import ABANDON_AFTER_LOOKUP_FAILURES, Peer
 
-from tests.helpers import build_peer, give, irq_index, make_ctx, small_config
+from tests.helpers import build_peer, drain, give, irq_index, make_ctx, small_config
 
 
 class TestRegistration:
@@ -153,14 +155,48 @@ class TestPerPeerState:
     def test_discipline_owns_baseline_state(self):
         ctx = make_ctx()
         peer = build_peer(ctx, 0)
-        assert peer.credit is peer.discipline.credit
         assert peer.participation is peer.discipline.participation
         assert type(peer.discipline).name == ctx.config.scheduler_mode
+        assert not hasattr(peer, "credit")
+
+    @pytest.mark.parametrize("name", ["fifo", "participation"])
+    def test_only_the_credit_discipline_holds_a_ledger(self, name):
+        assert not hasattr(make_discipline(name, 0, True, False), "credit")
+        assert isinstance(make_discipline("credit", 0, True, False).credit, CreditLedger)
+
+    @pytest.mark.parametrize("name", DISCIPLINES)
+    def test_block_accounting_updates_participation_under_every_discipline(self, name):
+        discipline = make_discipline(name, 0, shares=True, fake_participation=False)
+        discipline.record_served(5, 300.0)
+        discipline.record_received(6, 600.0)
+        discipline.record_served(6, 100.0)
+        reporter = discipline.participation
+        assert (reporter.uploaded_kbit, reporter.downloaded_kbit) == (400.0, 600.0)
+
+    def test_credit_ledger_records_both_directions_with_a_fifo_peer(self):
+        ctx = make_ctx()
+        assert ctx.config.scheduler_mode == "fifo"
+        credit_peer = build_peer(ctx, 0, mechanism="none")
+        credit_peer.discipline = make_discipline("credit", 0, True, False)
+        fifo_peer = build_peer(ctx, 1, mechanism="none")
+        give(ctx, credit_peer, 1)
+        give(ctx, fifo_peer, 0)
+        credit_peer.start_download(ctx.catalog.object(0))
+        fifo_peer.start_download(ctx.catalog.object(1))
+        drain(ctx, until=5_000.0)
+        assert 0 in credit_peer.store and 1 in fifo_peer.store
+        received = credit_peer.participation.downloaded_kbit
+        served = credit_peer.participation.uploaded_kbit
+        assert received > 0.0 and served > 0.0
+        # (what the fifo peer uploaded to us, what it downloaded from us)
+        assert credit_peer.discipline.credit.volumes(1) == (received, served)
+        assert fifo_peer.participation.uploaded_kbit == received
+        assert fifo_peer.participation.downloaded_kbit == served
+        assert not hasattr(fifo_peer.discipline, "credit")
 
     def test_capacity_overrides_size_slot_pools(self):
         from repro.content.interests import InterestProfile
         from repro.content.storage import ObjectStore
-        from repro.core.disciplines import make_discipline
         from repro.core.policies import parse_mechanism
         from repro.network.behaviors import SHARER
         from repro.network.peer import Peer

@@ -36,23 +36,27 @@ class TestPeriodicProcess:
 
     def test_stop_halts_firing(self):
         engine = Engine()
-        process = PeriodicProcess(engine, 10.0, lambda: None)
+        times = []
+        process = PeriodicProcess(engine, 10.0, lambda: times.append(engine.now))
         engine.run(until=15.0)
         process.stop()
         engine.run(until=100.0)
-        assert process.fired == 1
+        assert times == [10.0]
         assert process.stopped
 
     def test_stop_from_inside_callback(self):
         engine = Engine()
         holder = {}
+        times = []
 
         def callback():
+            times.append(engine.now)
             holder["process"].stop()
 
         holder["process"] = PeriodicProcess(engine, 10.0, callback)
         engine.run(until=100.0)
-        assert holder["process"].fired == 1
+        assert times == [10.0]
+        assert engine.events_pending == 0
 
     def test_callback_exception_does_not_kill_process(self):
         engine = Engine()
@@ -94,26 +98,28 @@ class TestPeriodicProcess:
     @pytest.mark.parametrize("start_delay", [math.nan, math.inf, -1.0])
     def test_bad_resume_delay_rejected_and_process_stays_paused(self, start_delay):
         engine = Engine()
-        process = PeriodicProcess(engine, 10.0, lambda: None)
+        times = []
+        process = PeriodicProcess(engine, 10.0, lambda: times.append(engine.now))
         process.pause()
         with pytest.raises(SimulationError):
             process.resume(start_delay=start_delay)
         assert process.paused
         process.resume(start_delay=1.0)
         engine.run(until=5.0)
-        assert process.fired == 1
+        assert times == [1.0]
 
     def test_pause_stops_firing_and_schedules_nothing(self):
         engine = Engine()
-        process = PeriodicProcess(engine, 10.0, lambda: None)
+        times = []
+        process = PeriodicProcess(engine, 10.0, lambda: times.append(engine.now))
         engine.run(until=15.0)
-        assert process.fired == 1
+        assert times == [10.0]
         process.pause()
         assert process.paused
         engine.run(until=500.0)
         # Not merely "the callback early-returns": the event heap is
         # empty, so a paused process costs zero events.
-        assert process.fired == 1
+        assert times == [10.0]
         assert engine.events_pending == 0
 
     def test_resume_restarts_with_fresh_stagger(self):
@@ -141,7 +147,8 @@ class TestPeriodicProcess:
 
     def test_pause_resume_idempotent_and_stop_wins(self):
         engine = Engine()
-        process = PeriodicProcess(engine, 10.0, lambda: None)
+        times = []
+        process = PeriodicProcess(engine, 10.0, lambda: times.append(engine.now))
         process.pause()
         process.pause()  # no-op
         process.resume()
@@ -150,7 +157,7 @@ class TestPeriodicProcess:
         process.pause()  # no-op once stopped
         process.resume()  # must not revive a stopped process
         engine.run(until=100.0)
-        assert process.fired == 0
+        assert times == []
         assert process.stopped and not process.paused
 
     def test_interval_exposed(self):
@@ -199,8 +206,9 @@ class TestReferenceModel:
     ``seq`` stamped in the same order the engine stamps its events, and
     fires the smallest due one.  A pause followed by a resume inside one
     interval leaves the cancelled firing in the heap beside the new one:
-    an engine that fired it would add to ``events_fired`` (and to no
-    process's count, since its callback is dropped).
+    an engine that fired it would add to ``events_fired`` and run the
+    process's callback once too often.  Fire counts are counted in the
+    test's own callbacks.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -256,8 +264,10 @@ class TestReferenceModel:
                     entry[1], entry[2] = None, "stopped"
             assert fired == ref_fired
             assert engine.now == now
-            for process, (_interval, _next, mode, count) in zip(processes, model):
-                assert process.fired == count
+            for index, (process, (_interval, _next, mode, count)) in enumerate(
+                zip(processes, model)
+            ):
+                assert sum(1 for i, _ in fired if i == index) == count
                 assert process.paused == (mode == "paused")
                 assert process.stopped == (mode == "stopped")
             assert engine.events_fired == len(ref_fired)
@@ -292,8 +302,9 @@ class _Boom(Exception):
 class _Side:
     """One engine and its processes, driven by a test program.
 
-    Both sides log every callback as ``("p", index)`` or ``("o", ident)``
-    and run the same actions, so equal logs mean equal fire order.  With
+    Both sides log every callback as ``("p", index)`` or ``("o", ident)``,
+    count each process's callbacks and run the same actions, so equal
+    logs mean equal fire order.  With
     ``check_events`` every periodic firing also checks that the process
     still holds the event it was armed with — re-armed in place to
     ``now + interval`` — unless that event was cancelled (by a pause or
@@ -304,6 +315,7 @@ class _Side:
         self.engine = engine
         self.log = []
         self.processes = []
+        self.fired = [0] * len(specs)
         self._once = 0
         self._check_events = check_events
         self._armed = []
@@ -324,6 +336,7 @@ class _Side:
     def _tick(self, index, action, every):
         process = self.processes[index]
         self.log.append(("p", index))
+        self.fired[index] += 1
         if self._check_events:
             event = process._event
             previous = self._armed[index]
@@ -331,7 +344,7 @@ class _Side:
                 assert event is previous
             assert event.time == self.engine.now + process.interval
             self._armed[index] = event
-        if action is not None and process.fired % every == 0:
+        if action is not None and self.fired[index] % every == 0:
             self._act(action)
 
     def _once_at(self, quarters, action):
@@ -387,7 +400,8 @@ class _Side:
             engine.events_fired,
             engine.cancelled_skipped,
             engine.events_pending,
-            [(p.fired, p.paused, p.stopped) for p in self.processes],
+            self.fired,
+            [(p.paused, p.stopped) for p in self.processes],
         )
 
 
@@ -458,7 +472,6 @@ class _ListProcess:
         self._engine = engine
         self.interval = interval
         self._callback = callback
-        self.fired = 0
         self.paused = False
         self.stopped = False
         first = interval if start_delay is None else start_delay
@@ -467,7 +480,6 @@ class _ListProcess:
     def _fire(self):
         if self.stopped or self.paused:
             return
-        self.fired += 1
         self._entry = self._engine.schedule(self.interval, self._fire)
         self._callback()
 

@@ -7,6 +7,12 @@ re-entry, sybil spawns, and a churned timeline whose mechanism ramp,
 capacity change and class-filtered departure pick peers by class while
 peers flip online and offline.  ``(events_fired, summary sha256)`` and
 the order of ``class_sizes`` keys pin what those reads returned.
+
+Two more cells pin the per-peer service state: sharers split across
+the fifo, credit and participation disciplines on loaded 40 kbit/s
+uplinks, where each ranked queue reads its own bookkeeping, and the
+``evolution`` figure's credit cell, whose best-response revisions read
+every enrolled peer's standing.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ import pytest
 
 from repro.experiments.presets import (
     adversarial_config,
+    evolution_config,
     flash_crowd_scenario,
     preset,
     swarm_growth_scenario,
 )
+from repro.population import PeerClassSpec
 from repro.scenario import (
     CapacityChange,
     DemandShift,
@@ -58,6 +66,25 @@ def _churned_timeline_cell():
     )
 
 
+def _mixed_discipline_cell():
+    return preset(
+        "smoke",
+        exchange_mechanism="none",
+        upload_capacity_kbit=40.0,
+        seed=42,
+        population=(
+            PeerClassSpec(name="fifo", fraction=0.2, service_discipline="fifo"),
+            PeerClassSpec(name="credit", fraction=0.15, service_discipline="credit"),
+            PeerClassSpec(
+                name="participation",
+                fraction=0.15,
+                service_discipline="participation",
+            ),
+            PeerClassSpec(name="freeloader", behavior="freeloader"),
+        ),
+    )
+
+
 #: cell name -> (config factory, events_fired, summary sha256, class_sizes items).
 PINS = {
     "flashcrowd": (
@@ -89,6 +116,18 @@ PINS = {
         50851,
         "248dc9d1c6a1d90ed2cba2d89407622748dc38295d7b4e967fe2506b83b77350",
         [("sharer", 15), ("freeloader", 20)],
+    ),
+    "mixed-disciplines": (
+        _mixed_discipline_cell,
+        52864,
+        "7ea9309d25b4109a5d49a633382afbf1fa0acfe36f903ddd30b87edbd8946a78",
+        [("fifo", 8), ("credit", 6), ("participation", 6), ("freeloader", 20)],
+    ),
+    "evolution-credit": (
+        lambda: evolution_config("smoke", "credit", 42),
+        54118,
+        "569fb4c4423e61ac84c00638f774bf243681e511fc4b21266ddd2c05b9819143",
+        [("sharer", 20), ("freeloader", 20)],
     ),
 }
 

@@ -8,8 +8,8 @@ Both are meant to be exact, so a world run with the original
 implementations (test-local copies below, patched in) and a world run
 with the current ones must agree on every event, the summary, the perf
 counters and the state of every RNG stream.  The worlds are eight
-peers with tiny stores and categories, partial lookup coverage and
-churn, so that downloads starve, get abandoned and profiles run dry.
+peers with tiny stores and categories, with and without churn, so that
+downloads starve, get abandoned and profiles run dry.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ def _config(world):
         storage_check_interval=300.0,
         max_pending=world["max_pending"],
         request_fanout=2,
-        lookup_coverage=world["lookup_coverage"],
         churn_enabled=churn,
         churn_mean_online=600.0 if churn else 20_000.0,
         churn_mean_offline=300.0 if churn else 2_000.0,
@@ -130,7 +129,6 @@ _WORLDS = st.fixed_dictionaries(
         "objects_per_category_max": st.integers(2, 5),
         "storage_max_objects": st.integers(2, 4),
         "max_pending": st.integers(2, 4),
-        "lookup_coverage": st.sampled_from([0.5, 1.0]),
         "churn": st.booleans(),
     }
 )
@@ -145,11 +143,9 @@ def test_sweep_and_sampler_match_the_originals():
     # dry, with and without churn; in the second, one call also misses
     # with a requestable object left (its draws never hit it).
     @example(world=dict(seed=3, num_categories=2, objects_per_category_max=3,
-                        storage_max_objects=2, max_pending=2,
-                        lookup_coverage=0.5, churn=True))
+                        storage_max_objects=2, max_pending=2, churn=True))
     @example(world=dict(seed=28, num_categories=3, objects_per_category_max=4,
-                        storage_max_objects=3, max_pending=3,
-                        lookup_coverage=1.0, churn=False))
+                        storage_max_objects=3, max_pending=3, churn=False))
     def same_trajectory(world):
         config = _config(world)
         with ExitStack() as patches:

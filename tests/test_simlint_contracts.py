@@ -207,27 +207,6 @@ class TestHOT001:
         )
         assert findings == []
 
-    def test_one_file_run_matches_the_whole_tree_run(self, tmp_path):
-        """The rule needs no other module: linting the planted file alone
-        gives the finding a run over the whole tree gives."""
-        tree = tmp_path / "repro"
-        shutil.copytree(
-            os.path.join(REPO_ROOT, "src", "repro"),
-            tree,
-            ignore=shutil.ignore_patterns("__pycache__"),
-        )
-        peer = tree / "network" / "peer.py"
-        source = peer.read_text(encoding="utf-8")
-        peer.write_text(source + HOT_FIXTURE, encoding="utf-8")
-
-        def hot001(path):
-            return run_lint([str(path)], rules=[RULE_REGISTRY["HOT001"]()]).findings
-
-        whole = hot001(tree)
-        assert [f.rule for f in whole] == ["HOT001"]
-        assert "'worker'" in whole[0].message
-        assert hot001(peer) == whole
-
 
 class TestNUM001:
     def test_np_sum_is_flagged(self, tmp_path):

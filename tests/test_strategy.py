@@ -58,6 +58,14 @@ class TestSpecValidation:
         for rule in STRATEGY_RULES:
             StrategySpec(rule=rule).validate()
 
+    @pytest.mark.parametrize("rule", ["imitate", "epsilon-greedy"])
+    def test_retired_rules_rejected(self, rule):
+        # Earlier versions accepted these two rules.  A config that still
+        # names one must fail validation, not run another rule under
+        # that name.
+        with pytest.raises(ConfigError, match="unknown strategy rule"):
+            StrategySpec(rule=rule).validate()
+
     def test_bad_numbers_rejected(self):
         for overrides, match in (
             (dict(revision_period=0.0), "revision_period"),
@@ -65,7 +73,6 @@ class TestSpecValidation:
             (dict(start=-5.0), "start"),
             (dict(revision_probability=0.0), "revision_probability"),
             (dict(payoff_sensitivity=0.0), "payoff_sensitivity"),
-            (dict(epsilon=1.5), "epsilon"),
             (dict(sharing_cost=-1.0), "sharing_cost"),
             (dict(exchange_weight=float("inf")), "exchange_weight"),
         ):
@@ -82,7 +89,7 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="StrategySpec"):
             small_config(
                 population=(
-                    PeerClassSpec(name="a", strategy="imitate"),  # type: ignore[arg-type]
+                    PeerClassSpec(name="a", strategy="best-response"),  # type: ignore[arg-type]
                 )
             )
 
@@ -206,18 +213,6 @@ class TestDynamicsRun:
             == second.summary.sharing_fraction_by_epoch
         )
         assert first.summary.to_dict() == second.summary.to_dict()
-
-    def test_all_rules_run(self):
-        for rule in ("best-response", "imitate", "epsilon-greedy"):
-            config = small_config(
-                strategy=dynamic_spec(rule=rule),
-                duration=8_000.0,
-                warmup=2_000.0,
-                seed=11,
-            )
-            summary = run_simulation(config).summary
-            assert summary.sharing_fraction_by_epoch, rule
-            assert summary.equilibrium_sharing_fraction is not None, rule
 
     def test_epoch_records_and_summary_fields_consistent(self):
         config = small_config(
